@@ -18,8 +18,7 @@ The layers, bottom up:
   the verification pipeline and command-line surface.
 """
 
-from .blocks import (Block, LowerDefectTable, block_distribution,
-                     block_defect_group, block_invariants, brauer_induce,
+from .blocks import (Block, LowerDefectTable, block_distribution, brauer_induce,
                      central_characters, lower_defect_multiplicities,
                      principal_block)
 from .catalog import analyze_group, builtin_catalog_path, load_catalog, run_catalog
@@ -33,9 +32,8 @@ from .errors import (AmbiguousMatch, BlockscopeError, CapExceeded, DegreeOverflo
                      NotAbelian, NotNormalized, NotPIntegral, ParseError)
 from .fusion import EssentialClass, FusionSystem, HyperfocalReport, omega1
 from .groups import (ConjClass, PermGroup, abelian_invariants, centralizer,
-                     center, conjugacy_classes, fixed_points, group_order,
-                     is_conjugate_subgroups, normalizer, o_p_residual,
-                     subgroup_classes_of_p_group, sylow_subgroup)
+                     center, fixed_points, normalizer, o_p_residual,
+                     subgroup_classes_of_p_group, subgroup_transporter, sylow_subgroup)
 from .modp import ModPContext, mod_p_context
 from .perms import Perm, parse_perm
 from .recipes import (GroupRecipe, alternating, construct_group, cyclic, direct,

@@ -17,29 +17,21 @@ identity is enforced as a hard runtime assertion.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .chartable import CharacterTable, _class_matrices, character_table
 from .cyclotomic import Cyclo
 from .errors import (AmbiguousMatch, InternalInconsistency, NoDefectClass)
-from .groups import (PermGroup, centralizer, is_conjugate_subgroups,
-                     subgroup_classes_of_p_group, sylow_subgroup,
-                     subgroup_fingerprint)
+from .exact import nu, row_reduce
+from .groups import (PermGroup, centralizer, subgroup_classes_of_p_group,
+                     subgroup_transporter, sylow_subgroup, subgroup_fingerprint)
 from .modp import ModPContext, mod_p_context
 
 __all__ = ["Block", "LowerDefectTable", "central_characters", "block_distribution",
-           "block_defect_group", "block_invariants", "brauer_induce",
-           "lower_defect_multiplicities", "block_idempotent_vectors",
+           "brauer_induce", "lower_defect_multiplicities", "block_idempotent_vectors",
            "p_subgroup_classes"]
-
-
-def _nu(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 @dataclass(frozen=True)
@@ -82,9 +74,10 @@ class Block:
 
 def central_characters(table: CharacterTable):
     """omega_chi(K) = |K| chi(g_K) / chi(1); all values must be algebraic integers."""
-    cached = table.group._cache.get("central_chars")
-    if cached is not None:
-        return cached
+    return table.group._memo("central_chars", lambda: _central_characters(table))
+
+
+def _central_characters(table: CharacterTable):
     rows = []
     for i in range(table.n_classes):
         deg = table.degrees[i]
@@ -96,9 +89,7 @@ def central_characters(table: CharacterTable):
                     f"central character ({i},{j}) is not an algebraic integer")
             row.append(w)
         rows.append(tuple(row))
-    cached = tuple(rows)
-    table.group._cache["central_chars"] = cached
-    return cached
+    return tuple(rows)
 
 
 def _context_for(table: CharacterTable, p: int) -> ModPContext:
@@ -107,10 +98,10 @@ def _context_for(table: CharacterTable, p: int) -> ModPContext:
 
 def block_distribution(table: CharacterTable, p: int) -> list[Block]:
     """Partition of Irr(G) into p-blocks, principal block first."""
-    key = ("blocks", p)
-    cached = table.group._cache.get(key)
-    if cached is not None:
-        return cached
+    return table.group._memo(("blocks", p), lambda: _block_distribution(table, p))
+
+
+def _block_distribution(table: CharacterTable, p: int) -> list[Block]:
     ctx = _context_for(table, p)
     omegas = central_characters(table)
     sig_of: dict[tuple, list[int]] = {}
@@ -119,11 +110,11 @@ def block_distribution(table: CharacterTable, p: int) -> list[Block]:
         sig_of.setdefault(sig, []).append(i)
 
     n = table.group.order
-    nu_g = _nu(n, p)
+    nu_g = nu(n, p)
     blocks = []
     for sig, idxs in sig_of.items():
         idxs = tuple(sorted(idxs))
-        defect = nu_g - min(_nu(table.degrees[i], p) for i in idxs)
+        defect = nu_g - min(nu(table.degrees[i], p) for i in idxs)
         principal = 0 in idxs
         dg = _defect_group_from_signature(table, p, sig, defect)
         blocks.append(Block(
@@ -140,7 +131,6 @@ def block_distribution(table: CharacterTable, p: int) -> list[Block]:
         sylow = sylow_subgroup(table.group, p)
         if blocks[0].defect_group.order != sylow.order:
             raise InternalInconsistency("principal block defect group is not Sylow")
-    table.group._cache[key] = blocks
     return blocks
 
 
@@ -151,14 +141,14 @@ def _defect_group_from_signature(table: CharacterTable, p: int, sig, defect: int
     character whose class defect equals the block defect.
     """
     group = table.group
-    nu_g = _nu(group.order, p)
+    nu_g = nu(group.order, p)
     zero = mod_p_context(table.exponent, p).field.zero
     for j, cls in enumerate(table.classes):
         if not cls.is_p_regular(p):
             continue
         if sig[j] == zero:
             continue
-        class_defect = nu_g - _nu(cls.size, p)
+        class_defect = nu_g - nu(cls.size, p)
         if class_defect == defect:
             cent = centralizer(group, cls.representative)
             return sylow_subgroup(cent, p)
@@ -169,40 +159,8 @@ def _l_by_rank(table: CharacterTable, p: int, idxs) -> int:
     """l(b): rank over the cyclotomic field of block rows on p-regular classes."""
     cols = table.p_regular_indices(p)
     rows = [[table.values[i][j] for j in cols] for i in idxs]
-    return _cyclo_rank(rows)
-
-
-def _cyclo_rank(rows) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if not rows[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def block_defect_group(blk: Block) -> PermGroup:
-    return blk.defect_group
-
-
-def block_invariants(blk: Block) -> tuple[int, int]:
-    return blk.k, blk.l
+    _, pivots = row_reduce(rows, Cyclo.is_zero, Cyclo.inverse, operator.mul, operator.sub)
+    return len(pivots)
 
 
 def principal_block(group: PermGroup, p: int) -> Block:
@@ -262,10 +220,10 @@ def block_idempotent_vectors(table: CharacterTable, p: int):
     a p-integral cyclotomic value; p-integrality is asserted by the
     reduction itself (a p-divisible denominator raises).
     """
-    key = ("idempotents", p)
-    cached = table.group._cache.get(key)
-    if cached is not None:
-        return cached
+    return table.group._memo(("idempotents", p), lambda: _idempotent_vectors(table, p))
+
+
+def _idempotent_vectors(table: CharacterTable, p: int):
     ctx = _context_for(table, p)
     n = table.group.order
     out = []
@@ -278,9 +236,7 @@ def block_idempotent_vectors(table: CharacterTable, p: int):
                 total = total + table.values[i][jinv] * table.degrees[i]
             vec.append(ctx.reduce(total * Fraction(1, n)))
         out.append(tuple(vec))
-    cached = (tuple(out), ctx)
-    table.group._cache[key] = cached
-    return cached
+    return tuple(out), ctx
 
 
 def _center_multiply(table: CharacterTable, ctx: ModPContext, vec, j: int):
@@ -301,39 +257,11 @@ def _center_multiply(table: CharacterTable, ctx: ModPContext, vec, j: int):
     return tuple(out)
 
 
-def _gf_rank(field, rows) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != field.zero), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, v) for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != field.zero:
-                f = rows[r][col]
-                rows[r] = [field.sub(a, field.mul(f, b))
-                           for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def p_subgroup_classes(group: PermGroup, p: int,
                        sylow: PermGroup | None = None) -> list[PermGroup]:
     """G-conjugacy classes of p-subgroups (all lie in a fixed Sylow)."""
-    key = ("p_subgroup_classes", p)
-    cached = group._cache.get(key)
-    if cached is None:
-        if sylow is None:
-            sylow = sylow_subgroup(group, p)
-        cached = subgroup_classes_of_p_group(sylow, group, p=p)
-        group._cache[key] = cached
-    return cached
+    return group._memo(("p_subgroup_classes", p), lambda: subgroup_classes_of_p_group(
+        sylow if sylow is not None else sylow_subgroup(group, p), group, p))
 
 
 @dataclass(frozen=True)
@@ -386,13 +314,15 @@ def lower_defect_multiplicities(blk: Block) -> LowerDefectTable:
         class_rep_of.append(_match_subgroup_class(group, d, reps))
 
     # containment partial order on the subgroup classes
-    leq = _containment_matrix(group, reps)
+    leq = _containment_matrix(group, p)
 
     vectors = [_center_multiply(table, ctx, e_b, j) for j in pr]
 
     def span_rank(pred):
         rows = [v for v, cls in zip(vectors, class_rep_of) if pred(cls)]
-        return _gf_rank(field, rows) if rows else 0
+        _, pivots = row_reduce(rows, lambda a: a == field.zero, field.inv, field.mul,
+                               field.sub)
+        return len(pivots)
 
     mult = []
     for ri in range(len(reps)):
@@ -418,19 +348,21 @@ def lower_defect_multiplicities(blk: Block) -> LowerDefectTable:
 def _match_subgroup_class(group: PermGroup, h: PermGroup, reps) -> int:
     for i, r in enumerate(reps):
         if r.order == h.order and subgroup_fingerprint(r) == subgroup_fingerprint(h):
-            if is_conjugate_subgroups(group, h, r) is not None:
+            if subgroup_transporter(group, h, r) is not None:
                 return i
     raise InternalInconsistency("subgroup matches no enumerated p-subgroup class")
 
 
-def _containment_matrix(group: PermGroup, reps):
-    """leq[a][b]: some conjugate of reps[a] is contained in reps[b]."""
+def _containment_matrix(group: PermGroup, p: int):
+    """leq[a][b]: some conjugate of the a-th p-subgroup class representative
+    is contained in the b-th."""
+    return group._memo(("p_subgroup_leq", p), lambda: _containment(group, p))
+
+
+def _containment(group: PermGroup, p: int):
     from .groups import _set_orbit
 
-    key = ("p_subgroup_leq", tuple(id(r) for r in reps))
-    cached = group._cache.get(key)
-    if cached is not None:
-        return cached
+    reps = p_subgroup_classes(group, p)
     sets = [r.element_set() for r in reps]
     orbits = [_set_orbit(group, frozenset(r.element_set())) for r in reps]
     n = len(reps)
@@ -440,5 +372,4 @@ def _containment_matrix(group: PermGroup, reps):
             if reps[a].order > reps[b].order:
                 continue
             leq[a][b] = any(s <= sets[b] for s in orbits[a])
-    group._cache[key] = leq
     return leq

@@ -5,7 +5,7 @@ and optional expected invariants with provenance notes.  ``run_catalog``
 evaluates every entry (classify, verify counts, weights, local structure,
 lower defect tables, block suites), compares against the expectations,
 and assembles a deterministic machine-readable report.  An entry that
-raises a cap or input error is marked errored and the run continues.
+raises any exception is marked errored and the run continues.
 
 Exit status: 0 all pass, 1 any verdict failed or entry errored,
 2 an internal consistency assertion tripped, 3 unusable input.
@@ -14,22 +14,25 @@ Exit status: 0 all pass, 1 any verdict failed or entry errored,
 from __future__ import annotations
 
 import json
+import traceback
 from dataclasses import dataclass
 from importlib import resources
 
 from .blocks import (block_distribution, block_idempotent_vectors, brauer_induce,
-                     lower_defect_multiplicities, principal_block, p_subgroup_classes)
-from .chartable import character_table, _class_matrices
+                     lower_defect_multiplicities, principal_block, p_subgroup_classes,
+                     _center_multiply)
+from .chartable import character_table
 from .classify import (check_local_structure, classify_case, count_weights,
-                       verify_counts)
-from .errors import (BlockscopeError, CapExceeded, InputError,
-                     InternalInconsistency, ParseError)
-from .groups import PermGroup, normalizer
+                       verdict, verify_counts)
+from .errors import (BlockscopeError, CapExceeded, InputError, InternalInconsistency,
+                     ParseError)
+from .exact import is_prime, p_part
+from .groups import SUBGROUP_ENUM_CAP, PermGroup, normalizer
 from .recipes import construct_group, recipe_from_json, recipe_to_json
 
 __all__ = ["CatalogEntry", "load_catalog", "builtin_catalog_path", "run_catalog",
-           "analyze_group", "EXIT_PASS", "EXIT_VERDICT_FAIL", "EXIT_INTERNAL",
-           "EXIT_INPUT"]
+           "analyze_group", "checks_pass", "EXIT_PASS", "EXIT_VERDICT_FAIL",
+           "EXIT_INTERNAL", "EXIT_INPUT"]
 
 EXIT_PASS = 0
 EXIT_VERDICT_FAIL = 1
@@ -81,7 +84,17 @@ def load_catalog(path: str) -> list[CatalogEntry]:
 
 def analyze_group(group: PermGroup, p: int, strict_lt_threshold: bool = False,
                   seed: int = 0) -> dict:
-    """Full pipeline for one group; returns the report dictionary."""
+    """Full pipeline for one group; returns the report dictionary.
+
+    Refuses a p that is not prime, and a Sylow p-subgroup above the
+    subgroup enumeration cap, before any work.
+    """
+    if not is_prime(p):
+        raise InputError(f"p = {p} is not a prime")
+    sylow_order = p_part(group.order, p)
+    if sylow_order > SUBGROUP_ENUM_CAP:
+        raise CapExceeded(
+            f"|P| = {sylow_order} exceeds enumeration cap {SUBGROUP_ENUM_CAP}")
     report = classify_case(group, p, strict_lt_threshold=strict_lt_threshold,
                            seed=seed)
     out = {
@@ -101,7 +114,7 @@ def analyze_group(group: PermGroup, p: int, strict_lt_threshold: bool = False,
         blk = principal_block(group, p)
         weights = count_weights(group, p, blk)
         report.measured["weights"] = weights
-        report.verdicts["weights_equal_l"] = "pass" if weights == blk.l else "fail"
+        report.verdicts["weights_equal_l"] = verdict(weights == blk.l)
         out["predicted"] = dict(sorted(report.predicted.items()))
         out["measured"] = dict(sorted(report.measured.items()))
         out["verdicts"] = dict(sorted(report.verdicts.items()))
@@ -131,33 +144,24 @@ def _invariant_suite(group: PermGroup, table, blocks, p: int) -> dict:
         "defect_zero_blocks_trivial": all(
             b.k == 1 and b.l == 1 and b.defect_group.order == 1
             for b in blocks if b.defect == 0),
-        "idempotents_orthogonal_sum_one": _check_idempotents(group, table, p),
+        "idempotents_orthogonal_sum_one": _check_idempotents(table, p),
         "principal_induction_from_local": _check_brauer_third(group, p),
     }
     return suite
 
 
-def _check_idempotents(group: PermGroup, table, p: int) -> bool:
+def _check_idempotents(table, p: int) -> bool:
     """e_b mod p are orthogonal idempotents summing to 1 in Z(kG)."""
     vectors, ctx = block_idempotent_vectors(table, p)
     field = ctx.field
-    mats = _class_matrices(group)
     r = table.n_classes
 
     def mult(u, v):
         out = [field.zero] * r
-        for i in range(r):
-            if u[i] == field.zero:
-                continue
-            for j in range(r):
-                if v[j] == field.zero:
-                    continue
-                uv = field.mul(u[i], v[j])
-                row = mats[i][j]
-                for k in range(r):
-                    a = int(row[k]) % p
-                    if a:
-                        out[k] = field.add(out[k], field.mul(uv, field.scalar(a)))
+        for j in range(r):
+            if v[j] != field.zero:
+                uk = _center_multiply(table, ctx, u, j)
+                out = [field.add(a, field.mul(v[j], b)) for a, b in zip(out, uk)]
         return tuple(out)
 
     one = tuple([field.one] + [field.zero] * (r - 1))
@@ -194,19 +198,19 @@ def _check_expected(entry: CatalogEntry, result: dict) -> dict:
     verdicts = {}
     exp = entry.expected
     if "case_label" in exp:
-        verdicts["expected_case_label"] = _v(result["case_label"] == exp["case_label"])
+        verdicts["expected_case_label"] = verdict(result["case_label"] == exp["case_label"])
     ev = result["evidence"]
     if "hyperfocal_invariants" in exp:
-        verdicts["expected_hyperfocal"] = _v(
+        verdicts["expected_hyperfocal"] = verdict(
             ev.get("hyperfocal_invariants") == exp["hyperfocal_invariants"])
     if "controlled" in exp:
-        verdicts["expected_controlled"] = _v(
+        verdicts["expected_controlled"] = verdict(
             ev.get("controlled_by_sylow_normalizer") == exp["controlled"])
     if "essential_order" in exp:
-        verdicts["expected_essential_order"] = _v(
+        verdicts["expected_essential_order"] = verdict(
             ev.get("essential_order") == exp["essential_order"])
     if "essential_automizer_s3" in exp:
-        verdicts["expected_essential_automizer"] = _v(
+        verdicts["expected_essential_automizer"] = verdict(
             ev.get("essential_automizer_is_s3") == exp["essential_automizer_s3"])
     measured = result["measured"]
     principal = next((b for b in result["blocks"] if b["is_principal"]), None)
@@ -215,20 +219,25 @@ def _check_expected(entry: CatalogEntry, result: dict) -> dict:
             got = measured.get(key)
             if got is None and principal is not None and key in ("k_b", "l_b"):
                 got = principal[key[0]]
-            verdicts[f"expected_{key}"] = _v(got == exp[key])
+            verdicts[f"expected_{key}"] = verdict(got == exp[key])
     if "weights" in exp:
-        verdicts["expected_weights"] = _v(measured.get("weights") == exp["weights"])
+        verdicts["expected_weights"] = verdict(measured.get("weights") == exp["weights"])
     if "block_count" in exp:
-        verdicts["expected_block_count"] = _v(len(result["blocks"]) == exp["block_count"])
+        verdicts["expected_block_count"] = verdict(
+            len(result["blocks"]) == exp["block_count"])
     if "lower_defect" in exp:
         want = sorted(map(tuple, exp["lower_defect"]), reverse=True)
         got = sorted(map(tuple, result["lower_defect"]), reverse=True)
-        verdicts["expected_lower_defect"] = _v(want == got)
+        verdicts["expected_lower_defect"] = verdict(want == got)
     return verdicts
 
 
-def _v(ok: bool) -> str:
-    return "pass" if ok else "fail"
+def checks_pass(result: dict, more=()) -> bool:
+    """Every verdict, local-structure check, invariant and extra verdict in
+    `more` passes; skipped checks do not count."""
+    checks = [*result["verdicts"].values(), *result["local_structure"].values(),
+              *map(verdict, result["invariant_suite"].values()), *more]
+    return all(v == "pass" for v in checks if v != "skipped")
 
 
 def run_catalog(path: str, filters: list[str] | None = None,
@@ -260,19 +269,15 @@ def run_catalog(path: str, filters: list[str] | None = None,
             item.update(result)
             item["expected"] = entry.expected
             item["expected_verdicts"] = _check_expected(entry, result)
-            all_checks = (list(result["verdicts"].values())
-                          + list(result["local_structure"].values())
-                          + list(item["expected_verdicts"].values())
-                          + [_v(v) for v in result["invariant_suite"].values()])
-            ok = all(v == "pass" for v in all_checks if v != "skipped")
-            item["status"] = "pass" if ok else "fail"
-        except InternalInconsistency as exc:
+            ok = checks_pass(result, item["expected_verdicts"].values())
+            item["status"] = verdict(ok)
+        except Exception as exc:  # one failing entry never aborts the run
+            if not isinstance(exc, BlockscopeError):
+                traceback.print_exc()
             item["status"] = "errored"
             item["error"] = f"{type(exc).__name__}: {exc}"
-            exit_code = EXIT_INTERNAL
-        except (CapExceeded, InputError, BlockscopeError) as exc:
-            item["status"] = "errored"
-            item["error"] = f"{type(exc).__name__}: {exc}"
+            if isinstance(exc, InternalInconsistency):
+                exit_code = EXIT_INTERNAL
         report["entries"].append(item)
         if item["status"] == "pass":
             report["summary"]["passed"] += 1

@@ -24,6 +24,7 @@ import numpy as np
 
 from .cyclotomic import Cyclo, zeta
 from .errors import CapExceeded, InternalInconsistency
+from .exact import is_prime, prime_factors
 from .groups import PermGroup
 from .perms import Perm
 
@@ -92,9 +93,6 @@ class CharacterTable:
     def class_index(self, g: Perm) -> int:
         return self.group.class_of(g)
 
-    def power_class(self, j: int, s: int) -> int:
-        return self.group.class_of(self.classes[j].representative ** s)
-
     def p_regular_indices(self, p: int) -> tuple[int, ...]:
         return tuple(j for j, c in enumerate(self.classes) if c.is_p_regular(p))
 
@@ -127,7 +125,7 @@ class CharacterTable:
         e = self.exponent
         phi = _phi(e)
         rows = _power_basis_rows(e)
-        lifted = [[_int_vector(v, e, phi) for v in row] for row in self.values]
+        lifted = [[[int(c) for c in v._lift(e)] for v in row] for row in self.values]
 
         def mul(a, b):
             conv = {}
@@ -192,24 +190,12 @@ class CharacterTable:
 # structure constants
 
 
-def _int_vector(v: Cyclo, e: int, phi: int) -> list[int]:
-    """Integer coordinates of an algebraic-integer value in the conductor-e field."""
-    from .cyclotomic import _reduce_exponent_dict
-
-    if v.m == 1:
-        out = [0] * phi
-        out[0] = int(v.coeffs[0])
-        return out
-    step = e // v.m
-    vec = _reduce_exponent_dict(e, {k * step: c for k, c in enumerate(v.coeffs)})
-    return [int(c) for c in vec]
-
-
 def _class_matrices(group: PermGroup) -> list[np.ndarray]:
     """M_i[j][k] = #{(x, y) in K_i x K_j : x y = z_k} for a fixed z_k."""
-    cached = group._cache.get("class_matrices")
-    if cached is not None:
-        return cached
+    return group._memo("class_matrices", lambda: _count_class_products(group))
+
+
+def _count_class_products(group: PermGroup) -> list[np.ndarray]:
     classes = group.conjugacy_classes()
     r = len(classes)
     class_of = {x: idx for idx, c in enumerate(classes) for x in c.elements}
@@ -222,7 +208,6 @@ def _class_matrices(group: PermGroup) -> list[np.ndarray]:
             for xinv in inverses:
                 j = class_of[xinv * z]
                 mi[j, k] += 1
-    group._cache["class_matrices"] = mats
     return mats
 
 
@@ -236,9 +221,10 @@ def class_mult_coefficients(group: PermGroup, i: int, j: int, k: int) -> int:
 
 
 def character_table(group: PermGroup, class_cap: int = CLASS_COUNT_CAP) -> CharacterTable:
-    cached = group._cache.get("char_table")
-    if cached is not None:
-        return cached
+    return group._memo("char_table", lambda: _build_table(group, class_cap))
+
+
+def _build_table(group: PermGroup, class_cap: int) -> CharacterTable:
     classes = group.conjugacy_classes()
     r = len(classes)
     if r > class_cap:
@@ -294,41 +280,19 @@ def character_table(group: PermGroup, class_cap: int = CLASS_COUNT_CAP) -> Chara
                            values=values, exponent=exponent,
                            inverse_class=inverse_class)
     table.verify_orthogonality()
-    group._cache["char_table"] = table
     return table
 
 
 def _choose_prime(exponent: int, n: int) -> int:
     ell = exponent + 1
     while True:
-        if ell * ell > 4 * n and _is_prime(ell):
+        if ell * ell > 4 * n and is_prime(ell):
             return ell
         ell += exponent
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _primitive_root(ell: int) -> int:
-    factors = []
-    n = ell - 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            factors.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        factors.append(n)
+    factors = prime_factors(ell - 1)
     for w in range(2, ell):
         if all(pow(w, (ell - 1) // q, ell) != 1 for q in factors):
             return w

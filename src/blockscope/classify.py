@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 from .blocks import Block, block_distribution, brauer_induce, principal_block
 from .chartable import character_table
 from .errors import InternalInconsistency
+from .exact import nu, p_part
 from .fusion import FusionSystem, omega1
-from .groups import (PermGroup, abelian_invariants, center, centralizer, normalizer,
-                     same_subgroup)
+from .groups import (PermGroup, abelian_invariants, center, centralizer, fixed_points,
+                     normalizer, same_subgroup)
 
 __all__ = ["ClassificationReport", "classify_case", "verify_counts",
            "count_weights", "check_local_structure", "Q_ORDER_LIMIT"]
@@ -56,22 +57,17 @@ class ClassificationReport:
     def in_scope(self) -> bool:
         return self.case_label in IN_SCOPE
 
-    def all_pass(self) -> bool:
-        checks = list(self.verdicts.values()) + list(self.local_structure.values())
-        return all(v == "pass" for v in checks if v != "skipped")
+
+def verdict(ok: bool) -> str:
+    """The report's word for a check's outcome."""
+    return "pass" if ok else "fail"
 
 
 def _is_homocyclic_rank2(q: PermGroup, p: int) -> bool:
     if q.order == 1 or not q.is_abelian():
         return False
     inv = abelian_invariants(q)
-    return len(inv) == 2 and inv[0] == inv[1] and _is_p_power(inv[0], p)
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
+    return len(inv) == 2 and inv[0] == inv[1] and p_part(inv[0], p) == inv[0]
 
 
 def classify_case(group: PermGroup, p: int = 2,
@@ -138,7 +134,7 @@ def classify_case(group: PermGroup, p: int = 2,
     ess = essentials[0]
     s = ess.representative
     q0 = omega1(q, p)
-    cp_q0 = _centralizer_in(sylow, q0)
+    cp_q0 = fixed_points(sylow, q0)
     s_is_cpq0 = same_subgroup(s, cp_q0)
     index = sylow.order // s.order
     zs = center(s)
@@ -162,12 +158,6 @@ def classify_case(group: PermGroup, p: int = 2,
     limit_ok = q.order < Q_ORDER_LIMIT if strict_lt_threshold else q.order <= Q_ORDER_LIMIT
     report.case_label = "case_ii" if limit_ok else "out_of_scope_Q_too_large"
     return report
-
-
-def _centralizer_in(sylow: PermGroup, sub: PermGroup) -> PermGroup:
-    gens = [x for x in sylow.elements()
-            if all(x * s == s * x for s in sub.generators)]
-    return sylow._top().subgroup([x for x in gens if not x.is_identity()])
 
 
 # ---------------------------------------------------------------------------
@@ -202,33 +192,29 @@ def verify_counts(report: ClassificationReport) -> ClassificationReport:
     })
     ind_c = brauer_induce(c, group)
     ind_b0 = brauer_induce(b0, group)
-    report.verdicts["brauer_correspondent_c"] = _verdict(
+    report.verdicts["brauer_correspondent_c"] = verdict(
         ind_c is not None and ind_c.is_principal)
-    report.verdicts["brauer_correspondent_b0"] = _verdict(
+    report.verdicts["brauer_correspondent_b0"] = verdict(
         ind_b0 is not None and ind_b0.is_principal)
 
     label = report.case_label
     if label == "case_i":
         report.predicted.update({"l_b": 3, "l_c": 3, "l_b0": 3,
                                  "k_equalities": ["k_b=k_c", "k_b=k_b0"]})
-        report.verdicts["l_b"] = _verdict(b.l == 3)
-        report.verdicts["l_c"] = _verdict(c.l == 3)
-        report.verdicts["l_b0"] = _verdict(b0.l == 3)
-        report.verdicts["k_b=k_c"] = _verdict(b.k == c.k)
-        report.verdicts["k_b=k_b0"] = _verdict(b.k == b0.k)
+        report.verdicts["l_b"] = verdict(b.l == 3)
+        report.verdicts["l_c"] = verdict(c.l == 3)
+        report.verdicts["l_b0"] = verdict(b0.l == 3)
+        report.verdicts["k_b=k_c"] = verdict(b.k == c.k)
+        report.verdicts["k_b=k_b0"] = verdict(b.k == b0.k)
     elif label == "case_ii":
         report.predicted.update({"l_b": 2, "l_c": 2, "k_equalities": ["k_b=k_c"]})
-        report.verdicts["l_b"] = _verdict(b.l == 2)
-        report.verdicts["l_c"] = _verdict(c.l == 2)
-        report.verdicts["k_b=k_c"] = _verdict(b.k == c.k)
+        report.verdicts["l_b"] = verdict(b.l == 2)
+        report.verdicts["l_c"] = verdict(c.l == 2)
+        report.verdicts["k_b=k_c"] = verdict(b.k == c.k)
     elif label == "P_equals_Q":
         report.predicted.update({"l_b": 3})
-        report.verdicts["l_b"] = _verdict(b.l == 3)
+        report.verdicts["l_b"] = verdict(b.l == 3)
     return report
-
-
-def _verdict(ok: bool) -> str:
-    return "pass" if ok else "fail"
 
 
 # ---------------------------------------------------------------------------
@@ -251,27 +237,19 @@ def count_weights(group: PermGroup, p: int, blk: Block) -> int:
         tab_n = character_table(n)
         blocks_n = block_distribution(tab_n, p)
         quotient_order = n.order // r.order
-        target_nu = _nu(quotient_order, p)
+        target_nu = nu(quotient_order, p)
         for i in range(tab_n.n_classes):
             # inflation from N/R: R inside the kernel
             if any(tab_n.values[i][tab_n.class_index(x)] != tab_n.degrees[i]
                    for x in r.generators):
                 continue
-            if _nu(tab_n.degrees[i], p) != target_nu:
+            if nu(tab_n.degrees[i], p) != target_nu:
                 continue
             blk_n = next(bb for bb in blocks_n if i in bb.char_indices)
             ind = blk_n if n is group else brauer_induce(blk_n, group)
             if ind is not None and ind.char_indices == blk.char_indices:
                 total += 1
     return total
-
-
-def _nu(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -299,34 +277,34 @@ def check_local_structure(report: ClassificationReport) -> ClassificationReport:
     # centralizer of Q0 has nilpotent principal block: trivial hyperfocal there
     c_gq0 = centralizer(group, q0)
     local_fs = FusionSystem(c_gq0, p=p)
-    out["centralizer_q0_block_nilpotent"] = _verdict(
+    out["centralizer_q0_block_nilpotent"] = verdict(
         local_fs.hyperfocal().subgroup.order == 1)
 
     label = report.case_label
     if label in ("case_i", "P_equals_Q"):
         zp = center(sylow)
-        out["q0_in_center_of_sylow"] = _verdict(all(x in zp for x in q0.generators))
+        out["q0_in_center_of_sylow"] = verdict(all(x in zp for x in q0.generators))
         site = sylow
     else:
         ess = fs.essential_classes()[0]
         s = ess.representative
-        out["unique_essential"] = _verdict(len(fs.essential_classes()) == 1)
-        out["essential_is_centralizer_of_q0"] = _verdict(
-            same_subgroup(s, _centralizer_in(sylow, q0)))
-        out["sylow_essential_index_2"] = _verdict(sylow.order // s.order == 2)
-        out["essential_automizer_s3"] = _verdict(ess.automizer.is_symmetric_3)
+        out["unique_essential"] = verdict(len(fs.essential_classes()) == 1)
+        out["essential_is_centralizer_of_q0"] = verdict(
+            same_subgroup(s, fixed_points(sylow, q0)))
+        out["sylow_essential_index_2"] = verdict(sylow.order // s.order == 2)
+        out["essential_automizer_s3"] = verdict(ess.automizer.is_symmetric_3)
         site = s
 
     e, fixed = fs.odd_complement_fixed_points(site)
     qset = q.element_set()
     inter = [x for x in fixed.elements() if x in qset and not x.is_identity()]
     product_order = q.order * fixed.order // (len(inter) + 1)
-    out["q_meets_fixed_trivially"] = _verdict(not inter)
-    out["q_times_fixed_is_site"] = _verdict(product_order == site.order)
+    out["q_meets_fixed_trivially"] = verdict(not inter)
+    out["q_times_fixed_is_site"] = verdict(product_order == site.order)
     commutators = [x.inverse() * (x ** g)
                    for x in q.elements() for g in e.generators]
     gen_q = group.subgroup([c for c in commutators if not c.is_identity()])
-    out["q_equals_commutator_with_complement"] = _verdict(same_subgroup(gen_q, q))
+    out["q_equals_commutator_with_complement"] = verdict(same_subgroup(gen_q, q))
     report.measured["odd_complement_order"] = e.order
     report.measured["complement_fixed_order"] = fixed.order
     return report

@@ -15,7 +15,7 @@ import json
 import sys
 
 from .catalog import (EXIT_INPUT, EXIT_INTERNAL, EXIT_PASS, EXIT_VERDICT_FAIL,
-                      analyze_group, builtin_catalog_path, load_catalog,
+                      analyze_group, builtin_catalog_path, checks_pass, load_catalog,
                       run_catalog, summarize)
 from .chartable import character_table
 from .errors import InputError, InternalInconsistency, BlockscopeError
@@ -59,11 +59,7 @@ def _cmd_analyze(args) -> int:
         **result,
     }
     _emit(payload, args.out)
-    checks = (list(result["verdicts"].values())
-              + list(result["local_structure"].values())
-              + ["pass" if v else "fail" for v in result["invariant_suite"].values()])
-    return EXIT_PASS if all(v == "pass" for v in checks if v != "skipped") \
-        else EXIT_VERDICT_FAIL
+    return EXIT_PASS if checks_pass(result) else EXIT_VERDICT_FAIL
 
 
 def _cmd_catalog(args) -> int:

@@ -13,8 +13,11 @@ Arithmetic is exact throughout; there is no floating point anywhere.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
+
+from .exact import prime_factors, row_reduce
 
 __all__ = ["Cyclo", "zeta", "cyclotomic_polynomial"]
 
@@ -88,50 +91,18 @@ def _rebase_solver(m: int, d: int):
     coordinate vector v the new coordinates are inverse_matrix @ v[pivot_rows],
     with basis_columns available for verification.
     """
-    phi_m, phi_d = _phi(m), _phi(d)
+    phi_d = _phi(d)
     step = m // d
-    cols = []
-    for j in range(phi_d):
-        col = _reduce_exponent_dict(m, {j * step: Fraction(1)})
-        cols.append(col)
-    # select phi_d independent rows of the phi_m x phi_d matrix
-    matrix = [[cols[j][i] for j in range(phi_d)] for i in range(phi_m)]
-    pivots = []
-    work = []  # (normalized row, lead column) pairs
-    for i in range(phi_m):
-        row = list(matrix[i])
-        for wrow, wlead in work:
-            factor = row[wlead]
-            if factor:
-                row = [a - factor * b for a, b in zip(row, wrow)]
-        lead = next((j for j, a in enumerate(row) if a != 0), None)
-        if lead is None:
-            continue
-        scale = Fraction(1) / row[lead]
-        work.append(([a * scale for a in row], lead))
-        pivots.append(i)
-        if len(pivots) == phi_d:
-            break
+    cols = tuple(_reduce_exponent_dict(m, {j * step: _F1}) for j in range(phi_d))
+    # the first phi_d independent rows of the phi_m x phi_d matrix with these
+    # columns are the pivot columns of its transpose
+    _, pivots = row_reduce(cols, *_RATIONAL_FIELD)
     assert len(pivots) == phi_d, "power basis images are dependent"
-    square = [[matrix[i][j] for j in range(phi_d)] for i in pivots]
-    inv = _matrix_inverse(square)
-    return tuple(pivots), tuple(tuple(r) for r in inv), tuple(cols)
-
-
-def _matrix_inverse(a):
-    n = len(a)
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = Fraction(1) / aug[col][col]
-        aug[col] = [x * scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    # invert the square submatrix on those rows by reducing [square | identity]
+    aug = [[col[i] for col in cols] + [Fraction(int(i == k)) for k in pivots]
+           for i in pivots]
+    reduced, _ = row_reduce(aug, *_RATIONAL_FIELD)
+    return tuple(pivots), tuple(tuple(r[phi_d:]) for r in reduced), cols
 
 
 @lru_cache(maxsize=None)
@@ -142,6 +113,8 @@ def _galois_exponents(m: int, d: int) -> tuple[int, ...]:
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+# zero test, inverse, product and difference of Q, for row_reduce
+_RATIONAL_FIELD = (operator.not_, lambda x: 1 / x, operator.mul, operator.sub)
 
 
 class Cyclo:
@@ -187,17 +160,9 @@ class Cyclo:
     def is_rational(self) -> bool:
         return self.m == 1
 
-    def rational_value(self) -> Fraction:
-        if self.m != 1:
-            raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
-
     def is_integral(self) -> bool:
         """True when the value is an algebraic integer (integer coordinates)."""
         return all(c.denominator == 1 for c in self.coeffs)
-
-    def denominator_lcm(self) -> int:
-        return reduce(math.lcm, (c.denominator for c in self.coeffs), 1)
 
     def key(self):
         return (self.m, self.coeffs)
@@ -205,8 +170,11 @@ class Cyclo:
     # -- arithmetic
 
     def _lift(self, m: int) -> tuple:
+        """Coordinates in the power basis of Q(zeta_m), for self.m dividing m."""
         if m == self.m:
             return self.coeffs
+        if self.m == 1:
+            return self.coeffs + (_F0,) * (_phi(m) - 1)
         step = m // self.m
         return _reduce_exponent_dict(m, {k * step: c for k, c in enumerate(self.coeffs)})
 
@@ -373,7 +341,7 @@ def _normalize(m: int, vec: tuple) -> tuple:
             m = d
             changed = True
             continue
-        for q in sorted(set(_prime_factors(m))):
+        for q in prime_factors(m):
             d = m // q
             if d % 4 == 2:
                 d //= 2
@@ -411,20 +379,6 @@ def _galois_fixes(m: int, a: int, vec) -> bool:
         e = (k * a) % m
         out[e] = out.get(e, Fraction(0)) + c
     return _reduce_exponent_dict(m, out) == tuple(vec)
-
-
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # -- small exact polynomial helpers (dense, ascending coefficients)

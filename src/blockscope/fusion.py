@@ -14,11 +14,12 @@ import random
 from dataclasses import dataclass
 
 from .errors import CapExceeded, MethodDisagreement, NoComplementFound, NotAbelian
+from .exact import p_part, prime_factors
 from .groups import (PermGroup, SUBGROUP_ENUM_CAP, abelian_invariants, centralizer,
-                     conjugation_image, normalizer, normal_closure, o_p_residual,
-                     quotient_by_normal, subgroup_classes_of_p_group,
-                     subgroup_fingerprint, sylow_subgroup, all_subgroups,
-                     _pprime_part_of_perm, _set_orbit, same_subgroup)
+                     conjugation_image, fixed_points, normalizer, normal_closure,
+                     o_p_residual, quotient_by_normal, subgroup_fingerprint,
+                     sylow_subgroup, all_subgroups, _pprime_part_of_perm, _set_orbit,
+                     same_subgroup)
 from .perms import Perm
 
 __all__ = ["FusionSystem", "HyperfocalReport", "EssentialClass", "AutomizerInfo",
@@ -67,7 +68,7 @@ class FusionSystem:
         self.group = group
         self.p = p
         self.sylow = sylow if sylow is not None else sylow_subgroup(group, p)
-        if self.sylow.order != _p_part(group.order, p):
+        if self.sylow.order != p_part(group.order, p):
             raise ValueError("subgroup is not Sylow")
         self._cache: dict = {}
 
@@ -105,14 +106,14 @@ class FusionSystem:
             q = self._cache["hyperfocal_q"] = self._hyperfocal_residual()
         return q
 
-    def hyperfocal(self, samples: int = 50, seed: int = 0) -> HyperfocalReport:
-        cached = self._cache.get(("hyperfocal", samples, seed))
+    def hyperfocal(self, seed: int = 0) -> HyperfocalReport:
+        cached = self._cache.get(("hyperfocal", seed))
         if cached is not None:
             return cached
         residual = self.hyperfocal_subgroup()
         commutator = None
         if self.sylow.order <= SUBGROUP_ENUM_CAP:
-            commutator = self._hyperfocal_commutator(samples, seed)
+            commutator = self._hyperfocal_commutator(seed)
             if not same_subgroup(commutator, residual):
                 raise MethodDisagreement(
                     f"hyperfocal methods disagree: commutator order "
@@ -124,7 +125,7 @@ class FusionSystem:
             residual_order=residual.order,
             agree=commutator is not None,
         )
-        self._cache[("hyperfocal", samples, seed)] = report
+        self._cache[("hyperfocal", seed)] = report
         return report
 
     def _hyperfocal_residual(self) -> PermGroup:
@@ -133,12 +134,12 @@ class FusionSystem:
         gens = [x for x in self.sylow.elements() if x in opg and not x.is_identity()]
         return self.group.subgroup(gens)
 
-    def _hyperfocal_commutator(self, samples: int, seed: int) -> PermGroup:
+    def _hyperfocal_commutator(self, seed: int) -> PermGroup:
         """Commutator generation: [u, x] over subgroup classes U of P and
         p'-elements x normalizing U, closed under P-normalization.
 
         x ranges over p'-parts of the normalizer's strong generators plus
-        seeded random elements; full enumeration of p'-elements is not
+        50 seeded random elements; full enumeration of p'-elements is not
         needed because agreement with the residual method is asserted.
         """
         p = self.p
@@ -151,7 +152,7 @@ class FusionSystem:
             xs = {x for x in
                   ( [_pprime_part_of_perm(g, p) for g in n.bsgs.strong]
                   + [_pprime_part_of_perm(n.random_element(rng), p)
-                     for _ in range(samples)])
+                     for _ in range(50)])
                   if not x.is_identity()}
             if not xs:
                 continue
@@ -174,27 +175,18 @@ class FusionSystem:
 
     # -- automizers
 
-    def automizer_group(self, u: PermGroup) -> tuple[PermGroup, dict]:
-        """N_G(u)/(u C_G(u)) as a permutation group, with lifts to N_G(u).
+    def automizer_group(self, u: PermGroup) -> PermGroup:
+        """N_G(u)/(u C_G(u)) as a permutation group.
 
         Realized as the quotient of the conjugation image of N_G(u) on u by
         the image of u (inner automorphisms).
         """
-        n = normalizer(self.group, u)
-        image, lift = conjugation_image(n, u)
-        inner_gens = [g for g in u.generators]
-        inner_image = PermGroup(image.degree,
-                                [_conj_perm_on(u, g) for g in inner_gens])
-        quo, project, reps = quotient_by_normal(image, inner_image)
-        out_lift = {}
-        for i, rep in enumerate(reps):
-            out_lift[i] = lift[rep]
-        return quo, {"project": project, "coset_lift": out_lift,
-                     "image_lift": lift, "normalizer": n}
+        image, _ = conjugation_image(normalizer(self.group, u), u)
+        inner_image, _ = conjugation_image(u, u)
+        return quotient_by_normal(image, inner_image)[0]
 
     def automizer(self, u: PermGroup) -> AutomizerInfo:
-        quo, _ = self.automizer_group(u)
-        return _automizer_info(quo)
+        return _automizer_info(self.automizer_group(u))
 
     # -- essential subgroups
 
@@ -214,7 +206,7 @@ class FusionSystem:
             # order prime to p, so the divisibility test below fails
             if not self._is_centric(u, pset_all):
                 continue
-            quo, _ = self.automizer_group(u)
+            quo = self.automizer_group(u)
             if quo.order % p != 0:
                 continue
             witness = _strongly_p_embedded(quo, p)
@@ -284,25 +276,6 @@ class FusionSystem:
                 return False
         return True
 
-    def check_normalizer_realizes_fusion(self, samples: int = 100, seed: int = 0) -> bool:
-        """Randomized check: sampled G-fusion between tuples in P is realized
-        by N_G(P).  Used as evidence when there are no essential classes."""
-        rng = random.Random(seed)
-        n_p = normalizer(self.group, self.sylow)
-        n_elems = n_p.elements()
-        p_elems = self.sylow.elements()
-        pset = self.sylow.element_set()
-        for _ in range(samples):
-            size = rng.randrange(1, 3)
-            tup = tuple(p_elems[rng.randrange(len(p_elems))] for _ in range(size))
-            g = self.group.random_element(rng)
-            img = tuple(x ** g for x in tup)
-            if not all(x in pset for x in img):
-                continue
-            if not any(all(x ** m == y for x, y in zip(tup, img)) for m in n_elems):
-                return False
-        return True
-
     # -- odd complements and their fixed points
 
     def odd_complement_fixed_points(self, u: PermGroup):
@@ -317,11 +290,11 @@ class FusionSystem:
         n = normalizer(self.group, u)
         image, lift = conjugation_image(n, u)
         m = image.order
-        odd = m // _p_part(m, self.p)
+        odd = m // p_part(m, self.p)
         cent = centralizer(self.group, u)
         if odd == 1:
-            return cent, _fixed_in(u, cent)
-        qprimes = _prime_factors(odd)
+            return cent, fixed_points(u, cent)
+        qprimes = prime_factors(odd)
         comp_img = None
         if len(qprimes) == 1:
             comp_img = sylow_subgroup(image, qprimes[0])
@@ -340,38 +313,16 @@ class FusionSystem:
                 f"no odd-order complement of order {odd} in the automizer layer")
         e_gens = list(cent.generators) + [lift[g] for g in comp_img.generators]
         e = self.group.subgroup(e_gens)
-        return e, _fixed_in(u, e)
-
-
-def _fixed_in(u: PermGroup, actors: PermGroup) -> PermGroup:
-    fixed = [x for x in u.elements()
-             if not x.is_identity() and all(x * a == a * x for a in actors.generators)]
-    return u._top().subgroup(fixed)
-
-
-def _conj_perm_on(u: PermGroup, g: Perm) -> Perm:
-    domain = sorted(u.elements())
-    index = {x: i for i, x in enumerate(domain)}
-    return Perm._raw(tuple(index[x ** g] for x in domain))
+        return e, fixed_points(u, e)
 
 
 def _automizer_info(quo: PermGroup) -> AutomizerInfo:
     order = quo.order
     is_s3 = order == 6 and not quo.is_abelian()
     inv = abelian_invariants(quo) if quo.is_abelian() else None
-    sylos = []
-    n = order
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            sylos.append(_p_part(order, d))
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        sylos.append(_p_part(order, n))
+    sylos = sorted(p_part(order, q) for q in prime_factors(order))
     return AutomizerInfo(order=order, is_symmetric_3=is_s3,
-                         abelian_invariants=inv, sylow_orders=tuple(sorted(sylos)))
+                         abelian_invariants=inv, sylow_orders=tuple(sylos))
 
 
 def _strongly_p_embedded(quo: PermGroup, p: int):
@@ -402,25 +353,3 @@ def _strongly_p_embedded(quo: PermGroup, p: int):
 
 def _has_p_element(elems, p: int) -> bool:
     return any(x.order() % p == 0 and not x.is_identity() for x in elems)
-
-
-def _p_part(n: int, p: int) -> int:
-    m = 1
-    while n % p == 0:
-        n //= p
-        m *= p
-    return m
-
-
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out

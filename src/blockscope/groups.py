@@ -14,22 +14,19 @@ on the instance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import CapExceeded, InternalInconsistency, NotAbelian, NotNormalized
+from .exact import nu, p_part, prime_factors
 from .perms import Perm
 
 __all__ = [
     "PermGroup",
     "ConjClass",
-    "group_order",
-    "conjugacy_classes",
     "centralizer",
     "normalizer",
     "sylow_subgroup",
     "o_p_residual",
-    "is_conjugate_subgroups",
     "subgroup_transporter",
     "subgroup_classes_of_p_group",
     "fixed_points",
@@ -241,12 +238,18 @@ class PermGroup:
             self._bsgs = _BSGS(self.degree, self.generators)
         return self._bsgs
 
+    def _memo(self, key, compute):
+        """Derived data memoised on this group under `key`; every layer that
+        caches on a group goes through here."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = compute()
+            return value
+
     @property
     def order(self) -> int:
-        n = self._cache.get("order")
-        if n is None:
-            n = self._cache["order"] = self.bsgs.order()
-        return n
+        return self._memo("order", self.bsgs.order)
 
     def __contains__(self, g: Perm) -> bool:
         return g.degree == self.degree and self.bsgs.contains(g)
@@ -263,45 +266,26 @@ class PermGroup:
         return Perm.identity(self.degree)
 
     def elements(self, cap: int = ORDER_CAP) -> tuple:
-        elems = self._cache.get("elements")
-        if elems is None:
+        def enumerate_elements():
             if self.order > cap:
                 raise CapExceeded(f"order {self.order} exceeds cap {cap}")
-            elems = self._cache["elements"] = tuple(self.bsgs.iter_elements())
-        return elems
+            return tuple(self.bsgs.iter_elements())
+        return self._memo("elements", enumerate_elements)
 
     def element_set(self, cap: int = ORDER_CAP) -> frozenset:
-        es = self._cache.get("element_set")
-        if es is None:
-            es = self._cache["element_set"] = frozenset(self.elements(cap))
-        return es
+        return self._memo("element_set", lambda: frozenset(self.elements(cap)))
 
     def random_element(self, rng) -> Perm:
         return self.bsgs.random_element(rng)
 
-    def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return all(g in other for g in self.generators)
-
     def is_abelian(self) -> bool:
-        val = self._cache.get("abelian")
-        if val is None:
-            gens = self.generators
-            val = all(gens[i] * gens[j] == gens[j] * gens[i]
-                      for i in range(len(gens)) for j in range(i))
-            self._cache["abelian"] = val
-        return val
+        gens = self.generators
+        return self._memo("abelian", lambda: all(
+            gens[i] * gens[j] == gens[j] * gens[i]
+            for i in range(len(gens)) for j in range(i)))
 
     def is_p_group(self, p: int) -> bool:
-        n = self.order
-        while n % p == 0:
-            n //= p
-        return n == 1
-
-    def exponent(self) -> int:
-        e = 1
-        for cls in self.conjugacy_classes():
-            e = math.lcm(e, cls.element_order)
-        return e
+        return p_part(self.order, p) == self.order
 
     # -- conjugacy classes
 
@@ -347,14 +331,6 @@ class PermGroup:
     def class_of(self, g: Perm) -> int:
         self.conjugacy_classes()
         return self._cache["class_of"][g]
-
-
-def group_order(g: PermGroup) -> int:
-    return g.order
-
-
-def conjugacy_classes(g: PermGroup, cap: int = ORDER_CAP) -> tuple:
-    return g.conjugacy_classes(cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +392,7 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
     handle (and everything cached on it, like its character table).
     """
     hset = frozenset(h.elements())
-    memo = g._cache.setdefault("normalizers", {})
+    memo = g._memo("normalizers", dict)
     if hset in memo:
         return memo[hset]
     act = lambda s, gg: frozenset(x ** gg for x in s)
@@ -456,10 +432,6 @@ def subgroup_transporter(g: PermGroup, a: PermGroup, b: PermGroup):
                     return orbit[t]
                 queue.append(t)
     return None
-
-
-def is_conjugate_subgroups(g: PermGroup, a: PermGroup, b: PermGroup):
-    return subgroup_transporter(g, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -504,17 +476,9 @@ def center(g: PermGroup) -> PermGroup:
     return centralizer(g, g)
 
 
-def _p_part(n: int, p: int) -> int:
-    m = 1
-    while n % p == 0:
-        n //= p
-        m *= p
-    return m
-
-
 def _pprime_part_of_perm(x: Perm, p: int) -> Perm:
     n = x.order()
-    a = _p_part(n, p)
+    a = p_part(n, p)
     m = n // a
     if m == 1:
         return Perm.identity(x.degree)
@@ -532,7 +496,7 @@ def o_p_residual(g: PermGroup, p: int) -> PermGroup:
     """
     seeds = [_pprime_part_of_perm(x, p) for x in g.generators]
     n = normal_closure(g, seeds)
-    while _p_part(g.order // n.order, p) != g.order // n.order:
+    while p_part(g.order // n.order, p) != g.order // n.order:
         grew = False
         for x in g.bsgs.iter_elements():
             xp = _pprime_part_of_perm(x, p)
@@ -545,40 +509,28 @@ def o_p_residual(g: PermGroup, p: int) -> PermGroup:
     return n
 
 
-def sylow_subgroup(g: PermGroup, p: int, seed: int | None = None) -> PermGroup:
+def sylow_subgroup(g: PermGroup, p: int) -> PermGroup:
     """A Sylow p-subgroup, grown by normalizer climbing.
 
-    Deterministic for a fixed seed: candidate p-elements are taken from
-    seeded random sampling first (when a seed is given), then from the
-    deterministic element enumeration.
+    Deterministic: each new p-element is the first one, in element
+    enumeration order of the current normalizer, outside the current
+    p-subgroup.
     """
-    target = _p_part(g.order, p)
+    target = p_part(g.order, p)
     s = PermGroup(g.degree, [], parent=g._top() if g.parent else g, _skip_check=True)
-    if target == 1:
-        return s
-    import random
-    rng = random.Random(seed) if seed is not None else None
     while s.order < target:
         n = normalizer(g, s) if s.order > 1 else g
         z = None
-        if rng is not None:
-            for _ in range(200):
-                x = n.random_element(rng)
-                xp = x ** (x.order() // _p_part(x.order(), p))
-                if not xp.is_identity() and xp not in s:
-                    z = xp
-                    break
-        if z is None:
-            for x in n.bsgs.iter_elements():
-                xp = x ** (x.order() // _p_part(x.order(), p))
-                if not xp.is_identity() and xp not in s:
-                    z = xp
-                    break
+        for x in n.bsgs.iter_elements():
+            xp = x ** (x.order() // p_part(x.order(), p))
+            if not xp.is_identity() and xp not in s:
+                z = xp
+                break
         if z is None:  # pragma: no cover - contradicts Sylow theory
             raise InternalInconsistency("sylow climb stalled")
         s = PermGroup(g.degree, list(s.generators) + [z],
                       parent=g._top() if g.parent else g, _skip_check=True)
-        if _p_part(s.order, p) != s.order:  # pragma: no cover
+        if not s.is_p_group(p):  # pragma: no cover
             raise InternalInconsistency("sylow climb left the p-group")
     return s
 
@@ -643,7 +595,7 @@ def _subgroups_of_p_group(pgrp: PermGroup, p: int) -> list[frozenset]:
 
 def _set_orbit(ambient: PermGroup, sset: frozenset) -> set[frozenset]:
     """Conjugation orbit of an element set; memoised per orbit on the group."""
-    memo = ambient._cache.setdefault("set_orbits", {})
+    memo = ambient._memo("set_orbits", dict)
     cached = memo.get(sset)
     if cached is not None:
         return cached
@@ -662,15 +614,13 @@ def _set_orbit(ambient: PermGroup, sset: frozenset) -> set[frozenset]:
 
 
 def subgroup_classes_of_p_group(pgrp: PermGroup, ambient: PermGroup,
-                                p: int | None = None) -> list[PermGroup]:
+                                p: int) -> list[PermGroup]:
     """All subgroups of pgrp, one representative per ambient-conjugacy class.
 
     Deterministic order: by (order, canonical minimal element tuple).
     The representative is the lexicographically least class member that
     lies inside pgrp.
     """
-    if p is None:
-        p = _smallest_prime_factor(pgrp.order) if pgrp.order > 1 else 2
     subs = _subgroups_of_p_group(pgrp, p)
     canon_of: dict[frozenset, tuple] = {}
     classes: dict[tuple, list[frozenset]] = {}
@@ -692,16 +642,7 @@ def subgroup_classes_of_p_group(pgrp: PermGroup, ambient: PermGroup,
     return reps
 
 
-def _smallest_prime_factor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
-
-
-def all_subgroups(g: PermGroup, cap: int = 10**4) -> list[PermGroup]:
+def all_subgroups(g: PermGroup) -> list[PermGroup]:
     """Every subgroup of a small group, by closing cyclic subgroups under join."""
     if g.order > 200:
         raise CapExceeded(f"subgroup lattice of order {g.order} group not enumerated")
@@ -823,43 +764,20 @@ def abelian_invariants(g: PermGroup) -> tuple[int, ...]:
     orders = [x.order() for x in g.elements()]
     out = []
     n = g.order
-    for q in _prime_factors(n):
-        qa = _p_part(n, q)
+    for q in prime_factors(n):
         # c_i = #elements whose order divides q^i; c_i / c_{i-1} = q^(number of
         # cyclic q-factors of exponent >= q^i), which recovers the type.
         counts = [sum(1 for o in orders if q**i % o == 0)
-                  for i in range(_int_log(qa, q) + 1)]
+                  for i in range(nu(n, q) + 1)]
         lam: list[int] = []
         for i in range(1, len(counts)):
-            h = _int_log(counts[i] // counts[i - 1], q)
+            h = nu(counts[i] // counts[i - 1], q)
             while len(lam) < h:
                 lam.append(0)
             for j in range(h):
                 lam[j] = i
         out.extend(q**e for e in lam)
     return tuple(sorted(out))
-
-
-def _int_log(d: int, q: int) -> int:
-    e = 0
-    while d > 1:
-        d //= q
-        e += 1
-    return e
-
-
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def subgroup_fingerprint(h: PermGroup) -> str:

@@ -17,6 +17,7 @@ from functools import lru_cache
 
 from .cyclotomic import Cyclo
 from .errors import InternalInconsistency, NotPIntegral
+from .exact import p_part, prime_factors
 
 __all__ = ["GFq", "ModPContext", "mod_p_context"]
 
@@ -98,7 +99,7 @@ class GFq:
             raise ValueError("zero has no multiplicative order")
         n = self.size - 1
         order = n
-        for q in _prime_factors(n):
+        for q in prime_factors(n):
             while order % q == 0 and self.pow(a, order // q) == self.one:
                 order //= q
         return order
@@ -112,20 +113,6 @@ class GFq:
                 for c in range(self.p):
                     yield (c,) + rest
         return rec(0)
-
-
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _mult_order(p: int, m: int) -> int:
@@ -205,7 +192,7 @@ def _is_irreducible(p: int, poly: tuple) -> bool:
     # x^(p^f) = x mod poly, and x^(p^(f/q)) != x for prime q | f
     if _polpow_x(p, poly, p**f) != (0, 1):
         return False
-    for q in _prime_factors(f):
+    for q in prime_factors(f):
         if _polpow_x(p, poly, p**(f // q)) == (0, 1):
             return False
     return True
@@ -245,7 +232,7 @@ def _polpow_x(p: int, modulus: tuple, n: int) -> tuple:
 
 def _find_generator(K: GFq) -> tuple:
     n = K.size - 1
-    primes = _prime_factors(n)
+    primes = prime_factors(n)
     for a in K.elements():
         if not any(a):
             continue
@@ -260,9 +247,7 @@ class ModPContext:
     def __init__(self, m: int, p: int, factor_index: int = 0):
         self.p = p
         self.m = m
-        mprime = m
-        while mprime % p == 0:
-            mprime //= p
+        mprime = m // p_part(m, p)
         self.m_prime = mprime
         self.factors = _phi_factors_mod_p(mprime, p)
         if not 0 <= factor_index < len(self.factors):

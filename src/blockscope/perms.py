@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 
-__all__ = ["Perm", "parse_perm", "parse_perm_list"]
+__all__ = ["Perm", "parse_perm"]
 
 
 class Perm:
@@ -195,7 +195,3 @@ def parse_perm(text: str, degree: int) -> Perm:
     if len(set(flat)) != len(flat):
         raise ParseError(f"cycles are not disjoint: {text!r}")
     return Perm.from_cycles(degree, cycles)
-
-
-def parse_perm_list(texts, degree: int):
-    return [parse_perm(t, degree) for t in texts]

@@ -251,17 +251,27 @@ def recipe_from_json(obj) -> GroupRecipe:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError("recipe JSON must be an object with a 'kind' field")
     kind = obj["kind"]
+
+    def field(name, types=(dict, str)):
+        # a missing or ill-typed field is a parse error, not a KeyError later
+        if not isinstance(obj.get(name), types):
+            raise ParseError(f"{kind!r} recipe needs a field {name!r} of type "
+                             + " or ".join(t.__name__ for t in types))
+        return obj[name]
+
     if kind in ("symmetric", "alternating", "cyclic"):
-        return GroupRecipe(kind, n=obj["n"])
+        return GroupRecipe(kind, n=field("n", (int,)))
+    sub = lambda name: recipe_from_json(field(name))
     if kind == "direct":
-        return GroupRecipe(kind, a=recipe_from_json(obj["a"]), b=recipe_from_json(obj["b"]))
+        return GroupRecipe(kind, a=sub("a"), b=sub("b"))
     if kind == "semidirect":
-        return GroupRecipe(kind, base=recipe_from_json(obj["base"]),
-                           acting=recipe_from_json(obj["acting"]),
-                           action=[list(row) for row in obj["action"]])
+        action = field("action", (list,))
+        if not all(isinstance(row, list) for row in action):
+            raise ParseError("'semidirect' recipe action must be a list of rows")
+        return GroupRecipe(kind, base=sub("base"), acting=sub("acting"),
+                           action=[list(row) for row in action])
     if kind == "wreath":
-        return GroupRecipe(kind, base=recipe_from_json(obj["base"]),
-                           top=recipe_from_json(obj["top"]))
+        return GroupRecipe(kind, base=sub("base"), top=sub("top"))
     raise ParseError(f"unknown recipe kind: {kind!r}")
 
 

@@ -155,7 +155,7 @@ def test_criterion_9_property_suites():
             t = lower_defect_multiplicities(b)
             if sum(t.multiplicities) != b.l:
                 failures.append(f"{name}: lower-defect sum mismatch")
-        if not _check_idempotents(g, table, 2):
+        if not _check_idempotents(table, 2):
             failures.append(f"{name}: idempotent check failed")
     _report(9, not failures,
             f"hyperfocal agreement, lower-defect sums, exact orthogonality, "

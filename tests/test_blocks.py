@@ -196,7 +196,7 @@ def test_idempotents_orthogonal_and_sum_to_one():
         field = ctx.field
         r = table.n_classes
         from blockscope.catalog import _check_idempotents
-        assert _check_idempotents(group(name), table, 2)
+        assert _check_idempotents(table, 2)
         # coefficients are p-integral by construction (reduction succeeded)
         assert len(vectors) == len(block_distribution(table, 2))
 

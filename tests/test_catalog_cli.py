@@ -4,11 +4,11 @@ import sys
 
 import pytest
 
-from blockscope.catalog import (EXIT_INPUT, EXIT_PASS, EXIT_VERDICT_FAIL,
+from blockscope.catalog import (EXIT_INPUT, EXIT_INTERNAL, EXIT_PASS, EXIT_VERDICT_FAIL,
                                 builtin_catalog_path, load_catalog, run_catalog,
                                 summarize)
 from blockscope.cli import main
-from blockscope.errors import ParseError
+from blockscope.errors import InternalInconsistency, ParseError
 
 
 def test_builtin_catalog_loads():
@@ -151,3 +151,67 @@ def test_console_script_entry_point():
                            "--group", "Z6"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["order"] == 6
+
+
+# -- unusable input and containment
+
+
+@pytest.mark.parametrize("prime", [0, 1, 4, -3])
+def test_cli_rejects_a_non_prime(prime, capsys):
+    code = main(["analyze", "--group", "S4", "--prime", str(prime)])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error")
+
+
+@pytest.mark.parametrize("recipe", [
+    {"kind": "cyclic"},
+    {"kind": "cyclic", "n": "4"},
+    {"kind": "direct", "a": {"kind": "cyclic", "n": 2}},
+    {"kind": "semidirect", "base": {"kind": "cyclic", "n": 3},
+     "acting": {"kind": "cyclic", "n": 2}},
+])
+def test_cli_malformed_recipe_is_an_input_error(recipe, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(recipe))
+    assert main(["analyze", "--group", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and "Traceback" not in err
+
+
+def test_sylow_over_the_enumeration_cap_is_refused_before_any_work(monkeypatch):
+    from blockscope import catalog
+    from blockscope.errors import CapExceeded
+    from blockscope.recipes import construct_group, cyclic
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("classify_case ran before the cap check")
+
+    monkeypatch.setattr(catalog, "classify_case", no_work)
+    with pytest.raises(CapExceeded, match="exceeds enumeration cap 256"):
+        catalog.analyze_group(construct_group(cyclic(512)), 2)
+
+
+@pytest.mark.parametrize("error, exit_code", [
+    (RuntimeError, EXIT_VERDICT_FAIL), (InternalInconsistency, EXIT_INTERNAL)])
+def test_an_entry_raising_any_exception_does_not_abort_the_run(error, exit_code, tmp_path,
+                                                               monkeypatch):
+    from blockscope import catalog
+
+    real = catalog.analyze_group
+
+    def flaky(group, p, **kwargs):
+        if group.order == 6:
+            raise error("boom")
+        return real(group, p, **kwargs)
+
+    monkeypatch.setattr(catalog, "analyze_group", flaky)
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"entries": [
+        {"name": "Z6", "recipe": {"kind": "cyclic", "n": 6}},
+        {"name": "A4", "recipe": {"kind": "alternating", "n": 4}},
+    ]}))
+    report, code = run_catalog(str(path))
+    assert code == exit_code
+    statuses = {i["name"]: i["status"] for i in report["entries"]}
+    assert statuses == {"Z6": "errored", "A4": "pass"}
+    assert report["entries"][0]["error"] == f"{error.__name__}: boom"

@@ -178,13 +178,6 @@ def test_control_examples():
     assert fss.is_controlled_by_normalizer(group("S4"))   # N(V4) = S4
 
 
-def test_controlled_groups_realize_fusion_in_normalizer():
-    for name in ("A4", "L48", "L96_Z6", "Z4wrZ2"):
-        fs = fs_of(name)
-        if fs.is_controlled_by_normalizer():
-            assert fs.check_normalizer_realizes_fusion(samples=100, seed=5)
-
-
 def test_l96_z6_controlled_but_not_central():
     from blockscope.groups import center
     fs = fs_of("L96_Z6")
