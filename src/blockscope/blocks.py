@@ -24,7 +24,7 @@ from fractions import Fraction
 from .chartable import CharacterTable, _class_matrices, character_table
 from .cyclotomic import Cyclo
 from .errors import (AmbiguousMatch, InternalInconsistency, NoDefectClass)
-from .exact import nu, row_reduce
+from .exact import nu, p_part, row_reduce
 from .groups import (PermGroup, centralizer, subgroup_classes_of_p_group,
                      subgroup_transporter, sylow_subgroup, subgroup_fingerprint)
 from .modp import ModPContext, mod_p_context
@@ -128,8 +128,7 @@ def _block_distribution(table: CharacterTable, p: int) -> list[Block]:
     if seen != list(range(table.n_classes)):
         raise InternalInconsistency("blocks do not partition the characters")
     if blocks[0].is_principal:
-        sylow = sylow_subgroup(table.group, p)
-        if blocks[0].defect_group.order != sylow.order:
+        if blocks[0].defect_group.order != p_part(n, p):
             raise InternalInconsistency("principal block defect group is not Sylow")
     return blocks
 
@@ -347,9 +346,8 @@ def lower_defect_multiplicities(blk: Block) -> LowerDefectTable:
 
 def _match_subgroup_class(group: PermGroup, h: PermGroup, reps) -> int:
     for i, r in enumerate(reps):
-        if r.order == h.order and subgroup_fingerprint(r) == subgroup_fingerprint(h):
-            if subgroup_transporter(group, h, r) is not None:
-                return i
+        if subgroup_transporter(group, h, r) is not None:
+            return i
     raise InternalInconsistency("subgroup matches no enumerated p-subgroup class")
 
 

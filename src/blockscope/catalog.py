@@ -66,10 +66,13 @@ def load_catalog(path: str) -> list[CatalogEntry]:
     entries = []
     for raw in data["entries"]:
         try:
+            prime = raw.get("prime", 2)
+            if not isinstance(prime, int) or isinstance(prime, bool):
+                raise TypeError(f"prime {prime!r} is not an integer")
             entries.append(CatalogEntry(
                 name=raw["name"],
                 recipe=recipe_from_json(raw["recipe"]),
-                prime=int(raw.get("prime", 2)),
+                prime=prime,
                 expected=dict(raw.get("expected", {})),
                 provenance=raw.get("provenance", ""),
             ))

@@ -94,7 +94,8 @@ def classify_case(group: PermGroup, p: int = 2,
         "hyperfocal_order": q.order,
         "hyperfocal_invariants": (list(hyp.invariants)
                                   if hyp.invariants is not None else None),
-        "hyperfocal_methods_agree": hyp.agree,
+        # fs.hyperfocal raises MethodDisagreement unless the two methods agree
+        "hyperfocal_methods_agree": True,
     })
     if p != 2:
         return report

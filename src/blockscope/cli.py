@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .catalog import (EXIT_INPUT, EXIT_INTERNAL, EXIT_PASS, EXIT_VERDICT_FAIL,
@@ -35,6 +36,17 @@ def _load_recipe(ref: str):
         raise InputError(f"no preset or readable file {ref!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid recipe JSON in {ref!r}: {exc}") from exc
+
+
+def _check_writable(out: str | None):
+    """Refuse an --out path that cannot be written, before any work."""
+    if out is None:
+        return
+    if os.path.isdir(out):
+        raise InputError(f"--out {out!r} is a directory")
+    folder = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise InputError(f"--out {out!r}: directory {folder!r} is missing or not writable")
 
 
 def _emit(payload: dict, out: str | None):
@@ -116,6 +128,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_writable(args.out)
         return args.func(args)
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

@@ -13,13 +13,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import CapExceeded, MethodDisagreement, NoComplementFound, NotAbelian
+from .errors import MethodDisagreement, NoComplementFound, NotAbelian
 from .exact import p_part, prime_factors
-from .groups import (PermGroup, SUBGROUP_ENUM_CAP, abelian_invariants, centralizer,
+from .groups import (PermGroup, abelian_invariants, centralizer,
                      conjugation_image, fixed_points, normalizer, normal_closure,
                      o_p_residual, quotient_by_normal, subgroup_fingerprint,
-                     sylow_subgroup, all_subgroups, _pprime_part_of_perm, _set_orbit,
-                     same_subgroup)
+                     sylow_subgroup, _pprime_part_of_perm, _set_orbit,
+                     _stabilizer_of_action, same_subgroup)
 from .perms import Perm
 
 __all__ = ["FusionSystem", "HyperfocalReport", "EssentialClass", "AutomizerInfo",
@@ -30,9 +30,8 @@ __all__ = ["FusionSystem", "HyperfocalReport", "EssentialClass", "AutomizerInfo"
 class HyperfocalReport:
     subgroup: PermGroup
     invariants: tuple
-    commutator_order: int | None   # None when the enumeration cap forced a fallback
+    commutator_order: int
     residual_order: int
-    agree: bool
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,7 @@ def omega1(q: PermGroup, p: int = 2) -> PermGroup:
     if not q.is_abelian():
         raise NotAbelian("omega1 requires an abelian group")
     gens = [x for x in q.elements() if not x.is_identity() and (x ** p).is_identity()]
-    return PermGroup(q.degree, gens, parent=q._top() if q.parent else q,
+    return PermGroup(q.degree, gens, parent=q._top(),
                      _skip_check=True)
 
 
@@ -111,19 +110,16 @@ class FusionSystem:
         if cached is not None:
             return cached
         residual = self.hyperfocal_subgroup()
-        commutator = None
-        if self.sylow.order <= SUBGROUP_ENUM_CAP:
-            commutator = self._hyperfocal_commutator(seed)
-            if not same_subgroup(commutator, residual):
-                raise MethodDisagreement(
-                    f"hyperfocal methods disagree: commutator order "
-                    f"{commutator.order}, residual order {residual.order}")
+        commutator = self._hyperfocal_commutator(seed)
+        if not same_subgroup(commutator, residual):
+            raise MethodDisagreement(
+                f"hyperfocal methods disagree: commutator order "
+                f"{commutator.order}, residual order {residual.order}")
         report = HyperfocalReport(
             subgroup=residual,
             invariants=(abelian_invariants(residual) if residual.is_abelian() else None),
-            commutator_order=None if commutator is None else commutator.order,
+            commutator_order=commutator.order,
             residual_order=residual.order,
-            agree=commutator is not None,
         )
         self._cache[("hyperfocal", seed)] = report
         return report
@@ -181,8 +177,8 @@ class FusionSystem:
         Realized as the quotient of the conjugation image of N_G(u) on u by
         the image of u (inner automorphisms).
         """
-        image, _ = conjugation_image(normalizer(self.group, u), u)
-        inner_image, _ = conjugation_image(u, u)
+        image = conjugation_image(normalizer(self.group, u), u)
+        inner_image = conjugation_image(u, u)
         return quotient_by_normal(image, inner_image)[0]
 
     def automizer(self, u: PermGroup) -> AutomizerInfo:
@@ -194,8 +190,6 @@ class FusionSystem:
         cached = self._cache.get("essentials")
         if cached is not None:
             return cached
-        if self.sylow.order > SUBGROUP_ENUM_CAP:
-            raise CapExceeded("Sylow subgroup too large for essential enumeration")
         p = self.p
         pset_all = self.sylow.element_set()
         out = []
@@ -203,12 +197,10 @@ class FusionSystem:
             if u.order == 1:
                 continue
             # P itself is excluded automatically: its outer automizer has
-            # order prime to p, so the divisibility test below fails
+            # order prime to p, so it has no strongly p-embedded subgroup
             if not self._is_centric(u, pset_all):
                 continue
             quo = self.automizer_group(u)
-            if quo.order % p != 0:
-                continue
             witness = _strongly_p_embedded(quo, p)
             if witness is None:
                 continue
@@ -282,36 +274,24 @@ class FusionSystem:
         """(E, C_u(E)): E is the preimage in N_G(u) of an odd-order complement
         to the Sylow p-subgroup of N_G(u)/C_G(u).
 
-        The quotient has a normal Sylow p-subgroup when u is P (image of P)
-        and the complement is then a Hall p'-subgroup; here the odd part is
-        a prime power in every supported case, so a Sylow subgroup of the
-        conjugation image suffices, with a subgroup-lattice search fallback.
+        In scope, odd automorphisms of u act faithfully on the hyperfocal
+        subgroup Q ~ Z_{2^n} x Z_{2^n}, and Aut(Q) has odd part 3, so the
+        odd part of the quotient is a prime power.  For that prime q, a
+        Sylow q-subgroup of N_G(u) maps onto one of the quotient, so
+        E = <C_G(u), Sylow_q(N_G(u))>.  Any other odd part raises
+        NoComplementFound.
         """
         n = normalizer(self.group, u)
-        image, lift = conjugation_image(n, u)
-        m = image.order
-        odd = m // p_part(m, self.p)
         cent = centralizer(self.group, u)
+        m = n.order // cent.order
+        odd = m // p_part(m, self.p)
         if odd == 1:
             return cent, fixed_points(u, cent)
         qprimes = prime_factors(odd)
-        comp_img = None
-        if len(qprimes) == 1:
-            comp_img = sylow_subgroup(image, qprimes[0])
-            if comp_img.order != odd:
-                comp_img = None
-        if comp_img is None:
-            try:
-                for cand in all_subgroups(image):
-                    if cand.order == odd:
-                        comp_img = cand
-                        break
-            except CapExceeded:
-                pass
-        if comp_img is None:
+        if len(qprimes) != 1:
             raise NoComplementFound(
-                f"no odd-order complement of order {odd} in the automizer layer")
-        e_gens = list(cent.generators) + [lift[g] for g in comp_img.generators]
+                f"odd part {odd} of the automizer layer is not a prime power")
+        e_gens = list(cent.generators) + list(sylow_subgroup(n, qprimes[0]).generators)
         e = self.group.subgroup(e_gens)
         return e, fixed_points(u, e)
 
@@ -326,30 +306,27 @@ def _automizer_info(quo: PermGroup) -> AutomizerInfo:
 
 
 def _strongly_p_embedded(quo: PermGroup, p: int):
-    """Description of a strongly p-embedded subgroup of quo, or None.
+    """Description of the smallest strongly p-embedded subgroup of quo, or None.
 
-    Exhaustive over the subgroup lattice: M < quo with p | |M| and
-    p not dividing |M meet M^a| for every a outside M.
+    Quillen's criterion (Adv. Math. 28, 1978, Prop. 5.2): quo has a
+    strongly p-embedded subgroup exactly when p divides |quo| and the
+    commuting graph on its elements of order p is disconnected.  The
+    stabilizer of one component under conjugation is then the smallest
+    strongly p-embedded subgroup.
     """
     if quo.order % p != 0:
         return None
-    elems = quo.elements()
-    for m in all_subgroups(quo):
-        if m.order % p != 0 or m.order == quo.order:
-            continue
-        mset = m.element_set()
-        good = True
-        for a in elems:
-            if a in mset:
-                continue
-            inter = [x for x in mset if (x ** a) in mset]
-            if _has_p_element(inter, p):
-                good = False
-                break
-        if good:
-            return f"order {m.order}: {subgroup_fingerprint(m)}"
-    return None
-
-
-def _has_p_element(elems, p: int) -> bool:
-    return any(x.order() % p == 0 and not x.is_identity() for x in elems)
+    vertices = [x for x in quo.elements() if x.order() == p]
+    component = {vertices[0]}
+    stack = [vertices[0]]
+    while stack:
+        x = stack.pop()
+        for y in vertices:
+            if y not in component and x * y == y * x:
+                component.add(y)
+                stack.append(y)
+    if len(component) == len(vertices):
+        return None
+    m = _stabilizer_of_action(quo, frozenset(component),
+                              lambda s, g: frozenset(x ** g for x in s))
+    return f"order {m.order}: {subgroup_fingerprint(m)}"

@@ -14,6 +14,7 @@ on the instance.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import CapExceeded, InternalInconsistency, NotAbelian, NotNormalized
@@ -35,7 +36,6 @@ __all__ = [
     "center",
     "quotient_by_normal",
     "conjugation_image",
-    "all_subgroups",
     "abelian_invariants",
     "subgroup_fingerprint",
     "same_subgroup",
@@ -59,7 +59,8 @@ class _BSGS:
     Uses the plain textbook fixpoint iteration: after any strong-generator
     addition the Schreier condition is rechecked at every level until a
     clean pass.  Quadratic but simple, and fast at the scales this library
-    is used at.
+    is used at.  A group grown one element at a time (stabilizers, normal
+    closures) extends a single instance with :meth:`add`.
     """
 
     __slots__ = ("degree", "base", "strong", "orbits", "identity")
@@ -129,6 +130,14 @@ class _BSGS:
         r, _ = self.sift(g)
         return r.is_identity()
 
+    def add(self, g: Perm) -> bool:
+        """Extend the group by g; False, and no change, when g is a member."""
+        if self.contains(g):
+            return False
+        self._insert(g)
+        self._close()
+        return True
+
     def _close(self):
         # fixpoint: all Schreier generators at all levels must sift to identity
         while True:
@@ -196,7 +205,8 @@ class PermGroup:
 
     Subgroup handles built with :meth:`subgroup` verify that every
     generator is a member of the parent; their own order is computed from
-    a fresh base and strong generating set.
+    a fresh base and strong generating set.  Handles returned by the
+    orbit-stabilizer constructions keep the BSGS built while finding them.
     """
 
     def __init__(self, degree: int, generators, parent: "PermGroup | None" = None,
@@ -225,10 +235,6 @@ class PermGroup:
 
     def _top(self) -> "PermGroup":
         return self if self.parent is None else self.parent
-
-    @staticmethod
-    def trivial(degree: int) -> "PermGroup":
-        return PermGroup(degree, [])
 
     # -- BSGS-backed primitives
 
@@ -337,37 +343,39 @@ class PermGroup:
 # orbit-stabilizer searches on the conjugation action
 
 
-def _stabilizer_of_action(group: PermGroup, seed, act, key=None):
-    """Orbit-stabilizer for an arbitrary action of `group`.
+def _with_bsgs(group: PermGroup, gens, bsgs: _BSGS) -> PermGroup:
+    """Subgroup handle of `group` that keeps the BSGS its generators built."""
+    h = PermGroup(group.degree, gens, parent=group._top(), _skip_check=True)
+    h._bsgs = bsgs
+    return h
 
-    `act(x, g)` applies a generator; `key(x)` gives a hashable form.
-    Returns (orbit_keys dict key->witness, stabilizer PermGroup), where
-    witness * ... maps the seed to that orbit point.  Stabilizer generators
-    are sifted Schreier generators.
+
+def _stabilizer_of_action(group: PermGroup, seed, act) -> PermGroup:
+    """Stabilizer of `seed` under an action of `group`; `act(x, g)` applies
+    a generator and returns a hashable point.
+
+    One breadth-first walk over the orbit.  Each Schreier generator that is
+    not yet a member extends the stabilizer's BSGS, which the returned
+    handle keeps.
     """
-    key = key or (lambda x: x)
-    seed_key = key(seed)
-    orbit = {seed_key: (seed, group.identity)}
-    queue = [seed_key]
-    stab_gens: list[Perm] = []
-    stab_bsgs = _BSGS(group.degree, [])
+    orbit = {seed: group.identity}
+    queue = deque([seed])
+    gens: list[Perm] = []
+    bsgs = _BSGS(group.degree, [])
     while queue:
-        k = queue.pop(0)
-        x, wit = orbit[k]
+        x = queue.popleft()
+        wit = orbit[x]
         for g in group.generators:
             y = act(x, g)
-            yk = key(y)
-            if yk not in orbit:
-                orbit[yk] = (y, wit * g)
-                queue.append(yk)
+            w = orbit.get(y)
+            if w is None:
+                orbit[y] = wit * g
+                queue.append(y)
             else:
-                s = wit * g * orbit[yk][1].inverse()
-                if not stab_bsgs.contains(s):
-                    stab_gens.append(s)
-                    stab_bsgs._insert(s)
-                    stab_bsgs._close()
-    stab = PermGroup(group.degree, stab_gens, parent=group._top(), _skip_check=True)
-    return orbit, stab
+                s = wit * g * w.inverse()
+                if bsgs.add(s):
+                    gens.append(s)
+    return _with_bsgs(group, gens, bsgs)
 
 
 def centralizer(g: PermGroup, h) -> PermGroup:
@@ -376,12 +384,9 @@ def centralizer(g: PermGroup, h) -> PermGroup:
         targets = [h]
     else:
         targets = list(h.generators)
-        if not targets:
-            return PermGroup(g.degree, g.generators, parent=g._top() if g.parent else g,
-                             _skip_check=True)
     current = g
     for t in targets:
-        _, current = _stabilizer_of_action(current, t, lambda x, gg: x ** gg)
+        current = _stabilizer_of_action(current, t, lambda x, gg: x ** gg)
     return current
 
 
@@ -396,11 +401,10 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
     if hset in memo:
         return memo[hset]
     act = lambda s, gg: frozenset(x ** gg for x in s)
-    _, stab = _stabilizer_of_action(g, hset, act)
+    stab = _stabilizer_of_action(g, hset, act)
     # h itself normalizes h; fold its generators in so the handle is complete
-    gens = list(stab.generators) + [x for x in h.generators if x not in stab]
-    result = PermGroup(g.degree, gens, parent=g._top() if g.parent else g,
-                       _skip_check=True)
+    gens = list(stab.generators) + [x for x in h.generators if stab.bsgs.add(x)]
+    result = _with_bsgs(g, gens, stab.bsgs)
     memo[hset] = result
     return result
 
@@ -408,30 +412,17 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
 def subgroup_transporter(g: PermGroup, a: PermGroup, b: PermGroup):
     """An element x of g with a^x = b, or None.
 
-    Breadth-first search over the conjugation orbit of a's element set,
-    pruned up front by order and cheap isomorphism fingerprints.
+    Read from the memoised conjugation orbit of a's element set: with w_s
+    the witness of member s, a^(w_a^-1 w_b) = b.
     """
     if a.order != b.order:
         return None
-    if subgroup_fingerprint(a) != subgroup_fingerprint(b):
+    aset = frozenset(a.elements())
+    orbit = _set_orbit(g, aset)
+    w_b = orbit.get(frozenset(b.elements()))
+    if w_b is None:
         return None
-    target = frozenset(b.elements())
-    seed = frozenset(a.elements())
-    if seed == target:
-        return g.identity
-    orbit = {seed: g.identity}
-    queue = [seed]
-    while queue:
-        s = queue.pop(0)
-        wit = orbit[s]
-        for gg in g.generators:
-            t = frozenset(x ** gg for x in s)
-            if t not in orbit:
-                orbit[t] = wit * gg
-                if t == target:
-                    return orbit[t]
-                queue.append(t)
-    return None
+    return orbit[aset].inverse() * w_b
 
 
 # ---------------------------------------------------------------------------
@@ -440,27 +431,17 @@ def subgroup_transporter(g: PermGroup, a: PermGroup, b: PermGroup):
 
 def normal_closure(g: PermGroup, seeds) -> PermGroup:
     """Smallest normal subgroup of g containing the given permutations."""
-    gens: list[Perm] = []
     bsgs = _BSGS(g.degree, [])
-
-    def add(x):
-        if not bsgs.contains(x):
-            gens.append(x)
-            bsgs._insert(x)
-            bsgs._close()
-            return True
-        return False
-
     queue = [s for s in seeds if not s.is_identity()]
-    for s in list(queue):
-        add(s)
+    gens = [s for s in queue if bsgs.add(s)]
     while queue:
         x = queue.pop()
         for gg in g.generators:
             c = x ** gg
-            if add(c):
+            if bsgs.add(c):
+                gens.append(c)
                 queue.append(c)
-    return PermGroup(g.degree, gens, parent=g._top() if g.parent else g, _skip_check=True)
+    return _with_bsgs(g, gens, bsgs)
 
 
 def derived_subgroup(g: PermGroup) -> PermGroup:
@@ -517,7 +498,7 @@ def sylow_subgroup(g: PermGroup, p: int) -> PermGroup:
     p-subgroup.
     """
     target = p_part(g.order, p)
-    s = PermGroup(g.degree, [], parent=g._top() if g.parent else g, _skip_check=True)
+    s = PermGroup(g.degree, [], parent=g._top(), _skip_check=True)
     while s.order < target:
         n = normalizer(g, s) if s.order > 1 else g
         z = None
@@ -529,7 +510,7 @@ def sylow_subgroup(g: PermGroup, p: int) -> PermGroup:
         if z is None:  # pragma: no cover - contradicts Sylow theory
             raise InternalInconsistency("sylow climb stalled")
         s = PermGroup(g.degree, list(s.generators) + [z],
-                      parent=g._top() if g.parent else g, _skip_check=True)
+                      parent=g._top(), _skip_check=True)
         if not s.is_p_group(p):  # pragma: no cover
             raise InternalInconsistency("sylow climb left the p-group")
     return s
@@ -546,7 +527,7 @@ def fixed_points(sub: PermGroup, actors: PermGroup) -> PermGroup:
                 raise NotNormalized("actors do not normalize sub")
     fixed = [x for x in sub.elements(cap=SUBGROUP_ENUM_CAP * 64)
              if all(x * a == a * x for a in actors.generators)]
-    return PermGroup(sub.degree, fixed, parent=sub._top() if sub.parent else sub,
+    return PermGroup(sub.degree, fixed, parent=sub._top(),
                      _skip_check=True)
 
 
@@ -593,20 +574,25 @@ def _subgroups_of_p_group(pgrp: PermGroup, p: int) -> list[frozenset]:
     return sorted(all_sets, key=lambda s: (len(s), sorted(x.images for x in s)))
 
 
-def _set_orbit(ambient: PermGroup, sset: frozenset) -> set[frozenset]:
-    """Conjugation orbit of an element set; memoised per orbit on the group."""
+def _set_orbit(ambient: PermGroup, sset: frozenset) -> dict[frozenset, Perm]:
+    """Conjugation orbit of an element set, each member t mapped to a
+    witness w_t with s0^(w_t) = t for the orbit's first-walked member s0.
+
+    Memoised per orbit on the group: every member keys the same dict.
+    """
     memo = ambient._memo("set_orbits", dict)
     cached = memo.get(sset)
     if cached is not None:
         return cached
-    orbit = {sset}
+    orbit = {sset: ambient.identity}
     queue = [sset]
     while queue:
         s = queue.pop()
+        wit = orbit[s]
         for g in ambient.generators:
             t = frozenset(x ** g for x in s)
             if t not in orbit:
-                orbit.add(t)
+                orbit[t] = wit * g
                 queue.append(t)
     for t in orbit:
         memo[t] = orbit
@@ -621,78 +607,27 @@ def subgroup_classes_of_p_group(pgrp: PermGroup, ambient: PermGroup,
     The representative is the lexicographically least class member that
     lies inside pgrp.
     """
-    subs = _subgroups_of_p_group(pgrp, p)
-    canon_of: dict[frozenset, tuple] = {}
-    classes: dict[tuple, list[frozenset]] = {}
-    for s in subs:
-        if s in canon_of:
+    least: dict[tuple, frozenset] = {}   # (order, canonical key) -> representative
+    seen: set[frozenset] = set()
+    # the subgroups come sorted, so a class's first member met is its least in pgrp
+    for s in _subgroups_of_p_group(pgrp, p):
+        if s in seen:
             continue
         orbit = _set_orbit(ambient, s)
-        key = min(tuple(sorted(x.images for x in t)) for t in orbit)
-        for t in orbit:
-            canon_of[t] = key
-        classes.setdefault(key, [])
-    for s in subs:
-        classes[canon_of[s]].append(s)
-    reps = []
-    for key in sorted(classes, key=lambda k: (len(classes[k][0]), k)):
-        members = sorted(classes[key], key=lambda s: sorted(x.images for x in s))
-        rep_set = members[0]
-        reps.append(ambient.subgroup([x for x in rep_set if not x.is_identity()]))
-    return reps
-
-
-def all_subgroups(g: PermGroup) -> list[PermGroup]:
-    """Every subgroup of a small group, by closing cyclic subgroups under join."""
-    if g.order > 200:
-        raise CapExceeded(f"subgroup lattice of order {g.order} group not enumerated")
-    elems = g.elements()
-    sets = {frozenset([g.identity])}
-    for x in elems:
-        cyc = frozenset(x ** k for k in range(x.order()))
-        sets.add(cyc)
-    frontier = list(sets)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in list(sets):
-                if a <= b or b <= a:
-                    continue
-                join = _generated_set(g, a | b, cap=g.order)
-                if join not in sets:
-                    sets.add(join)
-                    new.append(join)
-        frontier = new
-    out = [g.subgroup([x for x in s if not x.is_identity()]) for s in
-           sorted(sets, key=lambda s: (len(s), sorted(x.images for x in s)))]
-    return out
-
-
-def _generated_set(g: PermGroup, seed, cap: int) -> frozenset:
-    gens = [x for x in seed if not x.is_identity()]
-    elems = {g.identity}
-    queue = [g.identity]
-    while queue:
-        x = queue.pop()
-        for gg in gens:
-            y = x * gg
-            if y not in elems:
-                if len(elems) >= cap:
-                    raise CapExceeded("generated set exceeded cap")
-                elems.add(y)
-                queue.append(y)
-    return frozenset(elems)
+        seen.update(orbit)
+        least[(len(s), min(tuple(sorted(x.images for x in t)) for t in orbit))] = s
+    return [ambient.subgroup([x for x in least[key] if not x.is_identity()])
+            for key in sorted(least)]
 
 
 # ---------------------------------------------------------------------------
 # quotients and actions
 
 
-def conjugation_image(group: PermGroup, normalized: PermGroup):
+def conjugation_image(group: PermGroup, normalized: PermGroup) -> PermGroup:
     """The image of `group` acting by conjugation on `normalized`'s elements.
 
-    Returns (image PermGroup, lift dict image-perm -> preimage).  The
-    kernel is the centralizer, so `image ~ group / C_group(normalized)`.
+    The kernel is the centralizer, so `image ~ group / C_group(normalized)`.
     """
     domain = sorted(normalized.elements())
     index = {x: i for i, x in enumerate(domain)}
@@ -700,19 +635,7 @@ def conjugation_image(group: PermGroup, normalized: PermGroup):
     def act_perm(n: Perm) -> Perm:
         return Perm._raw(tuple(index[x ** n] for x in domain))
 
-    gen_imgs = [act_perm(n) for n in group.generators]
-    image = PermGroup(len(domain), gen_imgs)
-    lift: dict[Perm, Perm] = {image.identity: group.identity}
-    queue = [image.identity]
-    while queue:
-        q = queue.pop(0)
-        a = lift[q]
-        for n, ni in zip(group.generators, gen_imgs):
-            q2 = q * ni
-            if q2 not in lift:
-                lift[q2] = a * n
-                queue.append(q2)
-    return image, lift
+    return PermGroup(len(domain), [act_perm(n) for n in group.generators])
 
 
 def quotient_by_normal(g: PermGroup, n: PermGroup, cap: int = 10**5):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -215,3 +216,47 @@ def test_an_entry_raising_any_exception_does_not_abort_the_run(error, exit_code,
     statuses = {i["name"]: i["status"] for i in report["entries"]}
     assert statuses == {"Z6": "errored", "A4": "pass"}
     assert report["entries"][0]["error"] == f"{error.__name__}: boom"
+
+
+@pytest.mark.parametrize("prime", ["x", "2", 2.5, None, True])
+def test_cli_catalog_prime_not_an_integer_is_an_input_error(prime, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"entries": [
+        {"name": "Z6", "prime": prime, "recipe": {"kind": "cyclic", "n": 6}}]}))
+    assert main(["catalog", "--file", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--group", "S4"], ["catalog", "--filter", "S4"], ["table", "--group", "S4"]])
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_cli_unwritable_out_is_refused_before_any_work(command, where, tmp_path,
+                                                       monkeypatch, capsys):
+    from blockscope import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the --out check")
+
+    for name in ("analyze_group", "run_catalog", "character_table"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "r.json"
+    assert main(command + ["--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and "Traceback" not in err
+
+
+# sha256 of `blockscope catalog --out` on these entries; they cover every case
+# label except the two out-of-scope labels that only slower entries reach
+GOLDEN_ENTRIES = ("S4", "S5", "A4", "A5", "L48", "G96", "A4xZ4", "F56", "Z4wrZ2",
+                  "Z3wrZ2", "Z6", "S3xS3")
+GOLDEN_SHA256 = "29fcbb7651ff6c0100312a9fd902ceda3834fa7578d25e226f7e5f0c41f9c6ba"
+
+
+def test_catalog_report_is_unchanged(tmp_path, capsys):
+    out = tmp_path / "golden.json"
+    argv = ["catalog", "--out", str(out)]
+    for name in GOLDEN_ENTRIES:
+        argv += ["--filter", name]
+    assert main(argv) == EXIT_PASS
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256

@@ -233,6 +233,23 @@ def test_self_conjugacy_gives_identity():
     assert subgroup_transporter(s4, a, a) == s4.identity
 
 
+@pytest.mark.parametrize("name,p", [("S4", 2), ("S4", 3), ("A5", 2), ("L48", 2),
+                                    ("S3xS3", 3)])
+def test_transporter_agrees_with_brute_force(name, p):
+    from blockscope.blocks import p_subgroup_classes
+    g = group(name)
+    x = g.generators[-1] * g.generators[0]
+    reps = p_subgroup_classes(g, p)
+    targets = reps + [g.subgroup([t ** x for t in r.generators]) for r in reps]
+    for a in reps:
+        for b in targets:
+            w = subgroup_transporter(g, a, b)
+            assert (w is None) == (brute_conjugator(g, a, b) is None)
+            if w is not None:
+                assert w in g
+                assert frozenset(t ** w for t in a.element_set()) == b.element_set()
+
+
 # -- subgroup enumeration
 
 
