@@ -23,15 +23,15 @@ from fractions import Fraction
 
 from .chartable import CharacterTable, _class_matrices, character_table
 from .cyclotomic import Cyclo
-from .errors import (AmbiguousMatch, InternalInconsistency, NoDefectClass)
-from .exact import nu, p_part, row_reduce
+from .errors import AmbiguousMatch, InputError, InternalInconsistency, NoDefectClass
+from .exact import is_prime, nu, p_part, row_reduce
 from .groups import (PermGroup, centralizer, subgroup_classes_of_p_group,
                      subgroup_transporter, sylow_subgroup, subgroup_fingerprint)
 from .modp import ModPContext, mod_p_context
 
 __all__ = ["Block", "LowerDefectTable", "central_characters", "block_distribution",
-           "brauer_induce", "lower_defect_multiplicities", "block_idempotent_vectors",
-           "p_subgroup_classes"]
+           "brauer_induce", "induce_principal_block", "lower_defect_multiplicities",
+           "block_idempotent_vectors", "p_subgroup_classes"]
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,12 @@ def _context_for(table: CharacterTable, p: int) -> ModPContext:
 
 
 def block_distribution(table: CharacterTable, p: int) -> list[Block]:
-    """Partition of Irr(G) into p-blocks, principal block first."""
+    """Partition of Irr(G) into p-blocks, principal block first.
+
+    Refuses a p that is not prime before any work.
+    """
+    if not is_prime(p):
+        raise InputError(f"p = {p} is not a prime")
     return table.group._memo(("blocks", p), lambda: _block_distribution(table, p))
 
 
@@ -198,9 +203,28 @@ def brauer_induce(blk_local: Block, group: PermGroup):
         for hj in h_class_of_g_class.get(j, ()):  # one term per element of K cap H
             total = total + table_h.values[chi][hj]
         sig.append(ctx.reduce(total * deg))
-    sig = tuple(sig)
+    return _block_with_signature(table_g, p, tuple(sig))
 
-    matches = [b for b in block_distribution(table_g, p) if b.signature == sig]
+
+def induce_principal_block(h: PermGroup, group: PermGroup, p: int):
+    """Block of `group` that the principal block of its subgroup h induces
+    to, or None when induction is undefined.
+
+    The trivial character of h lies in its principal block, so the induced
+    central character on a class K of `group` is |K cap h|, reduced in the
+    big group's context.  No character table or block of h is built.
+    """
+    table_g = character_table(group)
+    ctx = _context_for(table_g, p)
+    counts = [0] * table_g.n_classes
+    for x in h.elements():
+        counts[group.class_of(x)] += 1
+    return _block_with_signature(table_g, p, tuple(ctx.reduce(c) for c in counts))
+
+
+def _block_with_signature(table: CharacterTable, p: int, sig: tuple):
+    """The block of `table` whose reduced central character is `sig`, or None."""
+    matches = [b for b in block_distribution(table, p) if b.signature == sig]
     if not matches:
         return None
     if len(matches) > 1:  # pragma: no cover - signatures are distinct by construction

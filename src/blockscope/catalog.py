@@ -18,9 +18,9 @@ import traceback
 from dataclasses import dataclass
 from importlib import resources
 
-from .blocks import (block_distribution, block_idempotent_vectors, brauer_induce,
-                     lower_defect_multiplicities, principal_block, p_subgroup_classes,
-                     _center_multiply)
+from .blocks import (block_distribution, block_idempotent_vectors,
+                     induce_principal_block, lower_defect_multiplicities, principal_block,
+                     p_subgroup_classes, _center_multiply)
 from .chartable import character_table
 from .classify import (check_local_structure, classify_case, count_weights,
                        verdict, verify_counts)
@@ -182,14 +182,12 @@ def _check_idempotents(table, p: int) -> bool:
 
 def _check_brauer_third(group: PermGroup, p: int) -> bool:
     """The principal block of N_G(R) induces to the principal block of G,
-    for every p-subgroup class representative R."""
-    b0 = principal_block(group, p)
+    for every p-subgroup class representative R (for R = 1, N_G(R) is G)."""
     for r in p_subgroup_classes(group, p):
-        n = normalizer(group, r) if r.order > 1 else group
-        local = principal_block(n, p)
-        ind = local if n is group else brauer_induce(local, group)
-        if ind is None or not ind.is_principal:
-            return False
+        if r.order > 1:
+            ind = induce_principal_block(normalizer(group, r), group, p)
+            if ind is None or not ind.is_principal:
+                return False
     return True
 
 

@@ -157,9 +157,6 @@ class Cyclo:
     def is_zero(self) -> bool:
         return self.m == 1 and self.coeffs[0] == 0
 
-    def is_rational(self) -> bool:
-        return self.m == 1
-
     def is_integral(self) -> bool:
         """True when the value is an algebraic integer (integer coordinates)."""
         return all(c.denominator == 1 for c in self.coeffs)

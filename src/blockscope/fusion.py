@@ -13,8 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import MethodDisagreement, NoComplementFound, NotAbelian
-from .exact import p_part, prime_factors
+from .errors import InputError, MethodDisagreement, NoComplementFound, NotAbelian
+from .exact import is_prime, p_part, prime_factors
 from .groups import (PermGroup, abelian_invariants, centralizer,
                      conjugation_image, fixed_points, normalizer, normal_closure,
                      o_p_residual, quotient_by_normal, subgroup_fingerprint,
@@ -64,6 +64,8 @@ class FusionSystem:
     """Queries against the fusion category of G on a Sylow p-subgroup P."""
 
     def __init__(self, group: PermGroup, sylow: PermGroup | None = None, p: int = 2):
+        if not is_prime(p):
+            raise InputError(f"p = {p} is not a prime")
         self.group = group
         self.p = p
         self.sylow = sylow if sylow is not None else sylow_subgroup(group, p)

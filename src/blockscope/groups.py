@@ -398,15 +398,10 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
     """
     hset = frozenset(h.elements())
     memo = g._memo("normalizers", dict)
-    if hset in memo:
-        return memo[hset]
-    act = lambda s, gg: frozenset(x ** gg for x in s)
-    stab = _stabilizer_of_action(g, hset, act)
-    # h itself normalizes h; fold its generators in so the handle is complete
-    gens = list(stab.generators) + [x for x in h.generators if stab.bsgs.add(x)]
-    result = _with_bsgs(g, gens, stab.bsgs)
-    memo[hset] = result
-    return result
+    if hset not in memo:
+        memo[hset] = _stabilizer_of_action(
+            g, hset, lambda s, gg: frozenset(x ** gg for x in s))
+    return memo[hset]
 
 
 def subgroup_transporter(g: PermGroup, a: PermGroup, b: PermGroup):

@@ -58,9 +58,6 @@ class GFq:
     def sub(self, a, b):
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
-
     def mul(self, a, b):
         f, p = self.f, self.p
         conv = [0] * (2 * f - 1)

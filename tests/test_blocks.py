@@ -2,11 +2,12 @@ import pytest
 
 from conftest import group
 from blockscope.blocks import (block_distribution, block_idempotent_vectors,
-                               brauer_induce, central_characters,
+                               brauer_induce, central_characters, induce_principal_block,
                                lower_defect_multiplicities, p_subgroup_classes,
                                principal_block)
 from blockscope.chartable import character_table
 from blockscope.cyclotomic import Cyclo
+from blockscope.errors import InputError
 from blockscope.groups import normalizer, quotient_by_normal, sylow_subgroup
 from blockscope.modp import mod_p_context
 from blockscope.perms import Perm
@@ -164,14 +165,24 @@ def test_principal_of_klein_normalizer_induces_to_principal():
 
 
 def test_principal_induction_for_all_local_subgroups():
-    for name in ("S4", "A4", "S5", "L48"):
+    # class-intersection counts against the induction through a local table
+    cases = [(name, 2) for name in ("S4", "A4", "S5", "L48", "G96", "F56", "Z4wrZ2",
+                                    "S3xS3")] + [("S5", 3)]
+    for name, p in cases:
         g = group(name)
-        for r in p_subgroup_classes(g, 2):
+        for r in p_subgroup_classes(g, p):
             if r.order == 1:
                 continue
             n = normalizer(g, r)
-            ind = brauer_induce(principal_block(n, 2), g)
+            ind = induce_principal_block(n, g, p)
+            assert ind is brauer_induce(principal_block(n, p), g)
             assert ind is not None and ind.is_principal
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, -3])
+def test_block_distribution_rejects_a_non_prime(p):
+    with pytest.raises(InputError):
+        block_distribution(character_table(group("A4")), p)
 
 
 def test_nonprincipal_induction_s5():

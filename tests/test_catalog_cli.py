@@ -247,10 +247,12 @@ def test_cli_unwritable_out_is_refused_before_any_work(command, where, tmp_path,
 
 
 # sha256 of `blockscope catalog --out` on these entries; they cover every case
-# label except the two out-of-scope labels that only slower entries reach
+# label except `out_of_scope_Q_too_large`, which only slower entries reach.
+# L96_Z6 is the cheapest `out_of_scope_Q_not_central` entry: out-of-scope
+# entries check the principal-block induction without local tables.
 GOLDEN_ENTRIES = ("S4", "S5", "A4", "A5", "L48", "G96", "A4xZ4", "F56", "Z4wrZ2",
-                  "Z3wrZ2", "Z6", "S3xS3")
-GOLDEN_SHA256 = "29fcbb7651ff6c0100312a9fd902ceda3834fa7578d25e226f7e5f0c41f9c6ba"
+                  "Z3wrZ2", "Z6", "S3xS3", "L96_Z6")
+GOLDEN_SHA256 = "c1e2ad4d359aa46e0fb3c273475cc4bad7d10b90e8beebac6aa46e270bd7bc3e"
 
 
 def test_catalog_report_is_unchanged(tmp_path, capsys):

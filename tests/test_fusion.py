@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import group
-from blockscope.errors import NotAbelian
+from blockscope.errors import InputError, NotAbelian
 from blockscope.fusion import FusionSystem, _strongly_p_embedded, omega1
 from blockscope.groups import (abelian_invariants, normalizer, same_subgroup,
                                sylow_subgroup)
@@ -36,6 +36,12 @@ def test_f_conjugacy_a4_involutions():
     assert len(invs) == 3
     for y in invs:
         assert fs.are_conjugate((invs[0],), (y,)) is not None
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, -3])
+def test_fusion_system_rejects_a_non_prime(p):
+    with pytest.raises(InputError):
+        FusionSystem(group("A4"), p=p)
 
 
 def test_f_conjugacy_requires_sylow_membership():

@@ -120,6 +120,13 @@ def test_normalizer_examples():
     assert normalizer(s4, s4).order == 24
 
 
+def test_normalizer_of_a_subgroup_outside_the_group():
+    a4 = group("A4")
+    n = normalizer(a4, PermGroup(4, [cyc(4, (0, 1))]))
+    assert n.order == 2
+    assert all(x in a4 for x in n.generators)
+
+
 def test_centralizer_normalizer_match_brute_force():
     cases = [
         ("S4", [cyc(4, (0, 1), (2, 3))]),
