@@ -234,9 +234,12 @@ def _build_table(group: PermGroup, class_cap: int) -> CharacterTable:
     for c in classes:
         exponent = math.lcm(exponent, c.element_order)
     ell = _choose_prime(exponent, n)
-    mats = [np.asarray(m % ell, dtype=np.int64) for m in _class_matrices(group)]
+    # _rref_mod and the products in _common_eigenvectors hold sums of r
+    # products of residues in int64
+    if r * ell * ell >= 2**63:
+        raise CapExceeded(f"{r} classes mod {ell} overflow int64 arithmetic")
 
-    eigvecs = _common_eigenvectors(mats, r, ell)
+    eigvecs = _common_eigenvectors(_class_matrices(group), r, ell)
     if len(eigvecs) != r:
         raise InternalInconsistency(
             f"expected {r} one-dimensional eigenspaces, found {len(eigvecs)}")

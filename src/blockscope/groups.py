@@ -28,6 +28,7 @@ __all__ = [
     "normalizer",
     "sylow_subgroup",
     "o_p_residual",
+    "o_p_core",
     "subgroup_transporter",
     "subgroup_classes_of_p_group",
     "fixed_points",
@@ -63,13 +64,16 @@ class _BSGS:
     closures) extends a single instance with :meth:`add`.
     """
 
-    __slots__ = ("degree", "base", "strong", "orbits", "identity")
+    __slots__ = ("degree", "base", "strong", "strong_inverses", "orbits", "inverses",
+                 "identity")
 
     def __init__(self, degree: int, gens):
         self.degree = degree
         self.base: list[int] = []
         self.strong: list[Perm] = []
+        self.strong_inverses: list[Perm] = []
         self.orbits: list[dict[int, Perm]] = []  # per level: point -> u with u(b)=point
+        self.inverses: list[dict[int, Perm]] = []  # per level: point -> u^-1
         self.identity = Perm.identity(degree)
         for g in gens:
             if not g.is_identity() and g not in self.strong:
@@ -93,37 +97,43 @@ class _BSGS:
         if lvl == len(self.base):
             self.base.append(g.min_moved())
             self.orbits.append({})
+            self.inverses.append({})
         self.strong.append(g)
+        self.strong_inverses.append(g.inverse())
         for i in range(lvl + 1):
             self._rebuild_orbit(i)
 
     def _gens_at(self, level: int):
+        """(g, g^-1) for the strong generators fixing the first `level` base points."""
         base_prefix = self.base[:level]
-        return [g for g in self.strong if all(g(b) == b for b in base_prefix)]
+        return [(g, g_inv) for g, g_inv in zip(self.strong, self.strong_inverses)
+                if all(g(b) == b for b in base_prefix)]
 
     def _rebuild_orbit(self, level: int):
         b = self.base[level]
         gens = self._gens_at(level)
         orbit = {b: self.identity}
+        inverses = {b: self.identity}
         queue = [b]
         while queue:
             pt = queue.pop()
             u = orbit[pt]
-            for g in gens:
+            for g, g_inv in gens:
                 im = g(pt)
                 if im not in orbit:
                     orbit[im] = u * g
+                    inverses[im] = g_inv * inverses[pt]  # (u g)^-1 = g^-1 u^-1
                     queue.append(im)
         self.orbits[level] = orbit
+        self.inverses[level] = inverses
 
     def sift(self, g: Perm):
         """Return (residue, level): residue is identity iff g is a member."""
         for i, b in enumerate(self.base):
-            im = g(b)
-            orb = self.orbits[i]
-            if im not in orb:
+            u_inv = self.inverses[i].get(g(b))
+            if u_inv is None:
                 return g, i
-            g = g * orb[im].inverse()
+            g = g * u_inv
         return g, len(self.base)
 
     def contains(self, g: Perm) -> bool:
@@ -144,12 +154,12 @@ class _BSGS:
             residue = None
             for level in range(len(self.base) - 1, -1, -1):
                 orb = self.orbits[level]
+                inverses = self.inverses[level]
                 gens = self._gens_at(level)
                 for pt in sorted(orb):
                     u = orb[pt]
-                    for g in gens:
-                        u2 = orb[g(pt)]
-                        s = u * g * u2.inverse()
+                    for g, _ in gens:
+                        s = u * g * inverses[g(pt)]
                         r, _ = self.sift(s)
                         if not r.is_identity():
                             residue = r
@@ -386,7 +396,8 @@ def centralizer(g: PermGroup, h) -> PermGroup:
         targets = list(h.generators)
     current = g
     for t in targets:
-        current = _stabilizer_of_action(current, t, lambda x, gg: x ** gg)
+        if not t.is_identity():
+            current = _stabilizer_of_action(current, t, lambda x, gg: x ** gg)
     return current
 
 
@@ -485,6 +496,23 @@ def o_p_residual(g: PermGroup, p: int) -> PermGroup:
     return n
 
 
+def o_p_core(g: PermGroup, p: int) -> frozenset:
+    """Element set of O_p(g), the core of a Sylow p-subgroup.
+
+    Intersects the Sylow subgroup's element set with its conjugates under
+    g's generators until it stops changing; what remains is normalized by
+    every generator, so it is the largest normal subgroup inside the Sylow.
+    """
+    core = frozenset(sylow_subgroup(g, p).elements())
+    while True:
+        shrunk = core
+        for gg in g.generators:
+            shrunk = shrunk & frozenset(x ** gg for x in shrunk)
+        if shrunk == core:
+            return core
+        core = shrunk
+
+
 def sylow_subgroup(g: PermGroup, p: int) -> PermGroup:
     """A Sylow p-subgroup, grown by normalizer climbing.
 
@@ -531,42 +559,45 @@ def fixed_points(sub: PermGroup, actors: PermGroup) -> PermGroup:
 
 
 def _subgroups_of_p_group(pgrp: PermGroup, p: int) -> list[frozenset]:
-    """All subgroups of a p-group, as element sets, by maximal extension."""
+    """All subgroups of a p-group, as element sets, by maximal extension.
+
+    Each subgroup of order p^(k+1) is <h, x> for some h of order p^k and x
+    in N_P(h) with x^p in h; x normalizes h when it conjugates h's
+    generators into h's element set.
+    """
     if pgrp.order > SUBGROUP_ENUM_CAP:
         raise CapExceeded(f"|P| = {pgrp.order} exceeds enumeration cap {SUBGROUP_ENUM_CAP}")
-    identity = pgrp.identity
-    trivial = frozenset([identity])
-    layers = [{trivial}]
-    all_sets = {trivial}
+    elements = [(x, x.inverse(), x ** p) for x in pgrp.elements()]
+    trivial = frozenset([pgrp.identity])
+    gens_of = {trivial: ()}   # element set -> generators
+    layer = [trivial]
     size = 1
     while size < pgrp.order:
-        prev = layers[-1]
-        nxt = set()
-        for hset in prev:
-            h = pgrp.subgroup([x for x in hset if not x.is_identity()] or [])
-            norm = normalizer(pgrp, h)
-            for x in norm.elements():
-                if x in hset:
+        nxt = []
+        for hset in layer:
+            gens = gens_of[hset]
+            covered = set(hset)   # elements of the extensions of h found so far
+            for x, x_inv, x_p in elements:
+                if x in covered or x_p not in hset:
                     continue
-                if (x ** p) not in hset:
+                if any(x_inv * y * x not in hset for y in gens):
                     continue
                 # <h, x> = union of cosets h x^i since x normalizes h
                 new = set(hset)
-                coset = hset
                 y = x
                 while y not in new:
-                    coset = frozenset(c * y for c in hset)
-                    new |= coset
+                    new.update(c * y for c in hset)
                     y = y * x
+                covered |= new
                 fz = frozenset(new)
-                if len(fz) == size * p and fz not in all_sets:
-                    nxt.add(fz)
-                    all_sets.add(fz)
+                if fz not in gens_of:
+                    gens_of[fz] = gens + (x,)
+                    nxt.append(fz)
         if not nxt:
             break
-        layers.append(nxt)
+        layer = nxt
         size *= p
-    return sorted(all_sets, key=lambda s: (len(s), sorted(x.images for x in s)))
+    return sorted(gens_of, key=lambda s: (len(s), sorted(x.images for x in s)))
 
 
 def _set_orbit(ambient: PermGroup, sset: frozenset) -> dict[frozenset, Perm]:

@@ -7,8 +7,10 @@ CLI surface); everything internal is 0-based.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
+from operator import itemgetter
 
 __all__ = ["Perm", "parse_perm"]
 
@@ -33,7 +35,7 @@ class Perm:
 
     @staticmethod
     def identity(degree: int) -> "Perm":
-        return Perm._raw(tuple(range(degree)))
+        return Perm._raw(_identity_images(degree))
 
     @staticmethod
     def from_cycles(degree: int, cycles) -> "Perm":
@@ -53,8 +55,11 @@ class Perm:
         return self.images[point]
 
     def __mul__(self, other: "Perm") -> "Perm":
-        oi = other.images
-        return Perm._raw(tuple(oi[i] for i in self.images))
+        images = self.images
+        if len(images) < 2:
+            # itemgetter() needs an argument, and with one it returns a scalar
+            return Perm._raw(tuple(other.images[i] for i in images))
+        return Perm._raw(itemgetter(*images)(other.images))
 
     def __pow__(self, g):
         # h ** g is conjugation; h ** int is iterated composition
@@ -80,7 +85,7 @@ class Perm:
         return Perm._raw(tuple(inv))
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == _identity_images(len(self.images))
 
     def order(self) -> int:
         n = 1
@@ -153,6 +158,11 @@ class Perm:
 
     def __repr__(self):
         return f"Perm{self.cycle_string(one_based=False)}<{self.degree}>"
+
+
+@functools.cache
+def _identity_images(degree: int) -> tuple:
+    return tuple(range(degree))
 
 
 def _is_bijection(images: tuple) -> bool:

@@ -183,6 +183,17 @@ def test_class_cap():
         character_table(big)
 
 
+def test_int64_overflow_is_refused(monkeypatch):
+    from blockscope import chartable
+    from blockscope.recipes import construct_group, symmetric
+    # five classes mod a prime near 2^31 would need sums past 2^63
+    monkeypatch.setattr(chartable, "_choose_prime", lambda exponent, n: 2**31 - 1)
+    monkeypatch.setattr(chartable, "_common_eigenvectors",
+                        lambda *args: pytest.fail("int64 arithmetic reached unguarded"))
+    with pytest.raises(CapExceeded, match="overflow"):
+        character_table(construct_group(symmetric(4)))
+
+
 # -- class multiplication coefficients
 
 

@@ -1,10 +1,13 @@
 import pytest
 
 from conftest import group
-from blockscope.blocks import block_distribution, principal_block
+from blockscope.blocks import (block_distribution, brauer_induce, p_subgroup_classes,
+                               principal_block)
 from blockscope.chartable import character_table
 from blockscope.classify import (check_local_structure, classify_case,
                                  count_weights, verify_counts)
+from blockscope.exact import nu
+from blockscope.groups import normalizer
 
 
 LABELS = {
@@ -93,6 +96,35 @@ def test_weights():
         g = group(name)
         b = principal_block(g, 2)
         assert count_weights(g, 2, b) == expected == b.l
+
+
+def _weights_over_every_subgroup(group, p, blk):
+    """The weight count with no radical filter: every class R gets the
+    character table of N_G(R)."""
+    total = 0
+    for r in p_subgroup_classes(group, p):
+        n = normalizer(group, r) if r.order > 1 else group
+        tab_n = character_table(n)
+        blocks_n = block_distribution(tab_n, p)
+        target_nu = nu(n.order // r.order, p)
+        for i in range(tab_n.n_classes):
+            if any(tab_n.values[i][tab_n.class_index(x)] != tab_n.degrees[i]
+                   for x in r.generators):
+                continue
+            if nu(tab_n.degrees[i], p) != target_nu:
+                continue
+            blk_n = next(bb for bb in blocks_n if i in bb.char_indices)
+            ind = blk_n if n is group else brauer_induce(blk_n, group)
+            if ind is not None and ind.char_indices == blk.char_indices:
+                total += 1
+    return total
+
+
+@pytest.mark.parametrize("name", ["S4", "A4", "A5", "L48", "A4xZ4"])
+def test_radical_filter_keeps_the_weight_count(name):
+    g = group(name)
+    for blk in block_distribution(character_table(g), 2):
+        assert count_weights(g, 2, blk) == _weights_over_every_subgroup(g, 2, blk)
 
 
 def test_weights_nonprincipal_block_s5():

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import (ORACLE_CAP, brute_centralizer_order, brute_class_count,
                       brute_conjugator, brute_normalizer_order, group)
 from blockscope.errors import NotAbelian, NotNormalized
-from blockscope.groups import (PermGroup, abelian_invariants, center, centralizer,
-                               derived_subgroup, fixed_points, normalizer, o_p_residual,
-                               quotient_by_normal, subgroup_classes_of_p_group,
-                               subgroup_fingerprint, subgroup_transporter, sylow_subgroup,
-                               same_subgroup)
+from blockscope.groups import (PermGroup, _BSGS, _subgroups_of_p_group, abelian_invariants,
+                               center, centralizer, derived_subgroup, fixed_points,
+                               normalizer, o_p_core, o_p_residual, quotient_by_normal,
+                               subgroup_classes_of_p_group, subgroup_fingerprint,
+                               subgroup_transporter, sylow_subgroup, same_subgroup)
+from blockscope.recipes import construct_group, cyclic, direct
 from blockscope.perms import Perm
 
 
@@ -109,6 +110,20 @@ def test_centralizer_examples():
     assert c.order == 8
     assert centralizer(s4, s4.identity).order == 24
     assert centralizer(s4, s4.subgroup([cyc(4, (0, 1, 2))])).order == 3
+
+
+def test_centralizer_of_the_identity_is_the_group(monkeypatch):
+    s6 = group("S6")
+    built = []
+    original = _BSGS.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(_BSGS, "__init__", counting_init)
+    assert centralizer(s6, s6.identity) is s6
+    assert built == []
 
 
 def test_normalizer_examples():
@@ -286,6 +301,61 @@ def test_subgroup_classes_trivial():
     a4 = group("A4")
     t = a4.subgroup([])
     assert [c.order for c in subgroup_classes_of_p_group(t, a4, 2)] == [1]
+
+
+def _elementary(rank):
+    recipe = cyclic(2)
+    for _ in range(rank - 1):
+        recipe = direct(recipe, cyclic(2))
+    return construct_group(recipe)
+
+
+@pytest.mark.parametrize("name,build,count", [
+    ("D8", lambda: group("D8"), 10),
+    ("Q8", lambda: PermGroup(8, [cyc(8, (0, 1, 2, 3), (4, 5, 6, 7)),
+                                 cyc(8, (0, 4, 2, 6), (1, 7, 3, 5))]), 6),
+    ("Z2^3", lambda: _elementary(3), 16),
+    ("Z4xZ2", lambda: construct_group(direct(cyclic(4), cyclic(2))), 8),
+    ("Z4xZ4", lambda: construct_group(direct(cyclic(4), cyclic(4))), 15),
+    ("D16", lambda: PermGroup(8, [cyc(8, (0, 1, 2, 3, 4, 5, 6, 7)),
+                                  cyc(8, (1, 7), (2, 6), (3, 5))]), 19),
+    ("Z2^4", lambda: _elementary(4), 67),
+])
+def test_subgroup_enumeration_counts(name, build, count):
+    pgrp = build()
+    assert pgrp.is_p_group(2)
+    subgroups = _subgroups_of_p_group(pgrp, 2)
+    assert len(subgroups) == len(set(subgroups)) == count
+    for s in subgroups:
+        assert all(x * y in s for x in s for y in s)
+
+
+def test_bsgs_stores_inverse_transversals():
+    for name in ("S5", "L48", "G96", "K192"):
+        bsgs = group(name).bsgs
+        for orbit, inverses in zip(bsgs.orbits, bsgs.inverses):
+            assert orbit.keys() == inverses.keys()
+            for pt, u in orbit.items():
+                assert (inverses[pt] * u).is_identity()
+
+
+def _brute_o_p(g, p):
+    sylow = frozenset(sylow_subgroup(g, p).elements())
+    core = sylow
+    for x in g.elements():
+        core &= frozenset(y ** x for y in sylow)
+    return core
+
+
+@pytest.mark.parametrize("name,p,order", [
+    ("S4", 2, 4), ("A4", 2, 4), ("A5", 2, 1), ("S3xS3", 3, 9), ("S3xS3", 2, 1),
+    ("L48", 2, 16), ("G96", 2, 16), ("S5", 2, 1),
+])
+def test_o_p_core_is_the_intersection_of_all_sylow_subgroups(name, p, order):
+    g = group(name)
+    core = o_p_core(g, p)
+    assert core == _brute_o_p(g, p)
+    assert len(core) == order
 
 
 # -- fixed points

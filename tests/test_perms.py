@@ -75,3 +75,21 @@ def test_shift_and_extend():
     p = Perm.from_cycles(2, [[0, 1]])
     assert p.extend(4) == Perm.from_cycles(4, [[0, 1]])
     assert p.shift(2, 4) == Perm.from_cycles(4, [[2, 3]])
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_small_degree_products_and_identity(degree):
+    e = Perm.identity(degree)
+    assert e.is_identity() and (e * e).is_identity() and e * e == e
+    if degree == 2:
+        s = Perm((1, 0))
+        assert not s.is_identity()
+        assert s * e == e * s == s
+        assert (s * s).is_identity()
+
+
+@given(st.integers(0, 9).flatmap(lambda n: st.tuples(perms(n), perms(n))))
+def test_product_matches_tuple_definition(pair):
+    a, b = pair
+    assert (a * b).images == tuple(b.images[i] for i in a.images)
+    assert (a * b).is_identity() == (a.images == b.inverse().images)
