@@ -3,16 +3,21 @@
 The table is computed by the classical finite-field method: the class-sum
 structure constants give commuting integer matrices whose simultaneous
 eigenvectors over a prime field GF(ell), ell = 1 (mod exponent) and
-ell^2 > 4|G|, are the central characters mod ell.  Degrees are recovered
-from the orthogonality relation, and the exact cyclotomic character
-values are reconstructed by discrete Fourier inversion over the power
-maps, using the root-of-unity correspondence zeta_e <-> w^((ell-1)/e) for
-a fixed primitive root w.
+ell^2 > 4|G|, are the central characters mod ell.  Class matrices are
+counted only when the splitting reads them, and each one splits a space
+by the kernels at the roots of its restriction's characteristic
+polynomial, the roots found by evaluating it on all of GF(ell) at once.
+Degrees are recovered from the orthogonality relation, and the exact
+cyclotomic character values are reconstructed by discrete Fourier
+inversion over the power maps, using the root-of-unity correspondence
+zeta_e <-> w^((ell-1)/e) for a fixed primitive root w.
 
-Every emitted table is verified against both orthogonality relations in
-exact cyclotomic arithmetic; a failure aborts with InternalInconsistency
-rather than emitting a wrong table.  Row order is deterministic: the
-trivial character first, then by (degree, value fingerprint).
+Every emitted table is verified against both orthogonality relations, in
+full and in exact integer arithmetic on power-basis coordinates (int64
+array products under an explicit bound, Python integers above it); a
+failure aborts with InternalInconsistency rather than emitting a wrong
+table.  Row order is deterministic: the trivial character first, then by
+(degree, value fingerprint).
 """
 
 from __future__ import annotations
@@ -112,66 +117,39 @@ class CharacterTable:
         return total
 
     def verify_orthogonality(self):
-        """Both orthogonality relations, exactly.
+        """Both orthogonality relations, exactly and in full.
 
-        Character values are algebraic integers, so each value is an
-        integer vector in the power basis of the exponent field; products
-        and sums stay integral and the check never leaves exact integer
-        arithmetic.
+        Character values are algebraic integers: integer vectors in the
+        power basis of the exponent field.  With B the largest coordinate
+        and R the largest power-basis row entry, no partial sum exceeds
+        n B^2 phi (2 phi - 1) R, so below 2^62 the products run in int64
+        and otherwise on Python integers.
         """
         from .cyclotomic import _power_basis_rows, _phi
 
         n = self.group.order
         e = self.exponent
         phi = _phi(e)
-        rows = _power_basis_rows(e)
+        fold = [_power_basis_rows(e)[s % e] for s in range(2 * phi - 1)]
         lifted = [[[int(c) for c in v._lift(e)] for v in row] for row in self.values]
-
-        def mul(a, b):
-            conv = {}
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        if y:
-                            conv[i + j] = conv.get(i + j, 0) + x * y
-            out = [0] * phi
-            for k, c in conv.items():
-                row = rows[k % e]
-                for t in range(phi):
-                    if row[t]:
-                        out[t] += c * row[t]
-            return out
-
-        zero = [0] * phi
-        for i1 in range(self.n_classes):
-            for i2 in range(i1, self.n_classes):
-                acc = [0] * phi
-                for j, cls in enumerate(self.classes):
-                    a = lifted[i1][j]
-                    b = lifted[i2][self.inverse_class[j]]
-                    if any(a) and any(b):
-                        prod = mul(a, b)
-                        for t in range(phi):
-                            acc[t] += cls.size * prod[t]
-                want = zero if i1 != i2 else [n] + [0] * (phi - 1)
-                if acc != want:
-                    raise InternalInconsistency(
-                        f"row orthogonality failed at characters {i1}, {i2}")
-        for j1 in range(self.n_classes):
-            for j2 in range(j1, self.n_classes):
-                acc = [0] * phi
-                for i in range(self.n_classes):
-                    a = lifted[i][j1]
-                    b = lifted[i][self.inverse_class[j2]]
-                    if any(a) and any(b):
-                        prod = mul(a, b)
-                        for t in range(phi):
-                            acc[t] += prod[t]
-                cz = self.classes[j1].centralizer_order
-                want = zero if j1 != j2 else [cz] + [0] * (phi - 1)
-                if acc != want:
-                    raise InternalInconsistency(
-                        f"column orthogonality failed at classes {j1}, {j2}")
+        big = max(abs(c) for row in lifted for v in row for c in v)
+        reach = max(abs(c) for row in fold for c in row)
+        bound = n * big * big * phi * (2 * phi - 1) * reach
+        dtype = np.int64 if bound < _INT64_PRODUCT_LIMIT else object
+        values = np.array(lifted, dtype=dtype)          # values[i, j, t]
+        conj = values[:, list(self.inverse_class)]      # values at inverse classes
+        fold = np.array(fold, dtype=dtype)
+        sizes = np.array([c.size for c in self.classes], dtype=dtype)
+        for what, gram, diag in (
+                ("row orthogonality failed at characters",
+                 _gram(values * sizes[:, None], conj, fold), [n] * len(values)),
+                ("column orthogonality failed at classes",
+                 _gram(values.transpose(1, 0, 2), conj.transpose(1, 0, 2), fold),
+                 [c.centralizer_order for c in self.classes])):
+            gram[range(len(diag)), range(len(diag)), 0] -= diag
+            bad = np.argwhere(gram.any(axis=2))
+            if bad.size:
+                raise InternalInconsistency(f"{what} {bad[0][0]}, {bad[0][1]}")
 
     def to_json(self):
         return {
@@ -186,34 +164,53 @@ class CharacterTable:
         }
 
 
+# Partial sums of the orthogonality products stay below this in int64.
+_INT64_PRODUCT_LIMIT = 2**62
+
+
+def _gram(a, b, fold):
+    """g[x, y] = sum_j a[x, j] * b[y, j] for power-basis coordinates a[x, j, t]:
+    convolutions in the coordinate index, folded back by the rows of fold."""
+    nx, m, phi = a.shape
+    ny = b.shape[0]
+    conv = np.zeros((nx, ny, 2 * phi - 1), dtype=a.dtype)
+    right = b.transpose(1, 0, 2).reshape(m, ny * phi)
+    for t in np.flatnonzero(a.any(axis=(0, 1))):
+        conv[:, :, t:t + phi] += (a[:, :, t] @ right).reshape(nx, ny, phi)
+    return conv @ fold
+
+
 # ---------------------------------------------------------------------------
 # structure constants
 
 
 def _class_matrices(group: PermGroup) -> list[np.ndarray]:
     """M_i[j][k] = #{(x, y) in K_i x K_j : x y = z_k} for a fixed z_k."""
-    return group._memo("class_matrices", lambda: _count_class_products(group))
+    return [_class_matrix(group, i) for i in range(len(group.conjugacy_classes()))]
 
 
-def _count_class_products(group: PermGroup) -> list[np.ndarray]:
+def _class_matrix(group: PermGroup, i: int) -> np.ndarray:
+    """M_i alone, counted the first time it is asked for."""
+    return group._memo(("class_matrix", i), lambda: _count_class_products(group, i))
+
+
+def _count_class_products(group: PermGroup, i: int) -> np.ndarray:
     classes = group.conjugacy_classes()
     r = len(classes)
-    class_of = {x: idx for idx, c in enumerate(classes) for x in c.elements}
-    reps = [c.representative for c in classes]
-    mats = [np.zeros((r, r), dtype=np.int64) for _ in range(r)]
-    for i, ci in enumerate(classes):
-        inverses = [x.inverse() for x in ci.elements]
-        for k, z in enumerate(reps):
-            mi = mats[i]
-            for xinv in inverses:
-                j = class_of[xinv * z]
-                mi[j, k] += 1
-    return mats
+    class_of = group._memo("class_of", lambda: {
+        x: idx for idx, c in enumerate(classes) for x in c.elements})
+    inverses = [x.inverse() for x in classes[i].elements]
+    mi = np.zeros((r, r), dtype=np.int64)
+    for k, c in enumerate(classes):
+        z = c.representative
+        for xinv in inverses:
+            mi[class_of[xinv * z], k] += 1
+    return mi
 
 
 def class_mult_coefficients(group: PermGroup, i: int, j: int, k: int) -> int:
     """a_ijk: pair count (x, y) in K_i x K_j with xy equal to a fixed z in K_k."""
-    return int(_class_matrices(group)[i][j, k])
+    return int(_class_matrix(group, i)[j, k])
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +231,12 @@ def _build_table(group: PermGroup, class_cap: int) -> CharacterTable:
     for c in classes:
         exponent = math.lcm(exponent, c.element_order)
     ell = _choose_prime(exponent, n)
-    # _rref_mod and the products in _common_eigenvectors hold sums of r
-    # products of residues in int64
+    # _rref_mod, _charpoly_mod and the products in _common_eigenvectors hold
+    # sums of at most r products of residues in int64
     if r * ell * ell >= 2**63:
         raise CapExceeded(f"{r} classes mod {ell} overflow int64 arithmetic")
 
-    eigvecs = _common_eigenvectors(_class_matrices(group), r, ell)
+    eigvecs = _common_eigenvectors(lambda i: _class_matrix(group, i), r, ell)
     if len(eigvecs) != r:
         raise InternalInconsistency(
             f"expected {r} one-dimensional eigenspaces, found {len(eigvecs)}")
@@ -254,6 +251,9 @@ def _build_table(group: PermGroup, class_cap: int) -> CharacterTable:
         [group.class_of(c.representative ** s) for s in range(c.element_order)]
         for c in classes
     ]
+    # root_powers[j][k] = z_j^-k for z_j = z_e^(exponent / e_j), the root matching class j
+    root_powers = [[pow(z_e, -k * (exponent // c.element_order), ell)
+                    for k in range(c.element_order)] for c in classes]
 
     rows = []
     for v in eigvecs:
@@ -266,7 +266,7 @@ def _build_table(group: PermGroup, class_cap: int) -> CharacterTable:
         d2 = (n * pow(s, -1, ell)) % ell
         deg = _sqrt_small(d2, ell, n)
         chi_mod = [(deg * int(v[j]) * size_inv[j]) % ell for j in range(r)]
-        values = _lift_row(chi_mod, deg, classes, power_classes, exponent, z_e, ell)
+        values = _lift_row(chi_mod, deg, power_classes, root_powers, ell)
         rows.append((deg, values))
 
     rows = _sort_rows(rows, r)
@@ -302,18 +302,20 @@ def _primitive_root(ell: int) -> int:
     raise InternalInconsistency("no primitive root found")  # pragma: no cover
 
 
-def _common_eigenvectors(mats, r: int, ell: int):
+def _common_eigenvectors(class_matrix, r: int, ell: int):
     """Split GF(ell)^r into common eigenlines of the class matrices.
 
-    Subspaces are stored as rref row-basis matrices; each class matrix
-    refines every subspace of dimension > 1 into eigenspaces of its
-    restriction (acting on row vectors by M^T).
+    Subspaces are stored as rref row-basis matrices; class_matrix(i), read
+    for i = 1, 2, ... until every subspace is a line, refines every
+    subspace of dimension > 1 into eigenspaces of its restriction (acting
+    on row vectors by M^T).
     """
     spaces = [np.eye(r, dtype=np.int64)]
-    for mi in mats[1:]:
+    points = np.arange(ell, dtype=np.int64)
+    for i in range(1, r):
         if all(b.shape[0] == 1 for b in spaces):
             break
-        mt = mi.T % ell
+        mt = class_matrix(i).T % ell
         new_spaces = []
         for b in spaces:
             d = b.shape[0]
@@ -321,27 +323,62 @@ def _common_eigenvectors(mats, r: int, ell: int):
                 new_spaces.append(b)
                 continue
             bm = (b @ mt) % ell
-            rb, pivots = _rref_mod(b.copy(), ell)
+            _, pivots = _rref_mod(b.copy(), ell)
             # restriction A with A @ b = b @ M^T (read off pivot columns of rref basis);
             # eigen-rows c of the restriction satisfy c A = lambda c, i.e. lie in the
-            # kernel of (A^T - lambda I)
-            a = bm[:, pivots] % ell
-            at = a.T % ell
+            # kernel of (A^T - lambda I), lambda a root of the characteristic polynomial,
+            # found by Horner's rule at all points of GF(ell) at once
+            at = bm[:, pivots].T % ell
+            value = np.zeros(ell, dtype=np.int64)
+            for c in _charpoly_mod(at, ell)[::-1]:
+                value = (value * points + c) % ell
             remaining = d
-            for lam in range(ell):
-                if remaining == 0:
-                    break
-                ker = _nullspace_mod((at - lam * np.eye(d, dtype=np.int64)) % ell, ell)
+            for lam in np.flatnonzero(value == 0):
+                ker = _nullspace_mod((at - int(lam) * np.eye(d, dtype=np.int64)) % ell, ell)
                 if ker.shape[0] == 0:
-                    continue
-                sub = (ker @ b) % ell
-                sub, _ = _rref_mod(sub, ell)
+                    raise InternalInconsistency("an eigenvalue has no eigenvector")
+                sub, _ = _rref_mod((ker @ b) % ell, ell)
                 new_spaces.append(sub)
                 remaining -= ker.shape[0]
             if remaining != 0:  # pragma: no cover - the algebra splits over GF(ell)
                 raise InternalInconsistency("eigen decomposition did not split")
         spaces = new_spaces
     return [b[0] % ell for b in spaces]
+
+
+def _charpoly_mod(a: np.ndarray, ell: int) -> np.ndarray:
+    """det(x I - a) mod ell, constant term first.
+
+    Reduces a to upper Hessenberg form by similarity, then runs the
+    recurrence of Cohen, A Course in Computational Algebraic Number
+    Theory, Algorithm 2.2.9.
+    """
+    h = a % ell
+    d = h.shape[0]
+    for m in range(1, d - 1):
+        nz = np.nonzero(h[m:, m - 1])[0]
+        if nz.size == 0:
+            continue
+        piv = m + int(nz[0])
+        if piv != m:
+            h[[m, piv]] = h[[piv, m]]
+            h[:, [m, piv]] = h[:, [piv, m]]
+        u = h[m + 1:, m - 1] * pow(int(h[m, m - 1]), -1, ell) % ell
+        # rows k > m lose u_k times row m; column m gains u_k times column k
+        h[m + 1:] = (h[m + 1:] - np.outer(u, h[m])) % ell
+        h[:, m] = (h[:, m] + h[:, m + 1:] @ u) % ell
+    polys = [np.ones(1, dtype=np.int64)]
+    for m in range(1, d + 1):
+        prev = polys[m - 1]
+        p = np.zeros(m + 1, dtype=np.int64)
+        p[1:] = prev
+        p[:m] -= int(h[m - 1, m - 1]) * prev
+        sub = 1
+        for i in range(m - 1, 0, -1):
+            sub = sub * int(h[i, i - 1]) % ell
+            p[:i] -= (int(h[i - 1, m - 1]) * sub % ell) * polys[i - 1]
+        polys.append(p % ell)
+    return polys[d]
 
 
 def _sqrt_small(d2: int, ell: int, n: int) -> int:
@@ -356,24 +393,20 @@ def _sqrt_small(d2: int, ell: int, n: int) -> int:
     return root
 
 
-def _lift_row(chi_mod, deg, classes, power_classes, exponent, z_e, ell):
+def _lift_row(chi_mod, deg, power_classes, root_powers, ell):
     """Exact values from mod-ell data: root-of-unity multiplicities per class."""
     values = []
-    for j, cls in enumerate(classes):
-        e_j = cls.element_order
+    for pows, zpow in zip(power_classes, root_powers):
+        e_j = len(pows)
         if e_j == 1:
             values.append(Cyclo.rational(deg))
             continue
-        z_j = pow(z_e, exponent // e_j, ell)
-        z_j_inv = pow(z_j, -1, ell)
         e_j_inv = pow(e_j, -1, ell)
-        pows = power_classes[j]
+        chi_pows = [chi_mod[q] for q in pows]
         mult = {}
         total = 0
         for t in range(e_j):
-            acc = 0
-            for s in range(e_j):
-                acc = (acc + chi_mod[pows[s]] * pow(z_j_inv, (s * t) % e_j, ell)) % ell
+            acc = sum(x * zpow[s * t % e_j] for s, x in enumerate(chi_pows))
             mu = (acc * e_j_inv) % ell
             if mu > deg:
                 raise InternalInconsistency("eigenvalue multiplicity exceeds the degree")

@@ -330,5 +330,5 @@ def _strongly_p_embedded(quo: PermGroup, p: int):
     if len(component) == len(vertices):
         return None
     m = _stabilizer_of_action(quo, frozenset(component),
-                              lambda s, g: frozenset(x ** g for x in s))
+                              lambda s, g: frozenset(map(g.conjugator(), s)))
     return f"order {m.order}: {subgroup_fingerprint(m)}"

@@ -313,7 +313,7 @@ class PermGroup:
             raise CapExceeded(f"order {self.order} exceeds cap {cap}")
         elems = self.elements(cap)
         order = self.order
-        gens = self.generators
+        conjugators = [g.conjugator() for g in self.generators]
         unseen = set(elems)
         raw = []
         for x in sorted(elems):
@@ -324,8 +324,8 @@ class PermGroup:
             queue = [x]
             while queue:
                 y = queue.pop()
-                for g in gens:
-                    z = y ** g
+                for conj in conjugators:
+                    z = conj(y)
                     if z not in orbit:
                         orbit.add(z)
                         queue.append(z)
@@ -411,7 +411,7 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
     memo = g._memo("normalizers", dict)
     if hset not in memo:
         memo[hset] = _stabilizer_of_action(
-            g, hset, lambda s, gg: frozenset(x ** gg for x in s))
+            g, hset, lambda s, gg: frozenset(map(gg.conjugator(), s)))
     return memo[hset]
 
 
@@ -507,7 +507,7 @@ def o_p_core(g: PermGroup, p: int) -> frozenset:
     while True:
         shrunk = core
         for gg in g.generators:
-            shrunk = shrunk & frozenset(x ** gg for x in shrunk)
+            shrunk = shrunk & frozenset(map(gg.conjugator(), shrunk))
         if shrunk == core:
             return core
         core = shrunk
@@ -612,11 +612,12 @@ def _set_orbit(ambient: PermGroup, sset: frozenset) -> dict[frozenset, Perm]:
         return cached
     orbit = {sset: ambient.identity}
     queue = [sset]
+    conjugators = [(g, g.conjugator()) for g in ambient.generators]
     while queue:
         s = queue.pop()
         wit = orbit[s]
-        for g in ambient.generators:
-            t = frozenset(x ** g for x in s)
+        for g, conj in conjugators:
+            t = frozenset(map(conj, s))
             if t not in orbit:
                 orbit[t] = wit * g
                 queue.append(t)
@@ -659,7 +660,7 @@ def conjugation_image(group: PermGroup, normalized: PermGroup) -> PermGroup:
     index = {x: i for i, x in enumerate(domain)}
 
     def act_perm(n: Perm) -> Perm:
-        return Perm._raw(tuple(index[x ** n] for x in domain))
+        return Perm._raw(tuple(index[x] for x in map(n.conjugator(), domain)))
 
     return PermGroup(len(domain), [act_perm(n) for n in group.generators])
 

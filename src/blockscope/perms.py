@@ -78,6 +78,11 @@ class Perm:
             n >>= 1
         return r
 
+    def conjugator(self):
+        """The map h -> h ** self, with self's inverse built once."""
+        inv = self.inverse()
+        return lambda h: inv * h * self
+
     def inverse(self) -> "Perm":
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):

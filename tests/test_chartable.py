@@ -7,15 +7,22 @@ not read back from the implementation.  Classes are matched by the key
 conjugate ones) are resolved by trying both assignments.
 """
 
+import dataclasses
 import itertools
+import random
 
+import numpy as np
 import pytest
 
-from conftest import group
-from blockscope.chartable import character_table, class_mult_coefficients
+from conftest import RECIPES, group
+from blockscope import chartable
+from blockscope.chartable import (_charpoly_mod, _choose_prime, _class_matrices,
+                                  _common_eigenvectors, _nullspace_mod, _rref_mod,
+                                  character_table, class_mult_coefficients)
 from blockscope.cyclotomic import Cyclo, zeta
-from blockscope.errors import CapExceeded
+from blockscope.errors import CapExceeded, InternalInconsistency
 from blockscope.groups import derived_subgroup
+from blockscope.recipes import alternating, construct_group, cyclic, direct
 
 W = zeta(3)
 W2 = zeta(3, 2)
@@ -244,3 +251,159 @@ def test_table_json_shape():
     assert blob["order"] == 12
     assert len(blob["characters"]) == 4
     assert {"conductor", "coeffs"} <= set(blob["characters"][1][2])
+
+
+# -- the eigenvalue search
+
+
+@pytest.mark.parametrize("ell", [2, 97, 421])
+def test_charpoly_matches_sympy(ell):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(ell)
+    for d in range(1, 13):
+        for density in (1.0, 0.3, 0.0):
+            # sparse matrices take the Hessenberg pivot swap and skip branches
+            a = [[rng.randrange(-50, 50) if rng.random() < density else 0
+                  for _ in range(d)] for _ in range(d)]
+            want = [int(c) % ell for c in reversed(sympy.Matrix(a).charpoly(x).all_coeffs())]
+            got = _charpoly_mod(np.array(a, dtype=np.int64), ell)
+            assert [int(c) for c in got] == want, (d, density, a)
+
+
+def _common_eigenvectors_by_scan(mats, r, ell):
+    """The eigenvalue search as a scan over every lambda in GF(ell): the
+    reference the characteristic-polynomial roots must reproduce."""
+    spaces = [np.eye(r, dtype=np.int64)]
+    for mi in mats[1:]:
+        if all(b.shape[0] == 1 for b in spaces):
+            break
+        mt = mi.T % ell
+        new_spaces = []
+        for b in spaces:
+            d = b.shape[0]
+            if d == 1:
+                new_spaces.append(b)
+                continue
+            bm = (b @ mt) % ell
+            _, pivots = _rref_mod(b.copy(), ell)
+            at = bm[:, pivots].T % ell
+            remaining = d
+            for lam in range(ell):
+                if remaining == 0:
+                    break
+                ker = _nullspace_mod((at - lam * np.eye(d, dtype=np.int64)) % ell, ell)
+                if ker.shape[0] == 0:
+                    continue
+                sub, _ = _rref_mod((ker @ b) % ell, ell)
+                new_spaces.append(sub)
+                remaining -= ker.shape[0]
+            assert remaining == 0
+        spaces = new_spaces
+    return [b[0] % ell for b in spaces]
+
+
+A5XZ2 = direct(alternating(5), cyclic(2))
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "L48", "Z4wrZ2", "A5xZ2"])
+def test_eigenlines_match_the_lambda_scan(name):
+    g = construct_group(A5XZ2) if name == "A5xZ2" else group(name)
+    table = character_table(g)
+    r = table.n_classes
+    ell = _choose_prime(table.exponent, g.order)
+    mats = _class_matrices(g)
+    got = _common_eigenvectors(lambda i: mats[i], r, ell)
+    want = _common_eigenvectors_by_scan(mats, r, ell)
+    assert [v.tolist() for v in got] == [v.tolist() for v in want]
+    assert len(got) == r
+
+
+# -- the orthogonality check
+
+
+def _flipped_sign_table():
+    """S4's table with the sign character's value at the transpositions
+    negated: its norm is unchanged, its product with the trivial row is not."""
+    table = character_table(group("S4"))
+    sign = next(i for i in range(table.n_classes)
+                if table.degrees[i] == 1 and i != 0)
+    j = next(j for j, v in enumerate(table.values[sign]) if v == Cyclo.rational(-1))
+    values = [list(row) for row in table.values]
+    values[sign][j] = -values[sign][j]
+    return dataclasses.replace(table, values=tuple(tuple(row) for row in values)), sign
+
+
+def test_a_flipped_value_fails_row_orthogonality():
+    table, sign = _flipped_sign_table()
+    with pytest.raises(InternalInconsistency,
+                       match=f"row orthogonality failed at characters 0, {sign}"):
+        table.verify_orthogonality()
+
+
+def test_a_missing_character_fails_column_orthogonality():
+    # for a square table the row relation implies the column relation, so a
+    # single changed value always fails the row check first; a table that
+    # lacks a character keeps its rows orthonormal and fails only the columns
+    table = character_table(group("A5"))
+    short = dataclasses.replace(table, degrees=table.degrees[:-1],
+                                values=table.values[:-1])
+    with pytest.raises(InternalInconsistency,
+                       match="column orthogonality failed at classes 0, 0"):
+        short.verify_orthogonality()
+
+
+def test_object_fallback_gives_the_same_verdicts(monkeypatch):
+    good = [character_table(group(name)) for name in ("S4", "A5", "Z4wrZ2", "L48")]
+    bad, sign = _flipped_sign_table()
+    dtypes = []
+    gram = chartable._gram
+
+    def spy(a, b, fold):
+        dtypes.append(a.dtype)
+        return gram(a, b, fold)
+
+    monkeypatch.setattr(chartable, "_gram", spy)
+    for table in good:
+        table.verify_orthogonality()
+    assert dtypes and all(d == np.int64 for d in dtypes)
+    # a limit no product can meet sends every check through Python integers
+    monkeypatch.setattr(chartable, "_INT64_PRODUCT_LIMIT", 0)
+    dtypes.clear()
+    for table in good:
+        table.verify_orthogonality()
+    with pytest.raises(InternalInconsistency,
+                       match=f"row orthogonality failed at characters 0, {sign}"):
+        bad.verify_orthogonality()
+    assert dtypes and all(d == object for d in dtypes)
+
+
+# -- class matrices on demand
+
+
+@pytest.mark.parametrize("recipe", ["S5", "Z4wrZ2"])
+def test_class_matrices_on_demand_match_pair_counts(monkeypatch, recipe):
+    # a fresh group, so that no class matrix is memoised before the table
+    g = construct_group(RECIPES[recipe])
+    classes = g.conjugacy_classes()
+    r = len(classes)
+    counted = []
+    count = chartable._count_class_products
+
+    def spy(grp, i):
+        counted.append(i)
+        return count(grp, i)
+
+    monkeypatch.setattr(chartable, "_count_class_products", spy)
+    character_table(g)
+    # the splitting reads M_1, M_2, ... in order, each counted once
+    assert counted == list(range(1, len(counted) + 1))
+    mats = _class_matrices(g)
+    assert sorted(counted) == list(range(r))
+    for i in range(r):
+        for j in range(r):
+            for k, ck in enumerate(classes):
+                z = ck.representative
+                pairs = sum(1 for x in classes[i].elements for y in classes[j].elements
+                            if x * y == z)
+                assert mats[i][j, k] == pairs, (i, j, k)

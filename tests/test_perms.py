@@ -44,6 +44,16 @@ def test_conjugation_is_action(a, g):
     assert (a ** g).cycle_type() == a.cycle_type()
 
 
+@given(st.integers(0, 9).flatmap(lambda n: st.tuples(perms(n), perms(n), perms(n))))
+def test_conjugator_is_conjugation(triple):
+    a, b, g = triple
+    conj = g.conjugator()
+    # images[x] = g(a(g^-1(x))), straight from h ** g == g^-1 * h * g
+    ginv = g.inverse().images
+    assert conj(a).images == tuple(g.images[a.images[ginv[x]]] for x in range(a.degree))
+    assert conj(a) == a ** g and conj(b) == b ** g
+
+
 @given(perms(6), st.integers(-12, 12))
 def test_power_matches_repeated_product(a, n):
     expected = Perm.identity(6)
