@@ -22,7 +22,7 @@ from .blocks import (Block, LowerDefectTable, block_distribution, brauer_induce,
                      central_characters, lower_defect_multiplicities,
                      principal_block)
 from .catalog import analyze_group, builtin_catalog_path, load_catalog, run_catalog
-from .chartable import CharacterTable, character_table, class_mult_coefficients
+from .chartable import CharacterTable, character_table
 from .classify import (ClassificationReport, check_local_structure, classify_case,
                        count_weights, verify_counts)
 from .cyclotomic import Cyclo, zeta

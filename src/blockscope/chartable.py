@@ -33,8 +33,7 @@ from .exact import is_prime, prime_factors
 from .groups import PermGroup
 from .perms import Perm
 
-__all__ = ["CharacterTable", "character_table", "class_mult_coefficients",
-           "CLASS_COUNT_CAP"]
+__all__ = ["CharacterTable", "character_table", "CLASS_COUNT_CAP"]
 
 CLASS_COUNT_CAP = 300
 
@@ -208,11 +207,6 @@ def _count_class_products(group: PermGroup, i: int) -> np.ndarray:
     return mi
 
 
-def class_mult_coefficients(group: PermGroup, i: int, j: int, k: int) -> int:
-    """a_ijk: pair count (x, y) in K_i x K_j with xy equal to a fixed z in K_k."""
-    return int(_class_matrix(group, i)[j, k])
-
-
 # ---------------------------------------------------------------------------
 # main construction
 
@@ -256,6 +250,7 @@ def _build_table(group: PermGroup, class_cap: int) -> CharacterTable:
                     for k in range(c.element_order)] for c in classes]
 
     rows = []
+    lifted: dict = {}   # (e_j, multiplicities) -> Cyclo, shared by this table's rows
     for v in eigvecs:
         # normalize so the identity-class entry is 1
         v = (v * pow(int(v[0]), -1, ell)) % ell
@@ -266,7 +261,7 @@ def _build_table(group: PermGroup, class_cap: int) -> CharacterTable:
         d2 = (n * pow(s, -1, ell)) % ell
         deg = _sqrt_small(d2, ell, n)
         chi_mod = [(deg * int(v[j]) * size_inv[j]) % ell for j in range(r)]
-        values = _lift_row(chi_mod, deg, power_classes, root_powers, ell)
+        values = _lift_row(chi_mod, deg, power_classes, root_powers, ell, lifted)
         rows.append((deg, values))
 
     rows = _sort_rows(rows, r)
@@ -393,8 +388,12 @@ def _sqrt_small(d2: int, ell: int, n: int) -> int:
     return root
 
 
-def _lift_row(chi_mod, deg, power_classes, root_powers, ell):
-    """Exact values from mod-ell data: root-of-unity multiplicities per class."""
+def _lift_row(chi_mod, deg, power_classes, root_powers, ell, lifted):
+    """Exact values from mod-ell data: root-of-unity multiplicities per class.
+
+    `lifted` memoises each value by (e_j, multiplicities) across the rows of
+    one table; most classes of a table repeat a few multiplicity patterns.
+    """
     values = []
     for pows, zpow in zip(power_classes, root_powers):
         e_j = len(pows)
@@ -415,7 +414,11 @@ def _lift_row(chi_mod, deg, power_classes, root_powers, ell):
                 total += mu
         if total != deg:
             raise InternalInconsistency("multiplicities do not sum to the degree")
-        values.append(Cyclo.from_exponents(e_j, mult))
+        key = (e_j, tuple(sorted(mult.items())))
+        value = lifted.get(key)
+        if value is None:
+            value = lifted[key] = Cyclo.from_exponents(e_j, mult)
+        values.append(value)
     return values
 
 

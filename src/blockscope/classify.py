@@ -71,21 +71,19 @@ def _is_homocyclic_rank2(q: PermGroup, p: int) -> bool:
 
 
 def classify_case(group: PermGroup, p: int = 2,
-                  strict_lt_threshold: bool = False,
-                  seed: int = 0) -> ClassificationReport:
+                  strict_lt_threshold: bool = False) -> ClassificationReport:
     """Evidence portion of the report: hyperfocal data, control, case label.
 
     The case logic is specific to p = 2; for odd p only generic evidence is
-    emitted and the label is None.  The seed steers the sampling inside the
-    commutator-method hyperfocal computation; the result is seed-independent
-    (agreement with the residual method is a hard assertion).
+    emitted and the label is None.  No seed steers anything: both hyperfocal
+    methods are deterministic, and their agreement is a hard assertion.
     """
     fs = FusionSystem(group, p=p)
     report = ClassificationReport(group=group, prime=p, case_label=None,
                                   strict_lt_threshold=strict_lt_threshold,
                                   fusion=fs)
     sylow = fs.sylow
-    hyp = fs.hyperfocal(seed=seed)
+    hyp = fs.hyperfocal()
     q = hyp.subgroup
     report.evidence.update({
         "order": group.order,

@@ -61,8 +61,7 @@ def _emit(payload: dict, out: str | None):
 def _cmd_analyze(args) -> int:
     recipe = _load_recipe(args.group)
     group = construct_group(recipe)
-    result = analyze_group(group, args.prime,
-                           strict_lt_threshold=args.strict_lt_16, seed=args.seed)
+    result = analyze_group(group, args.prime, strict_lt_threshold=args.strict_lt_16)
     payload = {
         "schema": 1,
         "seed": args.seed,
@@ -92,6 +91,9 @@ def _cmd_table(args) -> int:
     return EXIT_PASS
 
 
+_SEED_HELP = "recorded in the report; changes nothing, every method is deterministic"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blockscope",
@@ -102,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="classify one group and verify its counts")
     pa.add_argument("--group", required=True, help="recipe JSON file or preset name")
     pa.add_argument("--prime", type=int, default=2)
-    pa.add_argument("--seed", type=int, default=0)
+    pa.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     pa.add_argument("--out", default=None, help="write the JSON report here")
     pa.add_argument("--strict-lt-16", action="store_true",
                     help="read the hyperfocal size bound strictly (|Q| < 16)")
@@ -112,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--file", default=None, help="catalog JSON (default: shipped)")
     pc.add_argument("--filter", action="append", default=[],
                     help="restrict to entry names or case labels (repeatable)")
-    pc.add_argument("--seed", type=int, default=0)
+    pc.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     pc.add_argument("--out", default=None)
     pc.add_argument("--strict-lt-16", action="store_true")
     pc.set_defaults(func=_cmd_catalog)

@@ -1,16 +1,15 @@
 """The fusion system of a finite group on a fixed Sylow p-subgroup.
 
 Morphisms are conjugation maps between subgroups of P induced by elements
-of G.  The module answers conjugacy queries, computes the hyperfocal
-subgroup by two independent algorithms (commutator generation over all
-subgroup classes, and P meet O^p(G)), locates essential subgroup classes
-with their automizers, and decides control by normalizers via Alperin's
-fusion theorem.
+of G.  The module computes the hyperfocal subgroup by two independent
+deterministic algorithms (commutators from Alperin's generators, that is
+from P and the essential subgroups, and P meet O^p(G)), locates essential
+subgroup classes with their automizers, and decides control by normalizers
+via Alperin's fusion theorem.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .errors import InputError, MethodDisagreement, NoComplementFound, NotAbelian
@@ -18,7 +17,7 @@ from .exact import is_prime, p_part, prime_factors
 from .groups import (PermGroup, abelian_invariants, centralizer,
                      conjugation_image, fixed_points, normalizer, normal_closure,
                      o_p_residual, quotient_by_normal, subgroup_fingerprint,
-                     sylow_subgroup, _pprime_part_of_perm, _set_orbit,
+                     sylow_subgroup, _set_orbit,
                      _stabilizer_of_action, same_subgroup)
 from .perms import Perm
 
@@ -73,30 +72,6 @@ class FusionSystem:
             raise ValueError("subgroup is not Sylow")
         self._cache: dict = {}
 
-    # -- conjugacy of tuples
-
-    def are_conjugate(self, a, b):
-        """g in G with a_i^g = b_i for all i, or None.
-
-        Brute scan with first-coordinate pruning; exact at catalog scale.
-        """
-        a = tuple(a)
-        b = tuple(b)
-        if len(a) != len(b):
-            return None
-        if not a:
-            return self.group.identity
-        pset = self.sylow.element_set()
-        for x in list(a) + list(b):
-            if x not in pset:
-                raise ValueError("tuple entries must lie in the Sylow subgroup")
-        for g in self.group.elements():
-            if a[0] ** g != b[0]:
-                continue
-            if all(x ** g == y for x, y in zip(a[1:], b[1:])):
-                return g
-        return None
-
     # -- hyperfocal subgroup
 
     def hyperfocal_subgroup(self) -> PermGroup:
@@ -107,12 +82,12 @@ class FusionSystem:
             q = self._cache["hyperfocal_q"] = self._hyperfocal_residual()
         return q
 
-    def hyperfocal(self, seed: int = 0) -> HyperfocalReport:
-        cached = self._cache.get(("hyperfocal", seed))
+    def hyperfocal(self) -> HyperfocalReport:
+        cached = self._cache.get("hyperfocal")
         if cached is not None:
             return cached
         residual = self.hyperfocal_subgroup()
-        commutator = self._hyperfocal_commutator(seed)
+        commutator = self._hyperfocal_commutator()
         if not same_subgroup(commutator, residual):
             raise MethodDisagreement(
                 f"hyperfocal methods disagree: commutator order "
@@ -123,7 +98,7 @@ class FusionSystem:
             commutator_order=commutator.order,
             residual_order=residual.order,
         )
-        self._cache[("hyperfocal", seed)] = report
+        self._cache["hyperfocal"] = report
         return report
 
     def _hyperfocal_residual(self) -> PermGroup:
@@ -132,37 +107,35 @@ class FusionSystem:
         gens = [x for x in self.sylow.elements() if x in opg and not x.is_identity()]
         return self.group.subgroup(gens)
 
-    def _hyperfocal_commutator(self, seed: int) -> PermGroup:
-        """Commutator generation: [u, x] over subgroup classes U of P and
-        p'-elements x normalizing U, closed under P-normalization.
+    def _hyperfocal_commutator(self) -> PermGroup:
+        """The hyperfocal subgroup from Alperin's generators of the fusion system.
 
-        x ranges over p'-parts of the normalizer's strong generators plus
-        50 seeded random elements; full enumeration of p'-elements is not
-        needed because agreement with the residual method is asserted.
+        T is the P-normal closure of u^-1 u^x over U in {P} and the fully
+        normalized essential representatives, u in U and x in the generators
+        X of O^p(N_G(U)).  With every u of U taken, T contains [U, O^p(N_G(U))]
+        because u^-1 u^(xy) = (u^-1 u^x)(v^-1 v^y) with v = u^x in U.
+
+        T <= hyp(F) because O^p(N_G(U)) maps onto O^p(Aut_F(U)) and hyp(F) is
+        normal in P.  Conversely, for fully normalized E, Aut_F(E) =
+        O^p(Aut_F(E)) Aut_P(E), so each automorphism of P or of an essential
+        agrees modulo T with a conjugation by an element of P.  By Alperin's
+        fusion theorem (Aschbacher, Kessar and Oliver, *Fusion Systems in
+        Algebra and Topology*, 2011, Thm I.3.5 and sec. I.7) every F-morphism
+        is a composite of restrictions of such automorphisms, so it too acts
+        on P/T as a conjugation by an element of P/T.  A p'-element of
+        Aut_F(R) therefore acts on RT/T as an automorphism of p'-order and of
+        p-power order at once, that is trivially: [R, O^p(Aut_F(R))] <= T for
+        every R, and hyp(F) <= T.
         """
-        p = self.p
-        rng = random.Random(seed)
         gens: list[Perm] = []
-        for u in self.subgroup_classes():
-            if u.order == 1:
-                continue
-            n = normalizer(self.group, u)
-            xs = {x for x in
-                  ( [_pprime_part_of_perm(g, p) for g in n.bsgs.strong]
-                  + [_pprime_part_of_perm(n.random_element(rng), p)
-                     for _ in range(50)])
-                  if not x.is_identity()}
-            if not xs:
-                continue
+        for u in [self.sylow] + [e.representative for e in self.essential_classes()]:
+            xs = o_p_residual(normalizer(self.group, u), self.p).generators
             for uu in u.elements():
-                if uu.is_identity():
-                    continue
+                uu_inv = uu.inverse()
                 for x in xs:
-                    c = uu.inverse() * (uu ** x)
+                    c = uu_inv * (uu ** x)
                     if not c.is_identity():
                         gens.append(c)
-        if not gens:
-            return self.group.subgroup([])
         return normal_closure(self.sylow, gens)
 
     # -- subgroup classes of P up to G-conjugacy

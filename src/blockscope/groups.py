@@ -55,30 +55,35 @@ SUBGROUP_ENUM_CAP = 2**8
 
 
 class _BSGS:
-    """Deterministic Schreier-Sims data: base, strong generators, transversals.
+    """Deterministic incremental Schreier-Sims data: base, strong generators,
+    transversals (Seress, *Permutation Group Algorithms*, 2003, sec. 4.2).
 
-    Uses the plain textbook fixpoint iteration: after any strong-generator
-    addition the Schreier condition is rechecked at every level until a
-    clean pass.  Quadratic but simple, and fast at the scales this library
-    is used at.  A group grown one element at a time (stabilizers, normal
-    closures) extends a single instance with :meth:`add`.
+    The base only grows, and a transversal is only ever extended: inserting
+    a strong generator extends each orbit it acts on by a walk from the old
+    points under the new generator and from the new points under every
+    generator of the level.  Each step that lands on a known point
+    queues its Schreier pair (point, generator); :meth:`_close` sifts the
+    queued pairs, deepest level first, until none is left.  A pair that
+    sifts to the identity stays a member for good, because the transversals
+    it sifted through never change, so every pair is sifted exactly once.
+    A group grown one element at a time (stabilizers, normal closures)
+    extends a single instance with :meth:`add`.
     """
 
-    __slots__ = ("degree", "base", "strong", "strong_inverses", "orbits", "inverses",
+    __slots__ = ("degree", "base", "level_gens", "orbits", "inverses", "pending",
                  "identity")
 
     def __init__(self, degree: int, gens):
         self.degree = degree
         self.base: list[int] = []
-        self.strong: list[Perm] = []
-        self.strong_inverses: list[Perm] = []
+        # per level: (g, g^-1) for the strong generators fixing the base prefix
+        self.level_gens: list[list[tuple[Perm, Perm]]] = []
         self.orbits: list[dict[int, Perm]] = []  # per level: point -> u with u(b)=point
         self.inverses: list[dict[int, Perm]] = []  # per level: point -> u^-1
+        self.pending: list[list[tuple[int, Perm]]] = []  # per level: unsifted Schreier pairs
         self.identity = Perm.identity(degree)
         for g in gens:
-            if not g.is_identity() and g not in self.strong:
-                self._insert(g)
-        self._close()
+            self.add(g)
 
     def order(self) -> int:
         n = 1
@@ -95,50 +100,49 @@ class _BSGS:
     def _insert(self, g: Perm):
         lvl = self._level_of(g)
         if lvl == len(self.base):
-            self.base.append(g.min_moved())
-            self.orbits.append({})
-            self.inverses.append({})
-        self.strong.append(g)
-        self.strong_inverses.append(g.inverse())
+            b = g.min_moved()
+            self.base.append(b)
+            self.level_gens.append([])
+            self.orbits.append({b: self.identity})
+            self.inverses.append({b: self.identity})
+            self.pending.append([])
+        g_inv = g.inverse()
         for i in range(lvl + 1):
-            self._rebuild_orbit(i)
+            self.level_gens[i].append((g, g_inv))
+            self._extend_orbit(i, g, g_inv)
 
-    def _gens_at(self, level: int):
-        """(g, g^-1) for the strong generators fixing the first `level` base points."""
-        base_prefix = self.base[:level]
-        return [(g, g_inv) for g, g_inv in zip(self.strong, self.strong_inverses)
-                if all(g(b) == b for b in base_prefix)]
+    def _extend_orbit(self, level: int, g: Perm, g_inv: Perm):
+        """Close a level's orbit after g joined its generators: old points
+        step under g, new points under every generator.  A step that lands
+        on a known point queues its Schreier pair."""
+        orbit = self.orbits[level]
+        inverses = self.inverses[level]
+        pending = self.pending[level]
+        steps = [(pt, g, g_inv) for pt in list(orbit)]
+        gens = self.level_gens[level]
+        while steps:
+            pt, h, h_inv = steps.pop()
+            im = h(pt)
+            if im in orbit:
+                pending.append((pt, h))
+            else:
+                orbit[im] = orbit[pt] * h
+                inverses[im] = h_inv * inverses[pt]  # (u h)^-1 = h^-1 u^-1
+                steps.extend((im, k, k_inv) for k, k_inv in gens)
 
-    def _rebuild_orbit(self, level: int):
-        b = self.base[level]
-        gens = self._gens_at(level)
-        orbit = {b: self.identity}
-        inverses = {b: self.identity}
-        queue = [b]
-        while queue:
-            pt = queue.pop()
-            u = orbit[pt]
-            for g, g_inv in gens:
-                im = g(pt)
-                if im not in orbit:
-                    orbit[im] = u * g
-                    inverses[im] = g_inv * inverses[pt]  # (u g)^-1 = g^-1 u^-1
-                    queue.append(im)
-        self.orbits[level] = orbit
-        self.inverses[level] = inverses
-
-    def sift(self, g: Perm):
-        """Return (residue, level): residue is identity iff g is a member."""
-        for i, b in enumerate(self.base):
-            u_inv = self.inverses[i].get(g(b))
-            if u_inv is None:
-                return g, i
-            g = g * u_inv
-        return g, len(self.base)
+    def sift(self, g: Perm) -> Perm:
+        """The residue of g down the chain: the identity iff g is a member."""
+        for b, inverses in zip(self.base, self.inverses):
+            im = g(b)
+            if im != b:   # the transversal element of b itself is the identity
+                u_inv = inverses.get(im)
+                if u_inv is None:
+                    return g
+                g = g * u_inv
+        return g
 
     def contains(self, g: Perm) -> bool:
-        r, _ = self.sift(g)
-        return r.is_identity()
+        return self.sift(g).is_identity()
 
     def add(self, g: Perm) -> bool:
         """Extend the group by g; False, and no change, when g is a member."""
@@ -149,28 +153,19 @@ class _BSGS:
         return True
 
     def _close(self):
-        # fixpoint: all Schreier generators at all levels must sift to identity
-        while True:
-            residue = None
-            for level in range(len(self.base) - 1, -1, -1):
-                orb = self.orbits[level]
-                inverses = self.inverses[level]
-                gens = self._gens_at(level)
-                for pt in sorted(orb):
-                    u = orb[pt]
-                    for g, _ in gens:
-                        s = u * g * inverses[g(pt)]
-                        r, _ = self.sift(s)
-                        if not r.is_identity():
-                            residue = r
-                            break
-                    if residue is not None:
-                        break
-                if residue is not None:
-                    break
-            if residue is None:
-                return
-            self._insert(residue)
+        # every Schreier generator u_pt g u_(g pt)^-1 must sift to the identity
+        level = len(self.base) - 1
+        while level >= 0:
+            pending = self.pending[level]
+            if not pending:
+                level -= 1
+                continue
+            pt, g = pending.pop()
+            s = self.orbits[level][pt] * g * self.inverses[level][g(pt)]
+            r = self.sift(s)
+            if not r.is_identity():
+                self._insert(r)
+                level = len(self.base) - 1
 
     def iter_elements(self):
         levels = len(self.base)
@@ -185,13 +180,6 @@ class _BSGS:
                     yield h * u
 
         return rec(0)
-
-    def random_element(self, rng) -> Perm:
-        g = self.identity
-        for orb in self.orbits:
-            pts = sorted(orb)
-            g = g * orb[pts[rng.randrange(len(pts))]]
-        return g
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +278,6 @@ class PermGroup:
 
     def element_set(self, cap: int = ORDER_CAP) -> frozenset:
         return self._memo("element_set", lambda: frozenset(self.elements(cap)))
-
-    def random_element(self, rng) -> Perm:
-        return self.bsgs.random_element(rng)
 
     def is_abelian(self) -> bool:
         gens = self.generators

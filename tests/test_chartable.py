@@ -17,8 +17,8 @@ import pytest
 from conftest import RECIPES, group
 from blockscope import chartable
 from blockscope.chartable import (_charpoly_mod, _choose_prime, _class_matrices,
-                                  _common_eigenvectors, _nullspace_mod, _rref_mod,
-                                  character_table, class_mult_coefficients)
+                                  _class_matrix, _common_eigenvectors, _nullspace_mod,
+                                  _rref_mod, character_table)
 from blockscope.cyclotomic import Cyclo, zeta
 from blockscope.errors import CapExceeded, InternalInconsistency
 from blockscope.groups import derived_subgroup
@@ -202,6 +202,11 @@ def test_int64_overflow_is_refused(monkeypatch):
 
 
 # -- class multiplication coefficients
+
+
+def class_mult_coefficients(group, i, j, k):
+    """a_ijk: pair count (x, y) in K_i x K_j with xy equal to a fixed z in K_k."""
+    return int(_class_matrix(group, i)[j, k])
 
 
 def test_transposition_pairs_to_identity():

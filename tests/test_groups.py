@@ -156,7 +156,7 @@ def test_centralizer_normalizer_match_brute_force():
         g = group(name)
         assert g.order <= ORACLE_CAP
         if targets is None:
-            targets = [g.random_element(rng)]
+            targets = [rng.choice(list(g.elements()))]
         got = centralizer(g, targets[0]).order
         assert got == brute_centralizer_order(g, targets)
     for name in ("S4", "S5", "S6", "G96"):
@@ -337,6 +337,82 @@ def test_bsgs_stores_inverse_transversals():
             assert orbit.keys() == inverses.keys()
             for pt, u in orbit.items():
                 assert (inverses[pt] * u).is_identity()
+
+
+# -- incremental Schreier-Sims against sympy
+
+
+def _perm_lists(max_degree=9, max_gens=4):
+    return st.integers(1, max_degree).flatmap(lambda n: st.tuples(
+        st.lists(st.permutations(range(n)), min_size=0, max_size=max_gens),
+        st.lists(st.permutations(range(n)), min_size=1, max_size=6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_perm_lists())
+def test_bsgs_matches_sympy(case):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    gens, probes = case
+    degree = len(probes[0])
+    ours = _BSGS(degree, [Perm(tuple(g)) for g in gens])
+    theirs = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(g)) for g in gens] or
+        [combinatorics.Permutation(list(range(degree)))])
+    assert ours.order() == theirs.order()
+    for x in probes:
+        assert ours.contains(Perm(tuple(x))) == theirs.contains(
+            combinatorics.Permutation(list(x)))
+    for orbit in ours.orbits:
+        for u in orbit.values():
+            assert theirs.contains(combinatorics.Permutation(list(u.images)))
+
+
+class _CountingBSGS(_BSGS):
+    """Records every Schreier pair queued, as (level, point, generator)."""
+
+    def __init__(self, degree, gens):
+        self.queued = []
+        super().__init__(degree, gens)
+
+    def _extend_orbit(self, level, g, g_inv):
+        before = len(self.pending[level])
+        super()._extend_orbit(level, g, g_inv)
+        self.queued.extend((level, pt, h) for pt, h in self.pending[level][before:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_perm_lists(max_gens=5))
+def test_bsgs_grown_one_add_at_a_time_agrees(case):
+    gens, probes = case
+    degree = len(probes[0])
+    gens = [Perm(tuple(g)) for g in gens]
+    at_once = _BSGS(degree, gens)
+    grown = _CountingBSGS(degree, [])
+    for g in gens:
+        grown.add(g)
+        assert not any(grown.pending)
+    assert grown.order() == at_once.order()
+    for x in [Perm(tuple(x)) for x in probes] + gens:
+        assert grown.contains(x) == at_once.contains(x)
+    _assert_pairs_queued_once(grown)
+
+
+def _assert_pairs_queued_once(bsgs):
+    """Every Schreier pair off the orbits' spanning trees was queued, and
+    so sifted, exactly once; none is left pending."""
+    assert not any(bsgs.pending)
+    assert len(set(bsgs.queued)) == len(bsgs.queued)
+    assert len(bsgs.queued) == sum(
+        len(orbit) * len(gens_at) - (len(orbit) - 1)
+        for orbit, gens_at in zip(bsgs.orbits, bsgs.level_gens))
+
+
+def test_bsgs_pairs_are_queued_once_on_catalog_groups():
+    for name in ("S6", "G96", "K192"):
+        g = group(name)
+        bsgs = _CountingBSGS(g.degree, g.generators)
+        assert bsgs.order() == g.order
+        _assert_pairs_queued_once(bsgs)
 
 
 def _brute_o_p(g, p):
