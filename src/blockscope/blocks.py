@@ -26,7 +26,7 @@ from .cyclotomic import Cyclo
 from .errors import AmbiguousMatch, InputError, InternalInconsistency, NoDefectClass
 from .exact import is_prime, nu, p_part, row_reduce
 from .groups import (PermGroup, centralizer, subgroup_classes_of_p_group,
-                     subgroup_transporter, sylow_subgroup, subgroup_fingerprint)
+                     sylow_subgroup, subgroup_fingerprint, _set_orbit)
 from .modp import ModPContext, mod_p_context
 
 __all__ = ["Block", "LowerDefectTable", "central_characters", "block_distribution",
@@ -369,8 +369,9 @@ def lower_defect_multiplicities(blk: Block) -> LowerDefectTable:
 
 
 def _match_subgroup_class(group: PermGroup, h: PermGroup, reps) -> int:
+    orbit = _set_orbit(group, h.element_set())
     for i, r in enumerate(reps):
-        if subgroup_transporter(group, h, r) is not None:
+        if r.element_set() in orbit:
             return i
     raise InternalInconsistency("subgroup matches no enumerated p-subgroup class")
 
@@ -382,11 +383,9 @@ def _containment_matrix(group: PermGroup, p: int):
 
 
 def _containment(group: PermGroup, p: int):
-    from .groups import _set_orbit
-
     reps = p_subgroup_classes(group, p)
     sets = [r.element_set() for r in reps]
-    orbits = [_set_orbit(group, frozenset(r.element_set())) for r in reps]
+    orbits = [_set_orbit(group, r.element_set()) for r in reps]
     n = len(reps)
     leq = [[False] * n for _ in range(n)]
     for a in range(n):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cyclotomic import Cyclo, zeta
+from .cyclotomic import Cyclo
 from .errors import CapExceeded, InternalInconsistency
 from .exact import is_prime, prime_factors
 from .groups import PermGroup
@@ -196,14 +196,13 @@ def _class_matrix(group: PermGroup, i: int) -> np.ndarray:
 def _count_class_products(group: PermGroup, i: int) -> np.ndarray:
     classes = group.conjugacy_classes()
     r = len(classes)
-    class_of = group._memo("class_of", lambda: {
-        x: idx for idx, c in enumerate(classes) for x in c.elements})
+    class_of = group.class_of
     inverses = [x.inverse() for x in classes[i].elements]
     mi = np.zeros((r, r), dtype=np.int64)
     for k, c in enumerate(classes):
         z = c.representative
         for xinv in inverses:
-            mi[class_of[xinv * z], k] += 1
+            mi[class_of(xinv * z), k] += 1
     return mi
 
 

@@ -31,12 +31,6 @@ __all__ = ["ClassificationReport", "classify_case", "verify_counts",
 
 Q_ORDER_LIMIT = 16
 
-CASE_LABELS = (
-    "P_equals_Q", "case_i", "case_ii",
-    "out_of_scope_not_homocyclic", "out_of_scope_Q_not_central",
-    "out_of_scope_Q_too_large", "nilpotent",
-)
-
 IN_SCOPE = ("P_equals_Q", "case_i", "case_ii")
 
 

@@ -16,9 +16,8 @@ from .errors import InputError, MethodDisagreement, NoComplementFound, NotAbelia
 from .exact import is_prime, p_part, prime_factors
 from .groups import (PermGroup, abelian_invariants, centralizer,
                      conjugation_image, fixed_points, normalizer, normal_closure,
-                     o_p_residual, quotient_by_normal, subgroup_fingerprint,
-                     sylow_subgroup, _set_orbit,
-                     _stabilizer_of_action, same_subgroup)
+                     o_p_residual, quotient_by_normal, sylow_subgroup, _set_orbit,
+                     same_subgroup)
 from .perms import Perm
 
 __all__ = ["FusionSystem", "HyperfocalReport", "EssentialClass", "AutomizerInfo",
@@ -39,15 +38,12 @@ class AutomizerInfo:
 
     order: int
     is_symmetric_3: bool
-    abelian_invariants: tuple | None
-    sylow_orders: tuple
 
 
 @dataclass(frozen=True)
 class EssentialClass:
     representative: PermGroup          # fully normalized class representative
     automizer: AutomizerInfo
-    witness: str                       # strongly p-embedded subgroup description
 
 
 def omega1(q: PermGroup, p: int = 2) -> PermGroup:
@@ -62,14 +58,12 @@ def omega1(q: PermGroup, p: int = 2) -> PermGroup:
 class FusionSystem:
     """Queries against the fusion category of G on a Sylow p-subgroup P."""
 
-    def __init__(self, group: PermGroup, sylow: PermGroup | None = None, p: int = 2):
+    def __init__(self, group: PermGroup, p: int = 2):
         if not is_prime(p):
             raise InputError(f"p = {p} is not a prime")
         self.group = group
         self.p = p
-        self.sylow = sylow if sylow is not None else sylow_subgroup(group, p)
-        if self.sylow.order != p_part(group.order, p):
-            raise ValueError("subgroup is not Sylow")
+        self.sylow = sylow_subgroup(group, p)
         self._cache: dict = {}
 
     # -- hyperfocal subgroup
@@ -156,66 +150,61 @@ class FusionSystem:
         inner_image = conjugation_image(u, u)
         return quotient_by_normal(image, inner_image)[0]
 
-    def automizer(self, u: PermGroup) -> AutomizerInfo:
-        return _automizer_info(self.automizer_group(u))
-
     # -- essential subgroups
 
     def essential_classes(self) -> list[EssentialClass]:
         cached = self._cache.get("essentials")
         if cached is not None:
             return cached
-        p = self.p
-        pset_all = self.sylow.element_set()
         out = []
         for u in self.subgroup_classes():
             if u.order == 1:
                 continue
             # P itself is excluded automatically: its outer automizer has
             # order prime to p, so it has no strongly p-embedded subgroup
-            if not self._is_centric(u, pset_all):
+            if not self._is_centric(u):
                 continue
             quo = self.automizer_group(u)
-            witness = _strongly_p_embedded(quo, p)
-            if witness is None:
+            if not _strongly_p_embedded(quo, self.p):
                 continue
-            rep = self._fully_normalized_rep(u)
-            out.append(EssentialClass(
-                representative=rep,
-                automizer=_automizer_info(quo),
-                witness=witness,
-            ))
-        cached = out
-        self._cache["essentials"] = cached
-        return cached
+            out.append(EssentialClass(representative=self._fully_normalized_rep(u),
+                                      automizer=_automizer_info(quo)))
+        self._cache["essentials"] = out
+        return out
 
-    def _is_centric(self, u: PermGroup, pset_all) -> bool:
-        """C_P(u') = Z(u') for every conjugate u' of u inside P."""
+    def _conjugates_in_sylow(self, u: PermGroup):
+        """(element set, generators) of each G-conjugate u' of u inside P.
+
+        u' = u^w with w = w_u^-1 w_u' from the witnesses of u's orbit, so
+        u's generators conjugated by w generate u'.
+        """
         uset = u.element_set()
-        # cheap local test first
-        if not self._centric_local(uset):
-            return False
-        for conj in _set_orbit(self.group, frozenset(uset)):
-            if conj <= pset_all and not self._centric_local(conj):
-                return False
-        return True
+        orbit = _set_orbit(self.group, uset)
+        to_u = orbit[uset].inverse()
+        pset = self.sylow.element_set()
+        for conj, wit in orbit.items():
+            if conj <= pset:
+                w = to_u * wit
+                yield conj, [x ** w for x in u.generators]
 
-    def _centric_local(self, uset) -> bool:
-        gens = [x for x in uset if not x.is_identity()]
+    def _is_centric(self, u: PermGroup) -> bool:
+        """C_P(u') = Z(u') for every conjugate u' of u inside P."""
+        return all(self._centric_local(conj, gens)
+                   for conj, gens in self._conjugates_in_sylow(u))
+
+    def _centric_local(self, uset, gens) -> bool:
+        """No y in P outside u commutes with u's generators `gens`."""
         for y in self.sylow.elements():
-            if all(y * x == x * y for x in gens) and y not in uset:
+            if y not in uset and all(y * x == x * y for x in gens):
                 return False
         return True
 
     def _fully_normalized_rep(self, u: PermGroup) -> PermGroup:
         """Class member inside P maximizing |N_P(member)|, canonical tie-break."""
-        pset_all = self.sylow.element_set()
         best = None
-        for conj in sorted(_set_orbit(self.group, frozenset(u.element_set())),
-                           key=lambda s: sorted(x.images for x in s)):
-            if not conj <= pset_all:
-                continue
-            member = self.group.subgroup([x for x in conj if not x.is_identity()])
+        for _, gens in sorted(self._conjugates_in_sylow(u),
+                              key=lambda m: sorted(x.images for x in m[0])):
+            member = self.group.subgroup(gens)
             nsize = normalizer(self.sylow, member).order
             if best is None or nsize > best[0]:
                 best = (nsize, member)
@@ -223,25 +212,9 @@ class FusionSystem:
 
     # -- control by normalizers
 
-    def is_controlled_by_normalizer(self, h: PermGroup | None = None) -> bool:
-        """Control by h (default N_G(P)).
-
-        For h = N_G(P) this is Alperin's criterion: no essential classes.
-        For general h it checks that the automizer of P and of every
-        essential representative is induced by h.
-        """
-        essentials = self.essential_classes()
-        if h is None or same_subgroup(h, normalizer(self.group, self.sylow)):
-            return not essentials
-        targets = [self.sylow] + [e.representative for e in essentials]
-        for x in targets:
-            n = normalizer(self.group, x)
-            c = centralizer(self.group, x)
-            h_in_n = [g for g in h.elements() if all(s ** g in x for s in x.generators)]
-            gens = list(c.generators) + h_in_n
-            if self.group.subgroup(gens).order != n.order:
-                return False
-        return True
+    def is_controlled_by_normalizer(self) -> bool:
+        """Control by N_G(P), by Alperin's criterion: no essential classes."""
+        return not self.essential_classes()
 
     # -- odd complements and their fixed points
 
@@ -272,25 +245,19 @@ class FusionSystem:
 
 
 def _automizer_info(quo: PermGroup) -> AutomizerInfo:
-    order = quo.order
-    is_s3 = order == 6 and not quo.is_abelian()
-    inv = abelian_invariants(quo) if quo.is_abelian() else None
-    sylos = sorted(p_part(order, q) for q in prime_factors(order))
-    return AutomizerInfo(order=order, is_symmetric_3=is_s3,
-                         abelian_invariants=inv, sylow_orders=tuple(sylos))
+    return AutomizerInfo(order=quo.order,
+                         is_symmetric_3=quo.order == 6 and not quo.is_abelian())
 
 
-def _strongly_p_embedded(quo: PermGroup, p: int):
-    """Description of the smallest strongly p-embedded subgroup of quo, or None.
+def _strongly_p_embedded(quo: PermGroup, p: int) -> bool:
+    """Whether quo has a strongly p-embedded subgroup.
 
-    Quillen's criterion (Adv. Math. 28, 1978, Prop. 5.2): quo has a
-    strongly p-embedded subgroup exactly when p divides |quo| and the
-    commuting graph on its elements of order p is disconnected.  The
-    stabilizer of one component under conjugation is then the smallest
-    strongly p-embedded subgroup.
+    Quillen's criterion (Adv. Math. 28, 1978, Prop. 5.2): exactly when p
+    divides |quo| and the commuting graph on its elements of order p is
+    disconnected.
     """
     if quo.order % p != 0:
-        return None
+        return False
     vertices = [x for x in quo.elements() if x.order() == p]
     component = {vertices[0]}
     stack = [vertices[0]]
@@ -300,8 +267,4 @@ def _strongly_p_embedded(quo: PermGroup, p: int):
             if y not in component and x * y == y * x:
                 component.add(y)
                 stack.append(y)
-    if len(component) == len(vertices):
-        return None
-    m = _stabilizer_of_action(quo, frozenset(component),
-                              lambda s, g: frozenset(map(g.conjugator(), s)))
-    return f"order {m.order}: {subgroup_fingerprint(m)}"
+    return len(component) < len(vertices)

@@ -291,14 +291,15 @@ class PermGroup:
     # -- conjugacy classes
 
     def conjugacy_classes(self, cap: int = ORDER_CAP) -> tuple:
-        classes = self._cache.get("classes")
-        if classes is not None:
-            return classes
+        return self._memo("classes", lambda: self._conjugacy_classes(cap))
+
+    def _conjugacy_classes(self, cap: int) -> tuple:
         if self.order > cap:
             raise CapExceeded(f"order {self.order} exceeds cap {cap}")
         elems = self.elements(cap)
         order = self.order
         conjugators = [g.conjugator() for g in self.generators]
+        canon = {x: x for x in elems}   # classes hold the enumerated objects, no copies
         unseen = set(elems)
         raw = []
         for x in sorted(elems):
@@ -312,6 +313,7 @@ class PermGroup:
                 for conj in conjugators:
                     z = conj(y)
                     if z not in orbit:
+                        z = canon[z]
                         orbit.add(z)
                         queue.append(z)
             unseen -= orbit
@@ -324,14 +326,13 @@ class PermGroup:
                 elements=tuple(sorted(orbit)),
             ))
         raw.sort(key=lambda c: (c.element_order, c.size, c.representative.images))
-        classes = tuple(raw)
-        self._cache["classes"] = classes
-        self._cache["class_of"] = {x: i for i, c in enumerate(classes) for x in c.elements}
-        return classes
+        return tuple(raw)
 
     def class_of(self, g: Perm) -> int:
-        self.conjugacy_classes()
-        return self._cache["class_of"][g]
+        return self._memo("class_of", self._class_index)[g]
+
+    def _class_index(self) -> dict:
+        return {x: i for i, c in enumerate(self.conjugacy_classes()) for x in c.elements}
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +346,23 @@ def _with_bsgs(group: PermGroup, gens, bsgs: _BSGS) -> PermGroup:
     return h
 
 
-def _stabilizer_of_action(group: PermGroup, seed, act) -> PermGroup:
-    """Stabilizer of `seed` under an action of `group`; `act(x, g)` applies
-    a generator and returns a hashable point.
+def _stabilizer_of_action(group: PermGroup, seed) -> tuple[dict, PermGroup]:
+    """Conjugation orbit of `seed`, a permutation or a frozenset of them,
+    under `group`, and the stabilizer of `seed`.
 
-    One breadth-first walk over the orbit.  Each Schreier generator that is
+    One breadth-first walk, starting at seed.  The orbit maps each member t
+    to a witness w_t with seed^(w_t) = t.  Each Schreier generator that is
     not yet a member extends the stabilizer's BSGS, which the returned
     handle keeps.
     """
+    if isinstance(seed, frozenset):
+        # the memo keeps every member, so members share one object per element
+        canon = {x: x for x in seed}
+        actions = [(g, lambda s, c=g.conjugator(): frozenset(
+                        canon.setdefault(y, y) for y in map(c, s)))
+                   for g in group.generators]
+    else:
+        actions = [(g, g.conjugator()) for g in group.generators]
     orbit = {seed: group.identity}
     queue = deque([seed])
     gens: list[Perm] = []
@@ -360,8 +370,8 @@ def _stabilizer_of_action(group: PermGroup, seed, act) -> PermGroup:
     while queue:
         x = queue.popleft()
         wit = orbit[x]
-        for g in group.generators:
-            y = act(x, g)
+        for g, act in actions:
+            y = act(x)
             w = orbit.get(y)
             if w is None:
                 orbit[y] = wit * g
@@ -370,7 +380,26 @@ def _stabilizer_of_action(group: PermGroup, seed, act) -> PermGroup:
                 s = wit * g * w.inverse()
                 if bsgs.add(s):
                     gens.append(s)
-    return _with_bsgs(group, gens, bsgs)
+    return orbit, _with_bsgs(group, gens, bsgs)
+
+
+def _orbit_entry(group: PermGroup, sset: frozenset) -> tuple[dict, PermGroup]:
+    """(orbit, stabilizer of its seed) for the conjugation orbit of an
+    element set, walked once: memoised per orbit on the group, every member
+    keying the same entry."""
+    memo = group._memo("set_orbits", dict)
+    entry = memo.get(sset)
+    if entry is None:
+        entry = _stabilizer_of_action(group, sset)
+        for t in entry[0]:
+            memo[t] = entry
+    return entry
+
+
+def _set_orbit(group: PermGroup, sset: frozenset) -> dict[frozenset, Perm]:
+    """Conjugation orbit of an element set, each member t mapped to a
+    witness w_t with s0^(w_t) = t for the orbit's seed s0."""
+    return _orbit_entry(group, sset)[0]
 
 
 def centralizer(g: PermGroup, h) -> PermGroup:
@@ -382,21 +411,26 @@ def centralizer(g: PermGroup, h) -> PermGroup:
     current = g
     for t in targets:
         if not t.is_identity():
-            current = _stabilizer_of_action(current, t, lambda x, gg: x ** gg)
+            current = _stabilizer_of_action(current, t)[1]
     return current
 
 
 def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
     """N_g(h), the stabilizer of the element set of h under conjugation.
 
+    Read from the memoised orbit of h's element set: the stabilizer of the
+    orbit's seed, conjugated by h's witness when h is another member.
     Memoised on g by the element set of h, so repeated queries share the
     handle (and everything cached on it, like its character table).
     """
     hset = frozenset(h.elements())
     memo = g._memo("normalizers", dict)
     if hset not in memo:
-        memo[hset] = _stabilizer_of_action(
-            g, hset, lambda s, gg: frozenset(map(gg.conjugator(), s)))
+        orbit, stab = _orbit_entry(g, hset)
+        w = orbit[hset]   # the identity exactly for the seed
+        memo[hset] = stab if w.is_identity() else PermGroup(
+            g.degree, [x ** w for x in stab.generators], parent=g._top(),
+            _skip_check=True)
     return memo[hset]
 
 
@@ -543,8 +577,9 @@ def fixed_points(sub: PermGroup, actors: PermGroup) -> PermGroup:
 # subgroup enumeration and fusion
 
 
-def _subgroups_of_p_group(pgrp: PermGroup, p: int) -> list[frozenset]:
-    """All subgroups of a p-group, as element sets, by maximal extension.
+def _subgroups_of_p_group(pgrp: PermGroup, p: int) -> dict[frozenset, tuple]:
+    """All subgroups of a p-group, each element set mapped to generators of
+    it, by maximal extension; sorted by (order, sorted element images).
 
     Each subgroup of order p^(k+1) is <h, x> for some h of order p^k and x
     in N_P(h) with x^p in h; x normalizes h when it conjugates h's
@@ -582,33 +617,8 @@ def _subgroups_of_p_group(pgrp: PermGroup, p: int) -> list[frozenset]:
             break
         layer = nxt
         size *= p
-    return sorted(gens_of, key=lambda s: (len(s), sorted(x.images for x in s)))
-
-
-def _set_orbit(ambient: PermGroup, sset: frozenset) -> dict[frozenset, Perm]:
-    """Conjugation orbit of an element set, each member t mapped to a
-    witness w_t with s0^(w_t) = t for the orbit's first-walked member s0.
-
-    Memoised per orbit on the group: every member keys the same dict.
-    """
-    memo = ambient._memo("set_orbits", dict)
-    cached = memo.get(sset)
-    if cached is not None:
-        return cached
-    orbit = {sset: ambient.identity}
-    queue = [sset]
-    conjugators = [(g, g.conjugator()) for g in ambient.generators]
-    while queue:
-        s = queue.pop()
-        wit = orbit[s]
-        for g, conj in conjugators:
-            t = frozenset(map(conj, s))
-            if t not in orbit:
-                orbit[t] = wit * g
-                queue.append(t)
-    for t in orbit:
-        memo[t] = orbit
-    return orbit
+    return {s: gens_of[s] for s in
+            sorted(gens_of, key=lambda s: (len(s), sorted(x.images for x in s)))}
 
 
 def subgroup_classes_of_p_group(pgrp: PermGroup, ambient: PermGroup,
@@ -617,19 +627,18 @@ def subgroup_classes_of_p_group(pgrp: PermGroup, ambient: PermGroup,
 
     Deterministic order: by (order, canonical minimal element tuple).
     The representative is the lexicographically least class member that
-    lies inside pgrp.
+    lies inside pgrp, generated as the enumeration found it.
     """
-    least: dict[tuple, frozenset] = {}   # (order, canonical key) -> representative
+    least: dict[tuple, tuple] = {}   # (order, canonical key) -> representative's generators
     seen: set[frozenset] = set()
     # the subgroups come sorted, so a class's first member met is its least in pgrp
-    for s in _subgroups_of_p_group(pgrp, p):
+    for s, gens in _subgroups_of_p_group(pgrp, p).items():
         if s in seen:
             continue
         orbit = _set_orbit(ambient, s)
         seen.update(orbit)
-        least[(len(s), min(tuple(sorted(x.images for x in t)) for t in orbit))] = s
-    return [ambient.subgroup([x for x in least[key] if not x.is_identity()])
-            for key in sorted(least)]
+        least[(len(s), min(tuple(sorted(x.images for x in t)) for t in orbit))] = gens
+    return [ambient.subgroup(least[key]) for key in sorted(least)]
 
 
 # ---------------------------------------------------------------------------

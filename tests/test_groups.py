@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (ORACLE_CAP, brute_centralizer_order, brute_class_count,
+from conftest import (ORACLE_CAP, RECIPES, brute_centralizer_order, brute_class_count,
                       brute_conjugator, brute_normalizer_order, group)
 from blockscope.errors import NotAbelian, NotNormalized
 from blockscope.groups import (PermGroup, _BSGS, _subgroups_of_p_group, abelian_invariants,
@@ -11,7 +11,8 @@ from blockscope.groups import (PermGroup, _BSGS, _subgroups_of_p_group, abelian_
                                normalizer, o_p_core, o_p_residual, quotient_by_normal,
                                subgroup_classes_of_p_group, subgroup_fingerprint,
                                subgroup_transporter, sylow_subgroup, same_subgroup)
-from blockscope.recipes import construct_group, cyclic, direct
+from blockscope.recipes import (alternating, construct_group, cyclic, direct, symmetric,
+                                wreath)
 from blockscope.perms import Perm
 
 
@@ -163,6 +164,118 @@ def test_centralizer_normalizer_match_brute_force():
         g = group(name)
         h = sylow_subgroup(g, 2)
         assert normalizer(g, h).order == brute_normalizer_order(g, h)
+
+
+@pytest.mark.parametrize("name", ["S4", "S5", "G96", "L48"])
+def test_normalizer_of_a_conjugate_member(name):
+    """N(r^x) for x outside N(r) is read from r's memoised orbit, as N(r)
+    conjugated by the witness of r^x; it must still be N(r^x)."""
+    g = construct_group(RECIPES[name])
+    reps = subgroup_classes_of_p_group(sylow_subgroup(g, 2), g, 2)
+    tried = 0
+    for r in reps:
+        n_r = normalizer(g, r)
+        x = next((y for y in g.elements() if y not in n_r), None)
+        if x is None:
+            continue
+        rx = g.subgroup([t ** x for t in r.generators])
+        rx_set = rx.element_set()
+        assert rx_set != r.element_set()
+        n = normalizer(g, rx)
+        assert n.order == brute_normalizer_order(g, rx) == n_r.order
+        for y in n.generators:
+            assert y in g
+            assert frozenset(t ** y for t in rx_set) == rx_set
+        tried += 1
+    assert tried > 0
+
+
+def _conjugation_orbit(g, sset):
+    """Oracle: the orbit of an element set under conjugation by g."""
+    orbit = {sset}
+    queue = [sset]
+    while queue:
+        s = queue.pop()
+        for gg in g.generators:
+            t = frozenset(x ** gg for x in s)
+            if t not in orbit:
+                orbit.add(t)
+                queue.append(t)
+    return orbit
+
+
+def test_each_orbit_of_element_sets_is_walked_once(monkeypatch):
+    """A walk is a call of `_stabilizer_of_action` on an element set, or a
+    call of `_set_orbit` that returns an orbit not seen before without one."""
+    import blockscope.blocks
+    import blockscope.fusion
+    import blockscope.groups
+    from blockscope.catalog import analyze_group
+    walks = []
+    produced = []   # what the walks returned, kept alive so the ids stay distinct
+    produced_ids = set()
+    stabilizer_of_action = blockscope.groups._stabilizer_of_action
+    set_orbit = blockscope.groups._set_orbit
+
+    def keep(*objects):
+        produced.extend(objects)
+        produced_ids.update(map(id, objects))
+
+    def recording_stabilizer(g, seed, *args):
+        result = stabilizer_of_action(g, seed, *args)
+        if isinstance(seed, frozenset):
+            walks.append((g, seed))
+            keep(*(result if isinstance(result, tuple) else (result,)))
+        return result
+
+    def recording_set_orbit(g, sset):
+        orbit = set_orbit(g, sset)
+        if id(orbit) not in produced_ids:   # an orbit no recorded walk returned
+            walks.append((g, sset))
+            keep(orbit)
+        return orbit
+
+    for module in (blockscope.groups, blockscope.fusion, blockscope.blocks):
+        if hasattr(module, "_stabilizer_of_action"):
+            monkeypatch.setattr(module, "_stabilizer_of_action", recording_stabilizer)
+        if hasattr(module, "_set_orbit"):
+            monkeypatch.setattr(module, "_set_orbit", recording_set_orbit)
+    for name in ("K192", "L48xZ2"):
+        analyze_group(construct_group(RECIPES[name]), 2)
+    assert walks
+    walked: dict[int, set] = {}   # id of the acting group -> members of its walked orbits
+    for g, seed in walks:   # `walks` keeps every g alive, so ids stay distinct
+        orbit = _conjugation_orbit(g, seed)
+        members = walked.setdefault(id(g), set())
+        assert not orbit & members, f"an orbit of order-{len(seed)} sets walked twice"
+        members |= orbit
+
+
+_SMALL_RECIPES = st.sampled_from([cyclic(2), cyclic(3), cyclic(4), cyclic(6), symmetric(3),
+                                  symmetric(4), alternating(4)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(_SMALL_RECIPES, st.builds(direct, _SMALL_RECIPES, _SMALL_RECIPES),
+                 st.builds(wreath, st.sampled_from([cyclic(2), cyclic(3), symmetric(3)]),
+                           st.sampled_from([cyclic(2), cyclic(3)]))))
+def test_classes_and_centralizers_match_sympy(recipe):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    g = construct_group(recipe)
+    theirs = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(x.images)) for x in g.generators])
+    classes = g.conjugacy_classes()
+    their_classes = theirs.conjugacy_classes()
+    assert len(classes) == len(their_classes)
+    for their_class in their_classes:
+        members = [Perm(tuple(x.array_form)) for x in their_class]
+        i = g.class_of(members[0])
+        assert {g.class_of(x) for x in members} == {i}
+        assert classes[i].size == len(their_class)
+    for c in classes:
+        x = combinatorics.Permutation(list(c.representative.images))
+        assert centralizer(g, c.representative).order == c.centralizer_order \
+            == theirs.centralizer(x).order()
 
 
 # -- Sylow subgroups
