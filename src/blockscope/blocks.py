@@ -21,6 +21,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .chartable import CharacterTable, _class_matrices, character_table
 from .cyclotomic import Cyclo
 from .errors import AmbiguousMatch, InputError, InternalInconsistency, NoDefectClass
@@ -193,9 +195,9 @@ def brauer_induce(blk_local: Block, group: PermGroup):
     deg = Fraction(1, table_h.degrees[chi])
 
     h_class_of_g_class: dict[int, list[int]] = {}
-    for x in h.elements():
-        j = group.class_of(x)
-        h_class_of_g_class.setdefault(j, []).append(table_h.class_index(x))
+    elements = h.elements()
+    for j, hj in zip(group.classes_of(elements).tolist(), h.classes_of(elements).tolist()):
+        h_class_of_g_class.setdefault(j, []).append(hj)
 
     sig = []
     for j in range(table_g.n_classes):
@@ -216,9 +218,7 @@ def induce_principal_block(h: PermGroup, group: PermGroup, p: int):
     """
     table_g = character_table(group)
     ctx = _context_for(table_g, p)
-    counts = [0] * table_g.n_classes
-    for x in h.elements():
-        counts[group.class_of(x)] += 1
+    counts = np.bincount(group.classes_of(h.elements()), minlength=table_g.n_classes).tolist()
     return _block_with_signature(table_g, p, tuple(ctx.reduce(c) for c in counts))
 
 

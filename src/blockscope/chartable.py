@@ -7,6 +7,10 @@ ell^2 > 4|G|, are the central characters mod ell.  Class matrices are
 counted only when the splitting reads them, and each one splits a space
 by the kernels at the roots of its restriction's characteristic
 polynomial, the roots found by evaluating it on all of GF(ell) at once.
+A class matrix is counted by array operations on base images: products
+are composed at the base points only and named by the exact element keys
+of groups._ElementIndex, whose codes stay below |G| * degree, so int64
+never overflows for a group the order cap admits.
 Degrees are recovered from the orthogonality relation, and the exact
 cyclotomic character values are reconstructed by discrete Fourier
 inversion over the power maps, using the root-of-unity correspondence
@@ -24,13 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .cyclotomic import Cyclo
 from .errors import CapExceeded, InternalInconsistency
 from .exact import is_prime, prime_factors
-from .groups import PermGroup
+from .groups import PermGroup, _element_index
 from .perms import Perm
 
 __all__ = ["CharacterTable", "character_table", "CLASS_COUNT_CAP"]
@@ -99,21 +104,6 @@ class CharacterTable:
 
     def p_regular_indices(self, p: int) -> tuple[int, ...]:
         return tuple(j for j, c in enumerate(self.classes) if c.is_p_regular(p))
-
-    def row_inner(self, i1: int, i2: int) -> Cyclo:
-        """Sum over classes of |K| chi1(g) chi2(g^-1), exactly."""
-        total = Cyclo.zero()
-        row1 = self.values[i1]
-        row2 = self.values[i2]
-        for j, cls in enumerate(self.classes):
-            a = row1[j]
-            if a.is_zero():
-                continue
-            b = row2[self.inverse_class[j]]
-            if b.is_zero():
-                continue
-            total = total + a * b * cls.size
-        return total
 
     def verify_orthogonality(self):
         """Both orthogonality relations, exactly and in full.
@@ -194,15 +184,33 @@ def _class_matrix(group: PermGroup, i: int) -> np.ndarray:
 
 
 def _count_class_products(group: PermGroup, i: int) -> np.ndarray:
-    classes = group.conjugacy_classes()
+    """M_i as an array kernel on element keys (groups._ElementIndex).
+
+    As x runs over K_i, x^-1 runs over the inverse class, whose base images
+    the index holds.  Composing them with z_k at the base points only gives
+    the base images of x^-1 z_k; their keys give their classes, and counting
+    the classes gives column k.  The classes k are taken a few at a time, at
+    most |G| products per block, so a block is never larger than the index.
+    Keys are found from codes below |G| * degree, so the int64 arithmetic
+    cannot overflow.
+    """
+    classes, class_at = group._class_walk()
     r = len(classes)
-    class_of = group.class_of
-    inverses = [x.inverse() for x in classes[i].elements]
-    mi = np.zeros((r, r), dtype=np.int64)
-    for k, c in enumerate(classes):
-        z = c.representative
-        for xinv in inverses:
-            mi[class_of(xinv * z), k] += 1
+    index = _element_index(group)
+    inverses = index.images[class_at == group.class_of(classes[i].representative.inverse())]
+    size, m = inverses.shape
+    step = max(1, group.order // size)
+    # no entry exceeds |K_i| <= |G|
+    mi = np.empty((r, r), dtype=np.min_scalar_type(group.order))
+    for k in range(0, r, step):
+        zs = np.array([c.representative.images for c in classes[k:k + step]],
+                      dtype=inverses.dtype)
+        b = len(zs)
+        # row s: the classes of x^-1 z_(k+s), offset by s * r so that one
+        # bincount counts the whole block
+        found = class_at[index.keys(zs[:, inverses].reshape(-1, m))].reshape(b, size)
+        counts = np.bincount((found + r * np.arange(b)[:, None]).ravel(), minlength=b * r)
+        mi[:, k:k + b] = counts.reshape(b, r).T
     return mi
 
 
@@ -234,16 +242,17 @@ def _build_table(group: PermGroup, class_cap: int) -> CharacterTable:
         raise InternalInconsistency(
             f"expected {r} one-dimensional eigenspaces, found {len(eigvecs)}")
 
-    inverse_class = tuple(group.class_of(c.representative.inverse()) for c in classes)
+    inverse_class = tuple(
+        group.classes_of([c.representative.inverse() for c in classes]).tolist())
     sizes = [c.size for c in classes]
     size_inv = [pow(s % ell, -1, ell) for s in sizes]
 
     w = _primitive_root(ell)
     z_e = pow(w, (ell - 1) // exponent, ell)
-    power_classes = [
-        [group.class_of(c.representative ** s) for s in range(c.element_order)]
-        for c in classes
-    ]
+    # power_classes[j][s] = class of z_j^s
+    powers = iter(group.classes_of([c.representative ** s for c in classes
+                                    for s in range(c.element_order)]).tolist())
+    power_classes = [list(islice(powers, c.element_order)) for c in classes]
     # root_powers[j][k] = z_j^-k for z_j = z_e^(exponent / e_j), the root matching class j
     root_powers = [[pow(z_e, -k * (exponent // c.element_order), ell)
                     for k in range(c.element_order)] for c in classes]
@@ -309,7 +318,7 @@ def _common_eigenvectors(class_matrix, r: int, ell: int):
     for i in range(1, r):
         if all(b.shape[0] == 1 for b in spaces):
             break
-        mt = class_matrix(i).T % ell
+        mt = class_matrix(i).T.astype(np.int64) % ell   # counts come in the smallest dtype
         new_spaces = []
         for b in spaces:
             d = b.shape[0]

@@ -235,10 +235,10 @@ def count_weights(group: PermGroup, p: int, blk: Block) -> int:
         blocks_n = block_distribution(tab_n, p)
         quotient_order = n.order // r.order
         target_nu = nu(quotient_order, p)
+        r_classes = [tab_n.class_index(x) for x in r.generators]
         for i in range(tab_n.n_classes):
             # inflation from N/R: R inside the kernel
-            if any(tab_n.values[i][tab_n.class_index(x)] != tab_n.degrees[i]
-                   for x in r.generators):
+            if any(tab_n.values[i][j] != tab_n.degrees[i] for j in r_classes):
                 continue
             if nu(tab_n.degrees[i], p) != target_nu:
                 continue

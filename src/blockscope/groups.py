@@ -9,13 +9,18 @@ suite for every group below the oracle cap.
 
 All objects are immutable after construction and safe for concurrent
 reads.  Derived data (classes, element lists, local subgroups) is memoised
-on the instance.
+on the instance.  Array kernels (the conjugacy-class walk, the class-sum
+structure constants) name elements by the exact integer keys of
+:class:`_ElementIndex`, read from their images of the base.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
+
+import numpy as np
 
 from .errors import CapExceeded, InternalInconsistency, NotAbelian, NotNormalized
 from .exact import nu, p_part, prime_factors
@@ -291,48 +296,139 @@ class PermGroup:
     # -- conjugacy classes
 
     def conjugacy_classes(self, cap: int = ORDER_CAP) -> tuple:
+        return self._class_walk(cap)[0]
+
+    def _class_walk(self, cap: int = ORDER_CAP) -> tuple[tuple, np.ndarray]:
+        """(classes, class index of each element key), computed once."""
         return self._memo("classes", lambda: self._conjugacy_classes(cap))
 
-    def _conjugacy_classes(self, cap: int) -> tuple:
+    def _conjugacy_classes(self, cap: int) -> tuple[tuple, np.ndarray]:
+        """The classes, and the class index of each element key.
+
+        Elements are ranked in Perm order and named by their
+        :class:`_ElementIndex` keys.  Conjugating every element by a
+        generator is one array operation on base images, which gives one
+        successor map of ranks per generator.  Each orbit is labelled by its
+        least rank: every element takes the least label over its successors
+        until nothing changes.  A class holds the enumerated objects in Perm
+        order, its least one as representative.  Keys are found from codes
+        below |G| * degree, so the int64 arithmetic cannot overflow.
+        """
         if self.order > cap:
             raise CapExceeded(f"order {self.order} exceeds cap {cap}")
-        elems = self.elements(cap)
-        order = self.order
-        conjugators = [g.conjugator() for g in self.generators]
-        canon = {x: x for x in elems}   # classes hold the enumerated objects, no copies
-        unseen = set(elems)
-        raw = []
-        for x in sorted(elems):
-            if x not in unseen:
-                continue
-            # conjugation orbit of x under the generators
-            orbit = {x}
-            queue = [x]
-            while queue:
-                y = queue.pop()
-                for conj in conjugators:
-                    z = conj(y)
-                    if z not in orbit:
-                        z = canon[z]
-                        orbit.add(z)
-                        queue.append(z)
-            unseen -= orbit
-            rep = min(orbit)
-            raw.append(ConjClass(
+        elems = sorted(self.elements(cap), key=attrgetter("images"))
+        n = len(elems)
+        index = _element_index(self)
+        m = len(index.base)
+        # base images of each element, then of its conjugate by each generator
+        inverses = [g.inverse().images for g in self.generators]
+        images = _images_at(elems, index.base + [inv[b] for inv in inverses
+                                                 for b in index.base], index.images.dtype)
+        keys = index.keys(images[:, :m])
+        rank_of_key = np.empty(n, dtype=np.intp)
+        rank_of_key[keys] = np.arange(n)
+        successors = []
+        for t, g in enumerate(self.generators, start=1):
+            # (x^g)(b) = g(x(g^-1(b)))
+            conj = np.array(g.images, dtype=images.dtype)[images[:, t * m:(t + 1) * m]]
+            successors.append(rank_of_key[index.keys(conj)])
+        label = np.arange(n)
+        while True:
+            new = label
+            for succ in successors:
+                new = np.minimum(new, new[succ])
+            # a label is the rank of an orbit member, so the label of the
+            # label is one too; taking it halves the distances left to cover
+            new = new[new]
+            if np.array_equal(new, label):
+                break
+            label = new
+        by_label = np.argsort(label, kind="stable")   # ranks ascending within a class
+        found = []
+        for ranks in np.split(by_label, np.flatnonzero(np.diff(label[by_label])) + 1):
+            members = tuple(map(elems.__getitem__, ranks.tolist()))
+            rep = members[0]
+            found.append((ConjClass(
                 representative=rep,
-                size=len(orbit),
+                size=len(members),
                 element_order=rep.order(),
-                centralizer_order=order // len(orbit),
-                elements=tuple(sorted(orbit)),
-            ))
-        raw.sort(key=lambda c: (c.element_order, c.size, c.representative.images))
-        return tuple(raw)
+                centralizer_order=n // len(members),
+                elements=members,
+            ), ranks))
+        found.sort(key=lambda f: (f[0].element_order, f[0].size, f[0].representative.images))
+        class_at = np.empty(n, dtype=np.min_scalar_type(len(found)))
+        for i, (_, ranks) in enumerate(found):
+            class_at[keys[ranks]] = i
+        return tuple(c for c, _ in found), class_at
 
     def class_of(self, g: Perm) -> int:
-        return self._memo("class_of", self._class_index)[g]
+        if g not in self:
+            raise ValueError("element outside the group")
+        return int(self.classes_of([g])[0])
 
-    def _class_index(self) -> dict:
-        return {x: i for i, c in enumerate(self.conjugacy_classes()) for x in c.elements}
+    def classes_of(self, members) -> np.ndarray:
+        """Class index of each of the given members, read from their keys;
+        unlike class_of, it does not test that they are members."""
+        class_at = self._class_walk()[1]
+        index = _element_index(self)
+        return class_at[index.keys(_images_at(members, index.base, index.images.dtype))]
+
+
+# ---------------------------------------------------------------------------
+# element keys
+
+
+class _ElementIndex:
+    """Exact integer keys for the elements of a group, read from base images.
+
+    An element is determined by its images of the base b_1, ..., b_m of the
+    group's BSGS.  Its key is the rank of that image tuple in lexicographic
+    order, found one base point at a time: the code at level t is
+    rank_(t-1) * degree + x(b_t), and rank_t is its position among the
+    distinct codes of the group's elements at that level.  A rank is below
+    |G|, so a code is below |G| * degree <= ORDER_CAP * degree, under 2^34
+    at the recipe cap of 2^14 points: int64 holds every code exactly.  (A
+    plain degree^m radix would not: 11 disjoint transpositions on 64 points
+    have base length 11, and 64^11 = 2^66.)
+
+    `images[k]` holds the base images of the element with key k, in the
+    smallest integer dtype that holds a point.
+    """
+
+    __slots__ = ("degree", "base", "levels", "images")
+
+    def __init__(self, group: "PermGroup"):
+        self.degree = group.degree
+        self.base = list(group.bsgs.base)
+        dtype = np.min_scalar_type(max(group.degree - 1, 0))
+        images = _images_at(group.elements(), self.base, dtype)
+        self.levels = []   # per base point: the sorted distinct codes
+        rank = np.zeros(len(images), dtype=np.int64)
+        for column in images.T:
+            level, rank = np.unique(rank * self.degree + column, return_inverse=True)
+            self.levels.append(level)
+        self.images = np.empty_like(images)
+        self.images[rank] = images
+
+    def keys(self, images: np.ndarray) -> np.ndarray:
+        """Keys of the members whose base images are the rows of `images`."""
+        rank = np.zeros(len(images), dtype=np.int64)
+        for level, column in zip(self.levels, images.T):
+            rank = np.searchsorted(level, rank * self.degree + column)
+        return rank
+
+
+def _element_index(group: "PermGroup") -> _ElementIndex:
+    return group._memo("element_index", lambda: _ElementIndex(group))
+
+
+def _images_at(elements, points, dtype) -> np.ndarray:
+    """a[e, t] = elements[e](points[t])."""
+    rows = [x.images for x in elements]
+    out = np.empty((len(rows), len(points)), dtype=dtype)
+    for t, p in enumerate(points):
+        out[:, t] = np.fromiter(map(itemgetter(p), rows), dtype=dtype, count=len(rows))
+    return out
 
 
 # ---------------------------------------------------------------------------

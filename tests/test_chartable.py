@@ -13,6 +13,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import RECIPES, group
 from blockscope import chartable
@@ -22,7 +23,8 @@ from blockscope.chartable import (_charpoly_mod, _choose_prime, _class_matrices,
 from blockscope.cyclotomic import Cyclo, zeta
 from blockscope.errors import CapExceeded, InternalInconsistency
 from blockscope.groups import derived_subgroup
-from blockscope.recipes import alternating, construct_group, cyclic, direct
+from blockscope.recipes import (alternating, construct_group, cyclic, direct, symmetric,
+                                wreath)
 
 W = zeta(3)
 W2 = zeta(3, 2)
@@ -166,12 +168,21 @@ def test_values_are_algebraic_integers():
         assert all(v.is_integral() for row in table.values for v in row)
 
 
+def _row_inner(table, i1, i2):
+    """Sum over classes of |K| chi1(g) chi2(g^-1), exactly: the oracle for
+    the row relation that verify_orthogonality checks in array form."""
+    total = Cyclo.zero()
+    for j, cls in enumerate(table.classes):
+        total = total + table.values[i1][j] * table.values[i2][table.inverse_class[j]] * cls.size
+    return total
+
+
 def test_row_orthogonality_public():
     table = character_table(group("A5"))
     n = table.group.order
     for i in range(table.n_classes):
         for j in range(table.n_classes):
-            assert table.row_inner(i, j) == (n if i == j else 0)
+            assert _row_inner(table, i, j) == (n if i == j else 0)
 
 
 def test_determinism():
@@ -386,12 +397,28 @@ def test_object_fallback_gives_the_same_verdicts(monkeypatch):
 # -- class matrices on demand
 
 
+def _assert_pair_counts(g, mats):
+    """M_i[j, k] against #{(x, y) in K_i x K_j : x y = z_k}, counted over
+    every pair with a class lookup built here, not by the element index."""
+    classes = g.conjugacy_classes()
+    r = len(classes)
+    class_of = {x: i for i, c in enumerate(classes) for x in c.elements}
+    reps = {c.representative: k for k, c in enumerate(classes)}
+    want = np.zeros((r, r, r), dtype=np.int64)
+    for x in g.elements():
+        for y in g.elements():
+            k = reps.get(x * y)
+            if k is not None:
+                want[class_of[x], class_of[y], k] += 1
+    for i in range(r):
+        assert mats[i].tolist() == want[i].tolist(), i
+
+
 @pytest.mark.parametrize("recipe", ["S5", "Z4wrZ2"])
 def test_class_matrices_on_demand_match_pair_counts(monkeypatch, recipe):
     # a fresh group, so that no class matrix is memoised before the table
     g = construct_group(RECIPES[recipe])
-    classes = g.conjugacy_classes()
-    r = len(classes)
+    r = len(g.conjugacy_classes())
     counted = []
     count = chartable._count_class_products
 
@@ -405,10 +432,19 @@ def test_class_matrices_on_demand_match_pair_counts(monkeypatch, recipe):
     assert counted == list(range(1, len(counted) + 1))
     mats = _class_matrices(g)
     assert sorted(counted) == list(range(r))
-    for i in range(r):
-        for j in range(r):
-            for k, ck in enumerate(classes):
-                z = ck.representative
-                pairs = sum(1 for x in classes[i].elements for y in classes[j].elements
-                            if x * y == z)
-                assert mats[i][j, k] == pairs, (i, j, k)
+    _assert_pair_counts(g, mats)
+
+
+_SMALL = st.sampled_from([cyclic(2), cyclic(3), cyclic(4), cyclic(6), symmetric(3),
+                          alternating(4), symmetric(4)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(_SMALL, st.builds(direct, _SMALL, st.sampled_from([cyclic(2), cyclic(3),
+                                                                    symmetric(3)])),
+                 st.builds(wreath, st.sampled_from([cyclic(2), cyclic(3), symmetric(3)]),
+                           st.sampled_from([cyclic(2), cyclic(3)]))))
+def test_class_matrices_match_pair_counts_on_drawn_groups(recipe):
+    g = construct_group(recipe)
+    assume(g.order <= 96)
+    _assert_pair_counts(g, _class_matrices(g))

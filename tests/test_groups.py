@@ -1,13 +1,15 @@
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (ORACLE_CAP, RECIPES, brute_centralizer_order, brute_class_count,
                       brute_conjugator, brute_normalizer_order, group)
 from blockscope.errors import NotAbelian, NotNormalized
-from blockscope.groups import (PermGroup, _BSGS, _subgroups_of_p_group, abelian_invariants,
-                               center, centralizer, derived_subgroup, fixed_points,
+from blockscope.groups import (PermGroup, _BSGS, _element_index, _images_at,
+                               _subgroups_of_p_group, abelian_invariants, center,
+                               centralizer, derived_subgroup, fixed_points, normal_closure,
                                normalizer, o_p_core, o_p_residual, quotient_by_normal,
                                subgroup_classes_of_p_group, subgroup_fingerprint,
                                subgroup_transporter, sylow_subgroup, same_subgroup)
@@ -278,6 +280,93 @@ def test_classes_and_centralizers_match_sympy(recipe):
             == theirs.centralizer(x).order()
 
 
+def _classes_by_perm_walk(g):
+    """The class walk one element at a time on Perm objects: the oracle for
+    the array walk in PermGroup._conjugacy_classes."""
+    elems = g.elements()
+    conjugators = [x.conjugator() for x in g.generators]
+    unseen = set(elems)
+    raw = []
+    for x in sorted(elems):
+        if x not in unseen:
+            continue
+        orbit = {x}
+        queue = [x]
+        while queue:
+            y = queue.pop()
+            for conj in conjugators:
+                z = conj(y)
+                if z not in orbit:
+                    orbit.add(z)
+                    queue.append(z)
+        unseen -= orbit
+        rep = min(orbit)
+        raw.append((rep.order(), len(orbit), rep.images, g.order // len(orbit),
+                    tuple(sorted(orbit))))
+    raw.sort(key=lambda c: c[:3])
+    return raw
+
+
+def _assert_classes_match_perm_walk(g):
+    want = _classes_by_perm_walk(g)
+    got = g.conjugacy_classes()
+    assert [(c.element_order, c.size, c.representative.images, c.centralizer_order,
+             c.elements) for c in got] == want
+    enumerated = {id(x) for x in g.elements()}
+    # the classes hold the enumerated objects themselves
+    assert all(id(x) in enumerated for c in got for x in c.elements)
+    for i, c in enumerate(got):
+        assert g.classes_of(c.elements).tolist() == [i] * c.size
+
+
+@pytest.mark.parametrize("name", ["S4", "S5", "G96", "L48xZ2", "K192", "W384", "Z6", "D8"])
+def test_class_walk_matches_the_perm_walk(name):
+    _assert_classes_match_perm_walk(construct_group(RECIPES[name]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(_SMALL_RECIPES, st.builds(direct, _SMALL_RECIPES, _SMALL_RECIPES),
+                 st.builds(wreath, st.sampled_from([cyclic(2), cyclic(3), symmetric(3)]),
+                           st.sampled_from([cyclic(2), cyclic(3)]))))
+def test_class_walk_matches_the_perm_walk_on_drawn_groups(recipe):
+    _assert_classes_match_perm_walk(construct_group(recipe))
+
+
+def test_class_walk_of_the_trivial_group():
+    g = PermGroup(3, [])
+    (c,) = g.conjugacy_classes()
+    assert (c.representative, c.size, c.elements) == (g.identity, 1, (g.identity,))
+    assert g.class_of(g.identity) == 0
+
+
+def test_class_of_refuses_a_non_member():
+    a4 = group("A4")
+    with pytest.raises(ValueError, match="outside the group"):
+        a4.class_of(cyc(a4.degree, (0, 1)))
+
+
+def test_element_keys_stay_exact_past_a_radix_of_the_base():
+    # 11 disjoint transpositions on 64 points: order 2^11, base length 11,
+    # and 64^11 = 2^66, so a plain radix code of the base images would overflow
+    g = PermGroup(64, [cyc(64, (2 * t, 2 * t + 1)) for t in range(11)])
+    index = _element_index(g)
+    assert g.order == 2048
+    assert g.degree ** len(index.base) >= 2**63
+    elems = g.elements()
+    keys = index.keys(_images_at(elems, index.base, index.images.dtype)).tolist()
+    assert sorted(keys) == list(range(g.order))
+    key_of = dict(zip(elems, keys))
+    for x, k in key_of.items():
+        assert index.images[k].tolist() == [x(b) for b in index.base]
+    rnd = random.Random(11)
+    xs = [rnd.choice(elems) for _ in range(200)]
+    ys = [rnd.choice(elems) for _ in range(200)]
+    # x y at the base points only: (x y)(b) = y(x(b))
+    at_base = np.array([[y(x(b)) for b in index.base] for x, y in zip(xs, ys)],
+                       dtype=index.images.dtype)
+    assert index.keys(at_base).tolist() == [key_of[x * y] for x, y in zip(xs, ys)]
+
+
 # -- Sylow subgroups
 
 
@@ -290,6 +379,32 @@ def test_sylow_orders(name, p, order):
     s = sylow_subgroup(g, p)
     assert s.order == order
     assert s.is_p_group(p)
+
+
+_DEGREE_9_RECIPES = st.one_of(
+    _SMALL_RECIPES, st.just(symmetric(5)),
+    st.builds(direct, _SMALL_RECIPES, _SMALL_RECIPES),
+    st.builds(wreath, st.sampled_from([cyclic(2), cyclic(3), symmetric(3)]),
+              st.sampled_from([cyclic(2), cyclic(3)])))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_DEGREE_9_RECIPES, st.data())
+def test_sylow_derived_and_normal_closure_orders_match_sympy(recipe, data):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    g = construct_group(recipe)
+    assume(g.degree <= 9)
+    theirs = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(x.images)) for x in g.generators])
+    for p in (2, 3):
+        sylow = sylow_subgroup(g, p)
+        assert sylow.order == theirs.sylow_subgroup(p).order()
+        assert sylow.is_p_group(p) and all(x in g for x in sylow.generators)
+    assert derived_subgroup(g).order == theirs.derived_subgroup().order()
+    seeds = data.draw(st.lists(st.sampled_from(g.elements()), min_size=1, max_size=2))
+    closure = theirs.normal_closure(combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(x.images)) for x in seeds]))
+    assert normal_closure(g, seeds).order == closure.order()
 
 
 def test_sylow_a4_elementary_abelian():
