@@ -6,8 +6,12 @@ central characters omega(K) = |K| chi(g_K) / chi(1) agree modulo the
 fixed maximal ideal above p, for every class K.
 
 k(b) is the number of ordinary characters in the block; l(b) is the rank
-over the cyclotomic field of the block's character values restricted to
-the p-regular classes.  Lower defect multiplicities come from the defect
+over GF(ell) of the block's character values mod ell restricted to the
+p-regular classes, ell the table's prime (see _l_by_rank for why that rank
+is exact, and the certificate that the ranks sum to the number of
+p-regular classes).  Central characters, induced central functions and
+idempotent coefficients are divided exactly in Z[zeta]; a quotient that
+is not integral raises.  Lower defect multiplicities come from the defect
 filtration of the projected p-regular class sums inside the center of the
 modular group algebra: m(b, R) is the dimension jump of
 e_b * span{class sums with defect group below R} against the strictly
@@ -17,15 +21,14 @@ identity is enforced as a hard runtime assertion.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .chartable import CharacterTable, _class_matrices, character_table
+from .chartable import CharacterTable, _class_matrices, _rref_mod, character_table
 from .cyclotomic import Cyclo
-from .errors import AmbiguousMatch, InputError, InternalInconsistency, NoDefectClass
+from .errors import (AmbiguousMatch, InputError, InternalInconsistency, NoDefectClass,
+                     NotPIntegral)
 from .exact import is_prime, nu, p_part, row_reduce
 from .groups import (PermGroup, centralizer, subgroup_classes_of_p_group,
                      sylow_subgroup, subgroup_fingerprint, _set_orbit)
@@ -85,8 +88,8 @@ def _central_characters(table: CharacterTable):
         deg = table.degrees[i]
         row = []
         for j, cls in enumerate(table.classes):
-            w = table.values[i][j] * Fraction(cls.size, deg)
-            if not w.is_integral():
+            w = (table.values[i][j] * cls.size).exact_div(deg)
+            if w is None:
                 raise InternalInconsistency(
                     f"central character ({i},{j}) is not an algebraic integer")
             row.append(w)
@@ -134,6 +137,12 @@ def _block_distribution(table: CharacterTable, p: int) -> list[Block]:
     seen = sorted(i for b in blocks for i in b.char_indices)
     if seen != list(range(table.n_classes)):
         raise InternalInconsistency("blocks do not partition the characters")
+    # certificate for the ranks mod ell (_l_by_rank)
+    s = len(table.p_regular_indices(p))
+    if sum(b.l for b in blocks) != s:
+        raise InternalInconsistency(
+            f"ranks mod {table.ell} sum to {sum(b.l for b in blocks)}, "
+            f"not to the {s} p-regular classes")
     if blocks[0].is_principal:
         if blocks[0].defect_group.order != p_part(n, p):
             raise InternalInconsistency("principal block defect group is not Sylow")
@@ -162,10 +171,20 @@ def _defect_group_from_signature(table: CharacterTable, p: int, sig, defect: int
 
 
 def _l_by_rank(table: CharacterTable, p: int, idxs) -> int:
-    """l(b): rank over the cyclotomic field of block rows on p-regular classes."""
-    cols = table.p_regular_indices(p)
-    rows = [[table.values[i][j] for j in cols] for i in idxs]
-    _, pivots = row_reduce(rows, Cyclo.is_zero, Cyclo.inverse, operator.mul, operator.sub)
+    """l(b): the rank over GF(ell) of b's rows of the table mod ell, on the
+    p-regular classes.
+
+    Why this is exact, with s the number of p-regular classes: l(b) is the
+    rank of the same rows over the cyclotomic field.  A rank can only drop
+    under reduction, so each rank mod ell is at most l(b).  Column
+    orthogonality gives X^T X-bar = diag |C_G(g)| for the table X, and ell
+    does not divide |G|, so X mod ell is invertible and its p-regular
+    columns have rank s; hence the ranks mod ell of the blocks sum to at
+    least s.  As the l(b) sum to s, s <= sum rank_ell(b) <= sum l(b) = s,
+    and every rank mod ell equals l(b).  _block_distribution raises when
+    the ranks do not sum to s.
+    """
+    _, pivots = _rref_mod(table.residues[np.ix_(idxs, table.p_regular_indices(p))], table.ell)
     return len(pivots)
 
 
@@ -192,7 +211,6 @@ def brauer_induce(blk_local: Block, group: PermGroup):
     ctx = _context_for(table_g, p)
     table_h = blk_local.table
     chi = blk_local.char_indices[0]
-    deg = Fraction(1, table_h.degrees[chi])
 
     h_class_of_g_class: dict[int, list[int]] = {}
     elements = h.elements()
@@ -204,7 +222,12 @@ def brauer_induce(blk_local: Block, group: PermGroup):
         total = Cyclo.zero()
         for hj in h_class_of_g_class.get(j, ()):  # one term per element of K cap H
             total = total + table_h.values[chi][hj]
-        sig.append(ctx.reduce(total * deg))
+        # a sum of central characters of h, so an algebraic integer
+        w = total.exact_div(table_h.degrees[chi])
+        if w is None:
+            raise InternalInconsistency(
+                f"induced central character at class {j} is not an algebraic integer")
+        sig.append(ctx.reduce(w))
     return _block_with_signature(table_g, p, tuple(sig))
 
 
@@ -240,8 +263,8 @@ def block_idempotent_vectors(table: CharacterTable, p: int):
     """e_b mod p as vectors over the class-sum basis of Z(kG).
 
     The class-K coefficient of e_b is sum_{chi in b} chi(1) chi(g_K^-1) / |G|,
-    a p-integral cyclotomic value; p-integrality is asserted by the
-    reduction itself (a p-divisible denominator raises).
+    a p-integral cyclotomic value: the sum divides exactly by |G|_p (else
+    NotPIntegral), and the quotient reduces times the inverse of |G|_p' mod p.
     """
     return table.group._memo(("idempotents", p), lambda: _idempotent_vectors(table, p))
 
@@ -249,6 +272,8 @@ def block_idempotent_vectors(table: CharacterTable, p: int):
 def _idempotent_vectors(table: CharacterTable, p: int):
     ctx = _context_for(table, p)
     n = table.group.order
+    n_p = p_part(n, p)
+    scale = ctx.field.scalar(pow(n // n_p, -1, p))
     out = []
     for blk in block_distribution(table, p):
         vec = []
@@ -257,7 +282,11 @@ def _idempotent_vectors(table: CharacterTable, p: int):
             jinv = table.inverse_class[j]
             for i in blk.char_indices:
                 total = total + table.values[i][jinv] * table.degrees[i]
-            vec.append(ctx.reduce(total * Fraction(1, n)))
+            w = total.exact_div(n_p)
+            if w is None:
+                raise NotPIntegral(
+                    f"idempotent coefficient at class {j} is not {p}-integral")
+            vec.append(ctx.field.mul(ctx.reduce(w), scale))
         out.append(tuple(vec))
     return tuple(out), ctx
 

@@ -12,9 +12,12 @@ are composed at the base points only and named by the exact element keys
 of groups._ElementIndex, whose codes stay below |G| * degree, so int64
 never overflows for a group the order cap admits.
 Degrees are recovered from the orthogonality relation, and the exact
-cyclotomic character values are reconstructed by discrete Fourier
-inversion over the power maps, using the root-of-unity correspondence
-zeta_e <-> w^((ell-1)/e) for a fixed primitive root w.
+character values, integer vectors in the power basis of Z[zeta_e], are
+reconstructed by discrete Fourier inversion over the power maps, using the
+root-of-unity correspondence zeta_e <-> w^((ell-1)/e) for a fixed
+primitive root w.  The table keeps ell and the values mod ell (the prime
+above ell that this correspondence fixes), from which blocks takes l(b)
+as a rank over GF(ell).
 
 Every emitted table is verified against both orthogonality relations, in
 full and in exact integer arithmetic on power-basis coordinates (int64
@@ -94,6 +97,8 @@ class CharacterTable:
     values: tuple          # values[i][j]: Cyclo, character i at class j
     exponent: int
     inverse_class: tuple[int, ...]
+    ell: int                  # the prime of the eigenvector method, ell = 1 (mod exponent)
+    residues: np.ndarray = field(compare=False, repr=False)  # values mod ell, int64 r x r
 
     @property
     def n_classes(self) -> int:
@@ -120,7 +125,7 @@ class CharacterTable:
         e = self.exponent
         phi = _phi(e)
         fold = [_power_basis_rows(e)[s % e] for s in range(2 * phi - 1)]
-        lifted = [[[int(c) for c in v._lift(e)] for v in row] for row in self.values]
+        lifted = [[v._lift(e) for v in row] for row in self.values]
         big = max(abs(c) for row in lifted for v in row for c in v)
         reach = max(abs(c) for row in fold for c in row)
         bound = n * big * big * phi * (2 * phi - 1) * reach
@@ -270,21 +275,18 @@ def _build_table(group: PermGroup, class_cap: int) -> CharacterTable:
         deg = _sqrt_small(d2, ell, n)
         chi_mod = [(deg * int(v[j]) * size_inv[j]) % ell for j in range(r)]
         values = _lift_row(chi_mod, deg, power_classes, root_powers, ell, lifted)
-        rows.append((deg, values))
+        rows.append((deg, values, chi_mod))
 
-    rows = _sort_rows(rows, r)
-    degrees = tuple(deg for deg, _ in rows)
-    values = tuple(tuple(vals) for _, vals in rows)
+    rows = _sort_rows(rows)
+    degrees = tuple(deg for deg, _, _ in rows)
+    values = tuple(tuple(vals) for _, vals, _ in rows)
 
     if sum(d * d for d in degrees) != n:
         raise InternalInconsistency("degree squares do not sum to the group order")
-    for row in values:
-        for v in row:
-            if not v.is_integral():
-                raise InternalInconsistency("character value is not an algebraic integer")
     table = CharacterTable(group=group, classes=classes, degrees=degrees,
                            values=values, exponent=exponent,
-                           inverse_class=inverse_class)
+                           inverse_class=inverse_class, ell=ell,
+                           residues=np.array([res for _, _, res in rows], dtype=np.int64))
     table.verify_orthogonality()
     return table
 
@@ -406,7 +408,7 @@ def _lift_row(chi_mod, deg, power_classes, root_powers, ell, lifted):
     for pows, zpow in zip(power_classes, root_powers):
         e_j = len(pows)
         if e_j == 1:
-            values.append(Cyclo.rational(deg))
+            values.append(Cyclo.integer(deg))
             continue
         e_j_inv = pow(e_j, -1, ell)
         chi_pows = [chi_mod[q] for q in pows]
@@ -430,18 +432,21 @@ def _lift_row(chi_mod, deg, power_classes, root_powers, ell, lifted):
     return values
 
 
-def _sort_rows(rows, r):
+def _sort_rows(rows):
+    """Rows (degree, values, residues): the trivial character first, then by
+    (degree, value fingerprint)."""
     def fingerprint(vals):
         return tuple(v.key() for v in vals)
 
     trivial = None
     rest = []
     one = Cyclo.one()
-    for deg, vals in rows:
+    for row in rows:
+        deg, vals, _ = row
         if deg == 1 and trivial is None and all(v == one for v in vals):
-            trivial = (deg, vals)
+            trivial = row
         else:
-            rest.append((deg, vals))
+            rest.append(row)
     if trivial is None:
         raise InternalInconsistency("trivial character missing from the table")
     rest.sort(key=lambda row: (row[0], fingerprint(row[1])))

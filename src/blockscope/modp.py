@@ -4,19 +4,21 @@ For a conductor m = p^a * m' (p not dividing m'), the residue field is
 GF(p^f) with f the multiplicative order of p mod m'.  The ideal is pinned
 by the lexicographically least irreducible factor g of Phi_{m'} over
 GF(p): the field is realized as GF(p)[y]/(g) and zeta_m maps to the class
-of y (so the p-power part of zeta collapses to 1).  Block partitions do
-not depend on the factor choice; the test suite re-runs one group under a
-second factor and asserts identical partitions.
+of y (so the p-power part of zeta collapses to 1).  A value's integer
+power-basis coordinates reduce mod p, so the map is defined on all of
+Z[zeta_m]; a p-integral quotient x / n is reduced by its caller as
+(x / n_p) times the inverse of n_p' mod p.  Block partitions do not depend
+on the factor choice; the test suite re-runs one group under a second
+factor and asserts identical partitions.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import Cyclo
-from .errors import InternalInconsistency, NotPIntegral
+from .errors import InternalInconsistency
 from .exact import p_part, prime_factors
 
 __all__ = ["GFq", "ModPContext", "mod_p_context"]
@@ -28,7 +30,8 @@ class GFq:
     def __init__(self, p: int, modulus: tuple[int, ...]):
         self.p = p
         self.modulus = tuple(c % p for c in modulus)
-        assert self.modulus[-1] == 1, "modulus must be monic"
+        if self.modulus[-1] != 1:
+            raise InternalInconsistency(f"modulus {modulus} is not monic mod {p}")
         self.f = len(modulus) - 1
         self.size = p**self.f
         self.zero = (0,) * self.f
@@ -137,7 +140,7 @@ def _phi_factors_mod_p(mprime: int, p: int) -> tuple:
     K = GFq(p, boot)
     gen = _find_generator(K)
     zeta = K.pow(gen, (K.size - 1) // mprime)
-    assert K.element_order(zeta) == mprime
+    _check_order(K, zeta, mprime)
     # Frobenius orbits on primitive residues give the irreducible factors
     prim = [j for j in range(1, mprime) if math.gcd(j, mprime) == 1]
     seen = set()
@@ -162,7 +165,8 @@ def _phi_factors_mod_p(mprime: int, p: int) -> tuple:
             poly = new
         coeffs = []
         for c in poly:
-            assert all(x == 0 for x in c[1:]), "factor not over the prime field"
+            if any(c[1:]):
+                raise InternalInconsistency(f"a factor of Phi_{mprime} is not over GF({p})")
             coeffs.append(c[0])
         factors.append(tuple(coeffs))
     factors.sort()
@@ -185,14 +189,41 @@ def _find_irreducible(p: int, f: int) -> tuple:
 
 
 def _is_irreducible(p: int, poly: tuple) -> bool:
+    """Rabin's test for a monic poly of degree f: x^(p^f) = x mod poly, and
+    gcd(x^(p^(f/q)) - x, poly) = 1 for every prime q | f."""
     f = len(poly) - 1
-    # x^(p^f) = x mod poly, and x^(p^(f/q)) != x for prime q | f
     if _polpow_x(p, poly, p**f) != (0, 1):
         return False
     for q in prime_factors(f):
-        if _polpow_x(p, poly, p**(f // q)) == (0, 1):
+        h = list(_polpow_x(p, poly, p**(f // q))) + [0]
+        h[1] -= 1
+        if not _coprime(p, poly, h):
             return False
     return True
+
+
+def _coprime(p: int, a, b) -> bool:
+    """gcd(a, b) = 1 over GF(p), for coefficient sequences, ascending degree."""
+    a, b = _canonical_mod(p, a), _canonical_mod(p, b)
+    while b:
+        inv = pow(b[-1], -1, p)
+        # a mod b, by long division
+        while len(a) >= len(b):
+            c = a[-1] * inv
+            shift = len(a) - len(b)
+            for i, y in enumerate(b):
+                a[shift + i] -= c * y
+            a = _canonical_mod(p, a)
+        a, b = b, a
+    return len(a) == 1
+
+
+def _canonical_mod(p: int, a) -> list:
+    """Coefficients reduced mod p without trailing zeros; [] is 0."""
+    a = [c % p for c in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
 def _polpow_x(p: int, modulus: tuple, n: int) -> tuple:
@@ -227,6 +258,11 @@ def _polpow_x(p: int, modulus: tuple, n: int) -> tuple:
     return result
 
 
+def _check_order(K: GFq, a, order: int):
+    if K.element_order(a) != order:
+        raise InternalInconsistency(f"the image of zeta does not have order {order}")
+
+
 def _find_generator(K: GFq) -> tuple:
     n = K.size - 1
     primes = prime_factors(n)
@@ -256,39 +292,32 @@ class ModPContext:
         elif self.field.f == 1:
             # linear factor y - root: the class of y is the root itself
             self.zeta_image = ((-self.field.modulus[0]) % p,)
-            assert self.field.element_order(self.zeta_image) == mprime
+            _check_order(self.field, self.zeta_image, mprime)
         else:
             self.zeta_image = tuple([0, 1] + [0] * (self.field.f - 2))
-            assert self.field.element_order(self.zeta_image) == mprime
+            _check_order(self.field, self.zeta_image, mprime)
         # image of zeta_m^k depends only on k mod m'
         table = []
         cur = self.field.one
-        for _ in range(max(1, mprime)):
+        for _ in range(mprime):
             table.append(cur)
             cur = self.field.mul(cur, self.zeta_image)
         self._zpow = table
 
-    def reduce_rational(self, q: Fraction) -> tuple:
-        if q.denominator % self.p == 0:
-            raise NotPIntegral(f"denominator of {q} is divisible by {self.p}")
-        num = q.numerator % self.p
-        den = pow(q.denominator % self.p, -1, self.p)
-        return self.field.scalar(num * den)
-
     def reduce(self, x) -> tuple:
-        """Image of a p-integral cyclotomic value in the residue field."""
-        if isinstance(x, (int, Fraction)):
-            x = Cyclo.rational(x)
+        """Image of a cyclotomic integer (or an int) in the residue field."""
+        if isinstance(x, int):
+            x = Cyclo.integer(x)
         if self.m % x.m != 0:
             raise ValueError(f"conductor {x.m} does not divide context conductor {self.m}")
         step = self.m // x.m
-        out = self.field.zero
+        p = self.p
+        out = [0] * self.field.f
         for k, c in enumerate(x.coeffs):
-            if c == 0:
-                continue
-            img = self._zpow[(k * step) % max(1, self.m_prime)]
-            out = self.field.add(out, self.field.mul(self.reduce_rational(c), img))
-        return out
+            if c % p:
+                for i, y in enumerate(self._zpow[(k * step) % self.m_prime]):
+                    out[i] += c * y
+        return tuple(c % p for c in out)
 
     def __repr__(self):
         return (f"ModPContext(m={self.m}, p={self.p}, "

@@ -114,9 +114,6 @@ class Perm:
             out.append(tuple(cycle))
         return out
 
-    def cycle_type(self):
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
-
     def moved_points(self):
         return [i for i, j in enumerate(self.images) if i != j]
 

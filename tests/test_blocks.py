@@ -1,13 +1,16 @@
+import dataclasses
+
 import pytest
 
 from conftest import group
-from blockscope.blocks import (block_distribution, block_idempotent_vectors,
+from blockscope.blocks import (_block_distribution, _idempotent_vectors,
+                               block_distribution, block_idempotent_vectors,
                                brauer_induce, central_characters, induce_principal_block,
                                lower_defect_multiplicities, p_subgroup_classes,
                                principal_block)
 from blockscope.chartable import character_table
 from blockscope.cyclotomic import Cyclo
-from blockscope.errors import InputError
+from blockscope.errors import InputError, InternalInconsistency, NotPIntegral
 from blockscope.groups import normalizer, quotient_by_normal, sylow_subgroup
 from blockscope.modp import mod_p_context
 from blockscope.perms import Perm
@@ -72,7 +75,7 @@ def test_s5_small_block_defect_group_from_three_cycles():
     # Sylow_2(C_S5((123))) = <(45)>
     assert small.defect_group.order == 2
     gen = small.defect_group.generators[0]
-    assert gen.cycle_type() == (2,)
+    assert [len(c) for c in gen.cycles()] == [2]
 
 
 def test_a4_single_block():
@@ -127,6 +130,15 @@ def test_block_count_sums():
             assert 1 <= b.l <= b.k
             if b.defect == 0:
                 assert b.k == b.l == 1 and b.defect_group.order == 1
+
+
+def test_rank_certificate_catches_tampered_residues():
+    table = character_table(group("S5"))
+    small = block_distribution(table, 2)[1]
+    residues = table.residues.copy()
+    residues[list(small.char_indices)] = 0     # that block's rank mod ell drops to 0
+    with pytest.raises(InternalInconsistency, match="p-regular classes"):
+        _block_distribution(dataclasses.replace(table, residues=residues), 2)
 
 
 def test_principal_defect_group_is_sylow():
@@ -210,6 +222,16 @@ def test_idempotents_orthogonal_and_sum_to_one():
         assert _check_idempotents(table, 2)
         # coefficients are p-integral by construction (reduction succeeded)
         assert len(vectors) == len(block_distribution(table, 2))
+
+
+def test_idempotent_division_not_p_integral():
+    table = character_table(group("Z6"))
+    block_distribution(table, 2)               # blocks of the true table
+    values = list(table.values)
+    # the principal block's coefficient at 1 becomes (2 + 1) / 6, not 2-integral
+    values[0] = (Cyclo.integer(2),) + values[0][1:]
+    with pytest.raises(NotPIntegral):
+        _idempotent_vectors(dataclasses.replace(table, values=tuple(values)), 2)
 
 
 # -- lower defect multiplicities

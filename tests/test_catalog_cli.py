@@ -107,6 +107,18 @@ def test_cli_analyze_recipe_file(tmp_path):
     assert json.loads(out.read_text())["case_label"] == "P_equals_Q"
 
 
+def test_cli_analyze_z7_at_3(tmp_path, capsys):
+    # GF(3^6) is the residue field: its modulus must be irreducible
+    recipe = tmp_path / "z7.json"
+    recipe.write_text(json.dumps({"kind": "cyclic", "n": 7}))
+    out = tmp_path / "z7_report.json"
+    code = main(["analyze", "--group", str(recipe), "--prime", "3", "--out", str(out)])
+    assert code == EXIT_PASS
+    assert "Traceback" not in capsys.readouterr().err
+    payload = json.loads(out.read_text())
+    assert [(b["k"], b["l"]) for b in payload["blocks"]] == [(1, 1)] * 7
+
+
 def test_cli_analyze_strict_flag(tmp_path, capsys):
     out = tmp_path / "g96.json"
     code = main(["analyze", "--group", "G96", "--strict-lt-16", "--out", str(out)])

@@ -1,11 +1,10 @@
+import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
 from blockscope.cyclotomic import Cyclo, zeta
-from blockscope.errors import NotPIntegral
-from blockscope.modp import mod_p_context
+from blockscope.modp import _find_irreducible, _is_irreducible, mod_p_context
 
 
 def test_gf4_context():
@@ -31,17 +30,32 @@ def test_conductor_12_factors_through_3():
 
 def test_rational_reduction():
     ctx = mod_p_context(4, 2)
-    assert ctx.reduce(Cyclo.rational(7)) == ctx.field.one
+    assert ctx.reduce(Cyclo.integer(7)) == ctx.field.one
     assert ctx.reduce(zeta(4) + zeta(4, 3)) == ctx.field.zero
-    assert ctx.reduce(Cyclo.rational(Fraction(1, 3))) == ctx.field.one  # 3^-1 = 1 mod 2
+    assert ctx.reduce(-3) == ctx.field.one
 
 
-def test_not_p_integral():
-    ctx = mod_p_context(4, 2)
-    with pytest.raises(NotPIntegral):
-        ctx.reduce(Cyclo.rational(Fraction(1, 2)))
-    with pytest.raises(NotPIntegral):
-        ctx.reduce(zeta(4) * Fraction(3, 4))
+def _sympy_irreducible(p, poly):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    return sympy.Poly(list(reversed(poly)), x, modulus=p).is_irreducible
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
+def test_irreducibility_matches_sympy(p, f):
+    for tail in itertools.product(range(p), repeat=f):
+        poly = tail + (1,)
+        assert _is_irreducible(p, poly) == _sympy_irreducible(p, poly), poly
+
+
+@pytest.mark.parametrize("p,f", [(2, 4), (2, 6), (2, 8), (2, 12), (3, 4), (3, 6),
+                                 (3, 12), (5, 4), (5, 6), (7, 3), (7, 6)])
+def test_find_irreducible_matches_sympy(p, f):
+    # x^6 + x + 1 over GF(3) and x^12 + x^2 + 1 over GF(3) pass the test
+    # without Rabin's gcd step, yet both are reducible
+    poly = _find_irreducible(p, f)
+    assert len(poly) == f + 1 and poly[-1] == 1
+    assert _sympy_irreducible(p, poly)
 
 
 def test_reduction_is_ring_homomorphism():
@@ -56,7 +70,7 @@ def test_reduction_is_ring_homomorphism():
             assert ctx.reduce(a + b) == ctx.field.add(ctx.reduce(a), ctx.reduce(b))
             assert ctx.reduce(a * b) == ctx.field.mul(ctx.reduce(a), ctx.reduce(b))
         assert ctx.reduce(Cyclo.one()) == ctx.field.one
-        assert ctx.reduce(Cyclo.rational(p)) == ctx.field.zero
+        assert ctx.reduce(Cyclo.integer(p)) == ctx.field.zero
 
 
 def test_factor_choice_is_pinned_and_enumerable():

@@ -41,7 +41,7 @@ def test_inverse_and_identity(a):
 def test_conjugation_is_action(a, g):
     assert a ** g == g.inverse() * a * g
     assert (a ** g).order() == a.order()
-    assert (a ** g).cycle_type() == a.cycle_type()
+    assert sorted(map(len, (a ** g).cycles())) == sorted(map(len, a.cycles()))
 
 
 @given(st.integers(0, 9).flatmap(lambda n: st.tuples(perms(n), perms(n), perms(n))))
