@@ -309,11 +309,11 @@ def _center_multiply(table: CharacterTable, ctx: ModPContext, vec, j: int):
     return tuple(out)
 
 
-def p_subgroup_classes(group: PermGroup, p: int,
-                       sylow: PermGroup | None = None) -> list[PermGroup]:
-    """G-conjugacy classes of p-subgroups (all lie in a fixed Sylow)."""
+def p_subgroup_classes(group: PermGroup, p: int) -> list[PermGroup]:
+    """G-conjugacy classes of p-subgroups, enumerated in the memoised Sylow
+    p-subgroup of group (every p-subgroup lies in a conjugate of it)."""
     return group._memo(("p_subgroup_classes", p), lambda: subgroup_classes_of_p_group(
-        sylow if sylow is not None else sylow_subgroup(group, p), group, p))
+        sylow_subgroup(group, p), group, p))
 
 
 @dataclass(frozen=True)

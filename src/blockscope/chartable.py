@@ -213,7 +213,7 @@ def _count_class_products(group: PermGroup, i: int) -> np.ndarray:
         b = len(zs)
         # row s: the classes of x^-1 z_(k+s), offset by s * r so that one
         # bincount counts the whole block
-        found = class_at[index.keys(zs[:, inverses].reshape(-1, m))].reshape(b, size)
+        found = class_at[index.keys(zs[:, inverses].reshape(b * size, m))].reshape(b, size)
         counts = np.bincount((found + r * np.arange(b)[:, None]).ravel(), minlength=b * r)
         mi[:, k:k + b] = counts.reshape(b, r).T
     return mi

@@ -24,7 +24,7 @@ from .errors import InternalInconsistency
 from .exact import nu, p_part
 from .fusion import FusionSystem, omega1
 from .groups import (PermGroup, abelian_invariants, center, centralizer, fixed_points,
-                     normalizer, o_p_core, same_subgroup)
+                     normalizer, o_p_core, same_subgroup, sylow_subgroup)
 
 __all__ = ["ClassificationReport", "classify_case", "verify_counts",
            "count_weights", "check_local_structure", "Q_ORDER_LIMIT"]
@@ -221,15 +221,19 @@ def count_weights(group: PermGroup, p: int, blk: Block) -> int:
     theta an irreducible character of N_G(R)/R of defect zero whose
     inflation's block in N_G(R) induces to blk.  Inflations are detected
     by kernel containment, so no quotient tables are needed.  Only radical
-    R, with R = O_p(N_G(R)), can carry a weight.
+    R, with R = O_p(N_G(R)), can carry a weight.  The radical test grows
+    the Sylow subgroup of N_G(R) from N_P(R), with P the Sylow subgroup the
+    classes R were enumerated in; N_P(R) is most often Sylow in N_G(R)
+    already, so the climb takes no step.
     """
     from .blocks import p_subgroup_classes
 
+    sylow = sylow_subgroup(group, p)
     total = 0
     for r in p_subgroup_classes(group, p):
         n = normalizer(group, r) if r.order > 1 else group
         # N/R has a block of defect zero only if O_p(N/R) = 1 (Alperin 1987)
-        if len(o_p_core(n, p)) != r.order:
+        if len(o_p_core(n, p, start=normalizer(sylow, r))) != r.order:
             continue
         tab_n = character_table(n)
         blocks_n = block_distribution(tab_n, p)

@@ -211,19 +211,6 @@ class Cyclo:
             return None
         return Cyclo(self.m, tuple(c // n for c in self.coeffs), _normalized=True)
 
-    def galois(self, a: int) -> "Cyclo":
-        """Apply the automorphism zeta -> zeta^a (a coprime to the conductor)."""
-        if self.m == 1:
-            return self
-        if math.gcd(a, self.m) != 1:
-            raise ValueError("galois exponent must be coprime to the conductor")
-        vec = _reduce_exponent_dict(
-            self.m, {(k * a) % self.m: c for k, c in enumerate(self.coeffs)})
-        return Cyclo(self.m, vec)
-
-    def conjugate(self) -> "Cyclo":
-        return self.galois(self.m - 1) if self.m > 1 else self
-
     # -- canonical form plumbing
 
     def __eq__(self, other):

@@ -136,7 +136,7 @@ class FusionSystem:
 
     def subgroup_classes(self) -> list[PermGroup]:
         from .blocks import p_subgroup_classes
-        return p_subgroup_classes(self.group, self.p, sylow=self.sylow)
+        return p_subgroup_classes(self.group, self.p)
 
     # -- automizers
 

@@ -5,7 +5,9 @@ Schreier-Sims procedure, which gives exact orders, membership tests and
 element enumeration.  Centralizers, normalizers and subgroup-conjugacy
 transporters are computed by orbit-stabilizer searches on the conjugation
 action; their correctness is anchored by brute-force oracles in the test
-suite for every group below the oracle cap.
+suite for every group below the oracle cap.  A Sylow subgroup is grown
+from a given p-subgroup through nested normalizers, so its orbit walks run
+in ever smaller groups; each group memoises one Sylow subgroup per prime.
 
 All objects are immutable after construction and safe for concurrent
 reads.  Derived data (classes, element lists, local subgroups) is memoised
@@ -611,14 +613,18 @@ def o_p_residual(g: PermGroup, p: int) -> PermGroup:
     return n
 
 
-def o_p_core(g: PermGroup, p: int) -> frozenset:
+def o_p_core(g: PermGroup, p: int, start: PermGroup | None = None) -> frozenset:
     """Element set of O_p(g), the core of a Sylow p-subgroup.
 
-    Intersects the Sylow subgroup's element set with its conjugates under
-    g's generators until it stops changing; what remains is normalized by
-    every generator, so it is the largest normal subgroup inside the Sylow.
+    A p-group is its own core.  Otherwise intersects the element set of the
+    Sylow subgroup grown from `start` (see :func:`sylow_subgroup`) with its
+    conjugates under g's generators until it stops changing; what remains
+    is normalized by every generator, so it is the largest normal subgroup
+    inside the Sylow.
     """
-    core = frozenset(sylow_subgroup(g, p).elements())
+    if g.is_p_group(p):
+        return frozenset(g.elements())
+    core = frozenset(sylow_subgroup(g, p, start).elements())
     while True:
         shrunk = core
         for gg in g.generators:
@@ -628,29 +634,53 @@ def o_p_core(g: PermGroup, p: int) -> frozenset:
         core = shrunk
 
 
-def sylow_subgroup(g: PermGroup, p: int) -> PermGroup:
-    """A Sylow p-subgroup, grown by normalizer climbing.
+def sylow_subgroup(g: PermGroup, p: int, start: PermGroup | None = None) -> PermGroup:
+    """A Sylow p-subgroup of g containing `start`, a p-subgroup of g.
 
-    Deterministic: each new p-element is the first one, in element
-    enumeration order of the current normalizer, outside the current
-    p-subgroup.
+    A p-group is its own Sylow subgroup.  Without `start` the climb begins
+    at the trivial group and its result is memoised on g, so every caller
+    shares one Sylow subgroup per group and prime; grown from a `start`,
+    the result is not memoised.
+
+    Growth: while |s| < |g|_p, let n = N_g(s).  If n < g, s becomes the
+    Sylow subgroup of n containing s, found by recursion into n.  If n = g
+    (tested on generators, without computing n), s is normal in g and grows
+    to <s, z> = s<z>, a p-group, with z the first p-element outside s in g's
+    element enumeration.
+
+    Why each pass grows s: s is normal in n, so s lies in every Sylow
+    subgroup of n.  If s is not Sylow in g, then in a Sylow subgroup P of g
+    containing s, N_P(s) > s, so |n|_p > |s|: the recursion returns a
+    larger group, and when n = g some Sylow subgroup holds a p-element
+    outside s.  Each recursion is into a smaller group, so the climb ends.
+    Its orbit walks run in the nested normalizers, not in g.
+    Deterministic: the choices depend only on the generators.
     """
+    if g.is_p_group(p):
+        return g
+    if start is None:
+        return g._memo(("sylow", p), lambda: _grow_sylow(
+            g, p, PermGroup(g.degree, [], parent=g._top(), _skip_check=True)))
+    return _grow_sylow(g, p, start)
+
+
+def _grow_sylow(g: PermGroup, p: int, s: PermGroup) -> PermGroup:
     target = p_part(g.order, p)
-    s = PermGroup(g.degree, [], parent=g._top(), _skip_check=True)
     while s.order < target:
-        n = normalizer(g, s) if s.order > 1 else g
-        z = None
-        for x in n.bsgs.iter_elements():
-            xp = x ** (x.order() // p_part(x.order(), p))
-            if not xp.is_identity() and xp not in s:
-                z = xp
-                break
-        if z is None:  # pragma: no cover - contradicts Sylow theory
+        if any(x ** y not in s for x in s.generators for y in g.generators):
+            grown = sylow_subgroup(normalizer(g, s), p, s)
+        else:
+            p_parts = (x ** (x.order() // p_part(x.order(), p))
+                       for x in g.bsgs.iter_elements())
+            z = next((z for z in p_parts if z not in s), None)
+            grown = None if z is None else PermGroup(
+                g.degree, list(s.generators) + [z], parent=g._top(), _skip_check=True)
+        # neither can happen: each contradicts Sylow theory
+        if grown is None or grown.order == s.order:  # pragma: no cover
             raise InternalInconsistency("sylow climb stalled")
-        s = PermGroup(g.degree, list(s.generators) + [z],
-                      parent=g._top(), _skip_check=True)
-        if not s.is_p_group(p):  # pragma: no cover
+        if not grown.is_p_group(p):  # pragma: no cover
             raise InternalInconsistency("sylow climb left the p-group")
+        s = grown
     return s
 
 

@@ -253,8 +253,10 @@ def recipe_from_json(obj) -> GroupRecipe:
     kind = obj["kind"]
 
     def field(name, types=(dict, str)):
-        # a missing or ill-typed field is a parse error, not a KeyError later
-        if not isinstance(obj.get(name), types):
+        # a missing or ill-typed field is a parse error, not a KeyError later;
+        # bool is a subclass of int, but true is no group size
+        value = obj.get(name)
+        if not isinstance(value, types) or isinstance(value, bool):
             raise ParseError(f"{kind!r} recipe needs a field {name!r} of type "
                              + " or ".join(t.__name__ for t in types))
         return obj[name]

@@ -119,6 +119,23 @@ def test_cli_analyze_z7_at_3(tmp_path, capsys):
     assert [(b["k"], b["l"]) for b in payload["blocks"]] == [(1, 1)] * 7
 
 
+@pytest.mark.parametrize("recipe", [
+    {"kind": "cyclic", "n": 1},
+    {"kind": "symmetric", "n": 1},
+    {"kind": "alternating", "n": 2},
+])
+def test_cli_analyze_trivial_group(recipe, tmp_path, capsys):
+    # the trivial group has an empty base: its class matrix kernel sees m = 0
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps(recipe))
+    out = tmp_path / "trivial_report.json"
+    assert main(["analyze", "--group", str(path), "--out", str(out)]) == EXIT_PASS
+    assert "Traceback" not in capsys.readouterr().err
+    payload = json.loads(out.read_text())
+    assert [(b["k"], b["l"]) for b in payload["blocks"]] == [(1, 1)]
+    assert all(payload["invariant_suite"].values())
+
+
 def test_cli_analyze_strict_flag(tmp_path, capsys):
     out = tmp_path / "g96.json"
     code = main(["analyze", "--group", "G96", "--strict-lt-16", "--out", str(out)])
@@ -179,6 +196,8 @@ def test_cli_rejects_a_non_prime(prime, capsys):
 @pytest.mark.parametrize("recipe", [
     {"kind": "cyclic"},
     {"kind": "cyclic", "n": "4"},
+    {"kind": "cyclic", "n": True},
+    {"kind": "alternating", "n": False},
     {"kind": "direct", "a": {"kind": "cyclic", "n": 2}},
     {"kind": "semidirect", "base": {"kind": "cyclic", "n": 3},
      "acting": {"kind": "cyclic", "n": 2}},

@@ -153,13 +153,18 @@ def test_trivial_character_first():
         assert all(v == Cyclo.one() for v in table.values[0])
 
 
+def _conjugate(v):
+    """The complex conjugate: zeta_m^k -> zeta_m^-k on every term."""
+    return Cyclo.from_exponents(v.m, {(-k) % v.m: c for k, c in enumerate(v.coeffs)})
+
+
 def test_inverse_class_values_are_conjugate():
     for name in ("A4", "A5", "L48", "G96"):
         table = character_table(group(name))
         for i in range(table.n_classes):
             for j in range(table.n_classes):
                 assert table.values[i][table.inverse_class[j]] == \
-                    table.values[i][j].conjugate()
+                    _conjugate(table.values[i][j])
 
 
 def test_values_are_algebraic_integers():

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import (ORACLE_CAP, RECIPES, brute_centralizer_order, brute_class_count,
                       brute_conjugator, brute_normalizer_order, group)
 from blockscope.errors import NotAbelian, NotNormalized
+from blockscope.exact import p_part
 from blockscope.groups import (PermGroup, _BSGS, _element_index, _images_at,
                                _subgroups_of_p_group, abelian_invariants, center,
                                centralizer, derived_subgroup, fixed_points, normal_closure,
@@ -396,10 +397,15 @@ def test_sylow_derived_and_normal_closure_orders_match_sympy(recipe, data):
     assume(g.degree <= 9)
     theirs = combinatorics.PermutationGroup(
         [combinatorics.Permutation(list(x.images)) for x in g.generators])
+    x = data.draw(st.sampled_from(g.elements()))
     for p in (2, 3):
-        sylow = sylow_subgroup(g, p)
-        assert sylow.order == theirs.sylow_subgroup(p).order()
-        assert sylow.is_p_group(p) and all(x in g for x in sylow.generators)
+        # grown from <x_p>, x_p the p-part of x, a Sylow subgroup contains it
+        start = g.subgroup([x ** (x.order() // p_part(x.order(), p))])
+        grown = sylow_subgroup(g, p, start)
+        assert all(y in grown for y in start.generators)
+        for sylow in (sylow_subgroup(g, p), grown):
+            assert sylow.order == theirs.sylow_subgroup(p).order()
+            assert sylow.is_p_group(p) and all(y in g for y in sylow.generators)
     assert derived_subgroup(g).order == theirs.derived_subgroup().order()
     seeds = data.draw(st.lists(st.sampled_from(g.elements()), min_size=1, max_size=2))
     closure = theirs.normal_closure(combinatorics.PermutationGroup(
@@ -417,6 +423,64 @@ def test_sylow_g96_is_rank2_wreath_shape():
     w = sylow_subgroup(group("Z4wrZ2"), 2)
     assert s.order == 32
     assert subgroup_fingerprint(s) == subgroup_fingerprint(w)
+
+
+def _climb_sylow(g, p):
+    """The former construction, kept as an oracle: from the trivial group,
+    add the first p-element of N_g(s) outside s, every normalizer taken in g."""
+    target = p_part(g.order, p)
+    s = g.subgroup([])
+    while s.order < target:
+        n = normalizer(g, s) if s.order > 1 else g
+        z = next(xp for xp in (x ** (x.order() // p_part(x.order(), p))
+                               for x in n.elements()) if xp not in s)
+        s = g.subgroup(list(s.generators) + [z])
+        assert s.is_p_group(p)
+    return s
+
+
+def _climb_o_p(g, p):
+    core = frozenset(_climb_sylow(g, p).elements())
+    for x in g.elements():
+        core &= frozenset(y ** x for y in core)
+    return core
+
+
+@pytest.mark.parametrize("name", ["D8", "Z4wrZ2"])
+def test_sylow_of_a_p_group_is_the_group(name):
+    g = group(name)
+    assert sylow_subgroup(g, 2) is g
+    assert sylow_subgroup(g, 2, g.subgroup([])) is g
+    assert o_p_core(g, 2) == g.element_set()
+
+
+def test_sylow_is_memoised_without_a_start():
+    g = construct_group(symmetric(6))
+    s = sylow_subgroup(g, 2)
+    assert sylow_subgroup(g, 2) is s
+    assert sylow_subgroup(g, 3) is not s
+    # grown from a start, a Sylow subgroup is built afresh and not memoised
+    t = g.subgroup([cyc(6, (0, 1))])
+    grown = sylow_subgroup(g, 2, t)
+    assert grown.order == 16 and t.generators[0] in grown
+    assert sylow_subgroup(g, 2) is s
+
+
+def test_radical_test_matches_the_former_climb_on_in_scope_entries():
+    from blockscope.blocks import p_subgroup_classes
+    from blockscope.catalog import builtin_catalog_path, load_catalog
+
+    entries = [e for e in load_catalog(builtin_catalog_path())
+               if e.expected.get("case_label") in ("P_equals_Q", "case_i", "case_ii")]
+    assert len(entries) >= 8
+    for entry in entries:
+        g = construct_group(entry.recipe)
+        sylow = sylow_subgroup(g, 2)
+        for r in p_subgroup_classes(g, 2):
+            n = normalizer(g, r) if r.order > 1 else g
+            core = o_p_core(n, 2, start=normalizer(sylow, r))
+            assert core == o_p_core(n, 2)
+            assert len(core) == len(_climb_o_p(n, 2)), (entry.name, r.order)
 
 
 # -- O^p
