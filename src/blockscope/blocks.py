@@ -360,11 +360,7 @@ def lower_defect_multiplicities(blk: Block) -> LowerDefectTable:
 
     # defect group of each p-regular class, matched into the class list
     pr = table.p_regular_indices(p)
-    class_rep_of = []
-    for j in pr:
-        d = sylow_subgroup(centralizer(group, table.classes[j].representative), p)
-        class_rep_of.append(_match_subgroup_class(group, d, reps))
-
+    class_rep_of = _defect_classes_of_p_regular_classes(table, p)
     # containment partial order on the subgroup classes
     leq = _containment_matrix(group, p)
 
@@ -395,6 +391,20 @@ def lower_defect_multiplicities(blk: Block) -> LowerDefectTable:
                 "nonzero multiplicity outside the defect group's subgroups")
     return LowerDefectTable(block=blk, subgroup_classes=tuple(reps),
                             multiplicities=tuple(mult))
+
+
+def _defect_classes_of_p_regular_classes(table: CharacterTable, p: int) -> list[int]:
+    """For each p-regular class, the p-subgroup class of a Sylow p-subgroup of
+    its centralizer (the class's defect group); shared by every block."""
+    group = table.group
+
+    def compute():
+        reps = p_subgroup_classes(group, p)
+        defect_groups = (sylow_subgroup(centralizer(group, table.classes[j].representative), p)
+                         for j in table.p_regular_indices(p))
+        return [_match_subgroup_class(group, d, reps) for d in defect_groups]
+
+    return group._memo(("p_regular_defect_classes", p), compute)
 
 
 def _match_subgroup_class(group: PermGroup, h: PermGroup, reps) -> int:

@@ -4,9 +4,11 @@ The table is computed by the classical finite-field method: the class-sum
 structure constants give commuting integer matrices whose simultaneous
 eigenvectors over a prime field GF(ell), ell = 1 (mod exponent) and
 ell^2 > 4|G|, are the central characters mod ell.  Class matrices are
-counted only when the splitting reads them, and each one splits a space
-by the kernels at the roots of its restriction's characteristic
-polynomial, the roots found by evaluating it on all of GF(ell) at once.
+counted only when the splitting reads them.  Each one splits only the
+subspaces on which it does not act as a scalar (Schneider 1990), by the
+kernels at the roots of its restriction's characteristic polynomial, the
+roots found by evaluating it on all of GF(ell) at once; subspaces stay rref
+bases with their pivots, and eliminations are rank-one array updates.
 A class matrix is counted by array operations on base images: products
 are composed at the base points only and named by the exact element keys
 of groups._ElementIndex, whose codes stay below |G| * degree, so int64
@@ -15,9 +17,9 @@ Degrees are recovered from the orthogonality relation, and the exact
 character values, integer vectors in the power basis of Z[zeta_e], are
 reconstructed by discrete Fourier inversion over the power maps, using the
 root-of-unity correspondence zeta_e <-> w^((ell-1)/e) for a fixed
-primitive root w.  The table keeps ell and the values mod ell (the prime
-above ell that this correspondence fixes), from which blocks takes l(b)
-as a rank over GF(ell).
+primitive root w: all rows at once, one matrix product mod ell per class.
+The table keeps ell and the values mod ell (the prime above ell that this
+correspondence fixes), from which blocks takes l(b) as a rank over GF(ell).
 
 Every emitted table is verified against both orthogonality relations, in
 full and in exact integer arithmetic on power-basis coordinates (int64
@@ -51,6 +53,11 @@ CLASS_COUNT_CAP = 300
 
 
 def _rref_mod(a: np.ndarray, ell: int):
+    """(reduced row echelon form of a mod ell, pivot columns).
+
+    Each pivot clears its column with one rank-one update over the columns
+    from the pivot on; the columns before it are already zero in its row.
+    """
     a = a % ell
     rows, cols = a.shape
     pivots = []
@@ -58,31 +65,31 @@ def _rref_mod(a: np.ndarray, ell: int):
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), -1, ell)) % ell
-        for rr in range(rows):
-            if rr != r and a[rr, c]:
-                a[rr] = (a[rr] - int(a[rr, c]) * a[r]) % ell
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, ell) % ell
+        f = a[:, c].copy()
+        f[r] = 0
+        a[:, c:] = (a[:, c:] - np.outer(f, a[r, c:])) % ell
         pivots.append(c)
         r += 1
     return a, pivots
 
 
-def _nullspace_mod(a: np.ndarray, ell: int) -> np.ndarray:
+def _nullspace_mod(a: np.ndarray, ell: int):
+    """(kernel of a mod ell as an rref row basis, its pivot columns)."""
     rows, cols = a.shape
     r, pivots = _rref_mod(a.copy(), ell)
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for ri, pc in enumerate(pivots):
-            basis[i, pc] = (-int(r[ri, fc])) % ell
-    return basis
+    basis[np.arange(len(free)), free] = 1
+    if pivots:
+        basis[:, pivots] = -r[:len(pivots), free].T % ell
+    return _rref_mod(basis, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +244,12 @@ def _build_table(group: PermGroup, class_cap: int) -> CharacterTable:
     for c in classes:
         exponent = math.lcm(exponent, c.element_order)
     ell = _choose_prime(exponent, n)
-    # _rref_mod, _charpoly_mod and the products in _common_eigenvectors hold
-    # sums of at most r products of residues in int64
-    if r * ell * ell >= 2**63:
-        raise CapExceeded(f"{r} classes mod {ell} overflow int64 arithmetic")
+    # the eliminations and products of _common_eigenvectors and the degree
+    # sums hold sums of at most r products of residues in int64, the
+    # multiplicity products of _lift_columns sums of e_j <= exponent of them
+    if max(r, exponent) * ell * ell >= 2**63:
+        raise CapExceeded(f"{r} classes of exponent {exponent} mod {ell} "
+                          "overflow int64 arithmetic")
 
     eigvecs = _common_eigenvectors(lambda i: _class_matrix(group, i), r, ell)
     if len(eigvecs) != r:
@@ -249,8 +258,14 @@ def _build_table(group: PermGroup, class_cap: int) -> CharacterTable:
 
     inverse_class = tuple(
         group.classes_of([c.representative.inverse() for c in classes]).tolist())
-    sizes = [c.size for c in classes]
-    size_inv = [pow(s % ell, -1, ell) for s in sizes]
+    size_inv = np.array([pow(c.size % ell, -1, ell) for c in classes], dtype=np.int64)
+
+    # normalize so the identity-class entries are 1
+    v = eigvecs * np.array([pow(int(x), -1, ell) for x in eigvecs[:, 0]])[:, None] % ell
+    # degrees from the orthogonality relation
+    norms = (v * v[:, inverse_class] % ell * size_inv % ell).sum(axis=1) % ell
+    degrees = _sqrt_small([n * pow(int(x), -1, ell) % ell for x in norms], ell, n)
+    chi_mod = degrees[:, None] * v % ell * size_inv % ell
 
     w = _primitive_root(ell)
     z_e = pow(w, (ell - 1) // exponent, ell)
@@ -258,35 +273,16 @@ def _build_table(group: PermGroup, class_cap: int) -> CharacterTable:
     powers = iter(group.classes_of([c.representative ** s for c in classes
                                     for s in range(c.element_order)]).tolist())
     power_classes = [list(islice(powers, c.element_order)) for c in classes]
-    # root_powers[j][k] = z_j^-k for z_j = z_e^(exponent / e_j), the root matching class j
-    root_powers = [[pow(z_e, -k * (exponent // c.element_order), ell)
-                    for k in range(c.element_order)] for c in classes]
-
-    rows = []
-    lifted: dict = {}   # (e_j, multiplicities) -> Cyclo, shared by this table's rows
-    for v in eigvecs:
-        # normalize so the identity-class entry is 1
-        v = (v * pow(int(v[0]), -1, ell)) % ell
-        # degree from the orthogonality relation
-        s = 0
-        for j in range(r):
-            s = (s + int(v[j]) * int(v[inverse_class[j]]) * size_inv[j]) % ell
-        d2 = (n * pow(s, -1, ell)) % ell
-        deg = _sqrt_small(d2, ell, n)
-        chi_mod = [(deg * int(v[j]) * size_inv[j]) % ell for j in range(r)]
-        values = _lift_row(chi_mod, deg, power_classes, root_powers, ell, lifted)
-        rows.append((deg, values, chi_mod))
-
-    rows = _sort_rows(rows)
-    degrees = tuple(deg for deg, _, _ in rows)
-    values = tuple(tuple(vals) for _, vals, _ in rows)
+    columns = _lift_columns(chi_mod, degrees, power_classes, z_e, exponent, ell)
+    order = _row_order(degrees.tolist(), columns)
+    degrees = tuple(degrees[order].tolist())
+    values = tuple(tuple(col[i] for col in columns) for i in order)
 
     if sum(d * d for d in degrees) != n:
         raise InternalInconsistency("degree squares do not sum to the group order")
     table = CharacterTable(group=group, classes=classes, degrees=degrees,
                            values=values, exponent=exponent,
-                           inverse_class=inverse_class, ell=ell,
-                           residues=np.array([res for _, _, res in rows], dtype=np.int64))
+                           inverse_class=inverse_class, ell=ell, residues=chi_mod[order])
     table.verify_orthogonality()
     return table
 
@@ -310,45 +306,47 @@ def _primitive_root(ell: int) -> int:
 def _common_eigenvectors(class_matrix, r: int, ell: int):
     """Split GF(ell)^r into common eigenlines of the class matrices.
 
-    Subspaces are stored as rref row-basis matrices; class_matrix(i), read
-    for i = 1, 2, ... until every subspace is a line, refines every
-    subspace of dimension > 1 into eigenspaces of its restriction (acting
-    on row vectors by M^T).
+    Each subspace is an rref row basis b with its pivot columns.
+    class_matrix(i), read for i = 1, 2, ... until every subspace is a line,
+    acts on row vectors by M^T; its restriction A to a subspace, with
+    A b = b M^T, is read off the pivot columns.  A subspace on which M acts
+    as a scalar is kept whole (Schneider, "Dixon's character table algorithm
+    revisited", J. Symbolic Comput. 9, 1990); any other splits into the
+    eigenspaces of A at the roots of its characteristic polynomial, found
+    by Horner's rule at all points of GF(ell) at once.  The eigen-rows c of
+    A (c A = lambda c) form the rref kernel K of A^T - lambda I, with pivots
+    kp, so K b is again in rref, with pivots pivots[kp].
     """
-    spaces = [np.eye(r, dtype=np.int64)]
+    spaces = [(np.eye(r, dtype=np.int64), list(range(r)))]
     points = np.arange(ell, dtype=np.int64)
     for i in range(1, r):
-        if all(b.shape[0] == 1 for b in spaces):
+        if all(b.shape[0] == 1 for b, _ in spaces):
             break
         mt = class_matrix(i).T.astype(np.int64) % ell   # counts come in the smallest dtype
         new_spaces = []
-        for b in spaces:
+        for b, pivots in spaces:
             d = b.shape[0]
             if d == 1:
-                new_spaces.append(b)
+                new_spaces.append((b, pivots))
                 continue
-            bm = (b @ mt) % ell
-            _, pivots = _rref_mod(b.copy(), ell)
-            # restriction A with A @ b = b @ M^T (read off pivot columns of rref basis);
-            # eigen-rows c of the restriction satisfy c A = lambda c, i.e. lie in the
-            # kernel of (A^T - lambda I), lambda a root of the characteristic polynomial,
-            # found by Horner's rule at all points of GF(ell) at once
-            at = bm[:, pivots].T % ell
+            at = (b @ mt[:, pivots]).T % ell
+            if (at == at[0, 0] * np.eye(d, dtype=np.int64)).all():
+                new_spaces.append((b, pivots))
+                continue
             value = np.zeros(ell, dtype=np.int64)
             for c in _charpoly_mod(at, ell)[::-1]:
                 value = (value * points + c) % ell
             remaining = d
             for lam in np.flatnonzero(value == 0):
-                ker = _nullspace_mod((at - int(lam) * np.eye(d, dtype=np.int64)) % ell, ell)
+                ker, kp = _nullspace_mod((at - int(lam) * np.eye(d, dtype=np.int64)) % ell, ell)
                 if ker.shape[0] == 0:
                     raise InternalInconsistency("an eigenvalue has no eigenvector")
-                sub, _ = _rref_mod((ker @ b) % ell, ell)
-                new_spaces.append(sub)
+                new_spaces.append(((ker @ b) % ell, [pivots[k] for k in kp]))
                 remaining -= ker.shape[0]
             if remaining != 0:  # pragma: no cover - the algebra splits over GF(ell)
                 raise InternalInconsistency("eigen decomposition did not split")
         spaces = new_spaces
-    return [b[0] % ell for b in spaces]
+    return np.array([b[0] for b, _ in spaces])
 
 
 def _charpoly_mod(a: np.ndarray, ell: int) -> np.ndarray:
@@ -386,68 +384,66 @@ def _charpoly_mod(a: np.ndarray, ell: int) -> np.ndarray:
     return polys[d]
 
 
-def _sqrt_small(d2: int, ell: int, n: int) -> int:
-    """The square root of d2 mod ell lying in [1, sqrt(n)]; unique as ell > 2 sqrt(n)."""
-    root = None
-    for cand in range(1, math.isqrt(n) + 1):
-        if (cand * cand) % ell == d2:
-            root = cand
-            break
-    if root is None:
+def _sqrt_small(d2s, ell: int, n: int) -> np.ndarray:
+    """For each d2, its square root mod ell in [1, sqrt(n)]; unique as ell > 2 sqrt(n)."""
+    roots = np.arange(1, math.isqrt(n) + 1, dtype=np.int64)
+    squares = roots * roots % ell
+    by_square = np.argsort(squares)
+    at = by_square[np.minimum(np.searchsorted(squares, d2s, sorter=by_square), len(roots) - 1)]
+    if (squares[at] != d2s).any():
         raise InternalInconsistency("no character degree matches the eigenvector")
-    return root
+    return roots[at]
 
 
-def _lift_row(chi_mod, deg, power_classes, root_powers, ell, lifted):
-    """Exact values from mod-ell data: root-of-unity multiplicities per class.
+def _lift_columns(chi_mod, degrees, power_classes, z_e, exponent, ell):
+    """Exact values from mod-ell data, one class (column) at a time.
 
-    `lifted` memoises each value by (e_j, multiplicities) across the rows of
-    one table; most classes of a table repeat a few multiplicity patterns.
+    The values of the characters at class j are sums of e_j-th roots of
+    unity; their multiplicities mod ell are chi_mod at the powers of z_j,
+    times the powers of the matching root w_j = z_e^(exponent / e_j), over
+    e_j: one (rows x e_j) @ (e_j x e_j) product per class.  Each distinct
+    multiplicity pattern of a conductor is lifted to a Cyclo once per table.
     """
-    values = []
-    for pows, zpow in zip(power_classes, root_powers):
+    lifted: dict = {}   # (e_j, multiplicities) -> Cyclo, shared by the classes
+    fourier: dict = {}  # e_j -> f[s, t] = w_j^(-s t) / e_j
+    columns = []
+    for pows in power_classes:
         e_j = len(pows)
         if e_j == 1:
-            values.append(Cyclo.integer(deg))
+            columns.append([Cyclo.integer(d) for d in degrees.tolist()])
             continue
-        e_j_inv = pow(e_j, -1, ell)
-        chi_pows = [chi_mod[q] for q in pows]
-        mult = {}
-        total = 0
-        for t in range(e_j):
-            acc = sum(x * zpow[s * t % e_j] for s, x in enumerate(chi_pows))
-            mu = (acc * e_j_inv) % ell
-            if mu > deg:
-                raise InternalInconsistency("eigenvalue multiplicity exceeds the degree")
-            if mu:
-                mult[t] = mu
-                total += mu
-        if total != deg:
+        f = fourier.get(e_j)
+        if f is None:
+            root = pow(z_e, -(exponent // e_j), ell)
+            w = np.array([pow(root, k, ell) for k in range(e_j)], dtype=np.int64)
+            st = np.outer(np.arange(e_j), np.arange(e_j)) % e_j
+            f = fourier[e_j] = w[st] * pow(e_j, -1, ell) % ell
+        mult = chi_mod[:, pows] @ f % ell
+        if (mult > degrees[:, None]).any():
+            raise InternalInconsistency("eigenvalue multiplicity exceeds the degree")
+        if (mult.sum(axis=1) != degrees).any():
             raise InternalInconsistency("multiplicities do not sum to the degree")
-        key = (e_j, tuple(sorted(mult.items())))
-        value = lifted.get(key)
-        if value is None:
-            value = lifted[key] = Cyclo.from_exponents(e_j, mult)
-        values.append(value)
-    return values
+        patterns, at = np.unique(mult, axis=0, return_inverse=True)
+        cyclos = []
+        for pattern in patterns.tolist():
+            key = (e_j, tuple(pattern))
+            value = lifted.get(key)
+            if value is None:
+                value = lifted[key] = Cyclo.from_exponents(
+                    e_j, {t: mu for t, mu in enumerate(pattern) if mu})
+            cyclos.append(value)
+        columns.append([cyclos[k] for k in at.ravel().tolist()])
+    return columns
 
 
-def _sort_rows(rows):
-    """Rows (degree, values, residues): the trivial character first, then by
-    (degree, value fingerprint)."""
-    def fingerprint(vals):
-        return tuple(v.key() for v in vals)
-
-    trivial = None
-    rest = []
+def _row_order(degrees, columns):
+    """The trivial character first, then by (degree, value fingerprint)."""
     one = Cyclo.one()
-    for row in rows:
-        deg, vals, _ = row
-        if deg == 1 and trivial is None and all(v == one for v in vals):
-            trivial = row
-        else:
-            rest.append(row)
+    rows = range(len(degrees))
+    trivial = next((i for i in rows if degrees[i] == 1 and all(col[i] == one for col in columns)),
+                   None)
     if trivial is None:
         raise InternalInconsistency("trivial character missing from the table")
-    rest.sort(key=lambda row: (row[0], fingerprint(row[1])))
+    rest = sorted((i for i in rows if i != trivial),
+                  key=lambda i: (degrees[i], tuple(col[i].key() for col in columns)))
     return [trivial] + rest

@@ -175,18 +175,27 @@ class _BSGS:
                 level = len(self.base) - 1
 
     def iter_elements(self):
-        levels = len(self.base)
-        transversals = [sorted(orb.items()) for orb in self.orbits]
+        """Every element once, as the products u_m ... u_2 u_1 of one
+        transversal element per level (each transversal in point order), the
+        first level's element varying slowest.
 
-        def rec(level):
-            if level == levels:
-                yield self.identity
-                return
-            for _, u in transversals[level]:
-                for h in rec(level + 1):
-                    yield h * u
-
-        return rec(0)
+        The products are image arrays: with `rest` the elements of the
+        stabilizer of the first base point, one row each, u[:, rest] composes
+        rest with every element of a transversal.  One block of Perms is
+        built per element of the first level's transversal, so a caller that
+        stops early builds only the blocks it reads.
+        """
+        if not self.base:
+            yield self.identity
+            return
+        dtype = np.min_scalar_type(self.degree - 1)
+        first, *deeper = (np.array([u.images for _, u in sorted(orb.items())], dtype=dtype)
+                          for orb in self.orbits)
+        rest = np.arange(self.degree, dtype=dtype)[None, :]
+        for u in reversed(deeper):
+            rest = u[:, rest].reshape(-1, self.degree)
+        for u in first:
+            yield from map(Perm._raw, map(tuple, u[rest].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -284,3 +284,29 @@ def test_lower_defect_json_fingerprints():
     rows = lower_defect_multiplicities(b).to_json()
     assert all({"fingerprint", "order", "multiplicity"} <= set(r) for r in rows)
     assert len({r["fingerprint"] for r in rows}) == len(rows)
+
+
+# multiplicities of every 2-block, in block order, as computed when each block
+# still found its own p-regular classes' defect groups
+LOWER_DEFECT_BY_BLOCK = {
+    "Z3wrZ2": [(0, 1), (0, 1), (0, 1), (1, 0), (1, 0), (1, 0)],
+    "S3xS3": [(0, 0, 0, 0, 1), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (1, 0, 0, 0, 0)],
+    "S5": [(1, 0, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0, 0)],
+}
+
+
+@pytest.mark.parametrize("name", LOWER_DEFECT_BY_BLOCK)
+def test_lower_defect_finds_each_class_defect_group_once(name, monkeypatch):
+    from blockscope import blocks
+    from blockscope.recipes import construct_group
+    from conftest import RECIPES
+    table = character_table(construct_group(RECIPES[name]))   # a fresh group: no memo
+    found = block_distribution(table, 2)
+    assert len(found) > 1
+    calls = []
+    centralizer = blocks.centralizer
+    monkeypatch.setattr(blocks, "centralizer", lambda g, h: calls.append(h) or centralizer(g, h))
+    got = [lower_defect_multiplicities(b).multiplicities for b in found]
+    assert got == LOWER_DEFECT_BY_BLOCK[name]
+    # one centralizer per p-regular class, not one per class and block
+    assert len(calls) == len(table.p_regular_indices(2))

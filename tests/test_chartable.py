@@ -22,6 +22,7 @@ from blockscope.chartable import (_charpoly_mod, _choose_prime, _class_matrices,
                                   _rref_mod, character_table)
 from blockscope.cyclotomic import Cyclo, zeta
 from blockscope.errors import CapExceeded, InternalInconsistency
+from blockscope.exact import row_reduce
 from blockscope.groups import derived_subgroup
 from blockscope.recipes import (alternating, construct_group, cyclic, direct, symmetric,
                                 wreath)
@@ -313,7 +314,7 @@ def _common_eigenvectors_by_scan(mats, r, ell):
             for lam in range(ell):
                 if remaining == 0:
                     break
-                ker = _nullspace_mod((at - lam * np.eye(d, dtype=np.int64)) % ell, ell)
+                ker, _ = _nullspace_mod((at - lam * np.eye(d, dtype=np.int64)) % ell, ell)
                 if ker.shape[0] == 0:
                     continue
                 sub, _ = _rref_mod((ker @ b) % ell, ell)
@@ -324,12 +325,14 @@ def _common_eigenvectors_by_scan(mats, r, ell):
     return [b[0] % ell for b in spaces]
 
 
-A5XZ2 = direct(alternating(5), cyclic(2))
+SCANNED = {"A5xZ2": direct(alternating(5), cyclic(2)),
+           # 44 classes; most class matrices act as scalars on most subspaces
+           "Z8wrZ2": wreath(cyclic(8), cyclic(2))}
 
 
-@pytest.mark.parametrize("name", ["S4", "A5", "L48", "Z4wrZ2", "A5xZ2"])
+@pytest.mark.parametrize("name", ["S4", "A5", "L48", "Z4wrZ2", "A5xZ2", "Z8wrZ2"])
 def test_eigenlines_match_the_lambda_scan(name):
-    g = construct_group(A5XZ2) if name == "A5xZ2" else group(name)
+    g = construct_group(SCANNED[name]) if name in SCANNED else group(name)
     table = character_table(g)
     r = table.n_classes
     ell = _choose_prime(table.exponent, g.order)
@@ -338,6 +341,49 @@ def test_eigenlines_match_the_lambda_scan(name):
     want = _common_eigenvectors_by_scan(mats, r, ell)
     assert [v.tolist() for v in got] == [v.tolist() for v in want]
     assert len(got) == r
+
+
+@st.composite
+def _matrices_mod(draw):
+    """(a, ell): up to 12 x 12, of a drawn rank, with some columns zeroed."""
+    ell = draw(st.sampled_from([2, 97, 421]))
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    rank = draw(st.integers(0, min(rows, cols)))
+    entries = st.integers(-ell, ell)
+    left = draw(st.lists(entries, min_size=rows * rank, max_size=rows * rank))
+    right = draw(st.lists(entries, min_size=rank * cols, max_size=rank * cols))
+    a = (np.array(left, dtype=np.int64).reshape(rows, rank)
+         @ np.array(right, dtype=np.int64).reshape(rank, cols))
+    a[:, draw(st.lists(st.integers(0, cols - 1), max_size=cols)) if cols else []] = 0
+    return a, ell
+
+
+def _row_reduce_mod(a, ell):
+    return row_reduce((a % ell).tolist(), lambda x: x == 0, lambda x: pow(x, -1, ell),
+                      lambda x, y: x * y % ell, lambda x, y: (x - y) % ell)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices_mod())
+def test_rref_mod_matches_the_exact_elimination(case):
+    a, ell = case
+    got, pivots = _rref_mod(a.copy(), ell)
+    want, want_pivots = _row_reduce_mod(a, ell)
+    assert pivots == want_pivots
+    assert got.tolist() == [list(row) for row in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices_mod())
+def test_nullspace_mod_is_an_rref_kernel(case):
+    a, ell = case
+    ker, pivots = _nullspace_mod(a, ell)
+    rank = len(_row_reduce_mod(a, ell)[1])
+    assert ker.shape == (a.shape[1] - rank, a.shape[1])
+    assert not (a @ ker.T % ell).any()
+    again, again_pivots = _rref_mod(ker.copy(), ell)
+    assert (again.tolist(), again_pivots) == (ker.tolist(), pivots)
+    assert len(pivots) == len(ker)
 
 
 # -- the orthogonality check

@@ -631,6 +631,46 @@ def test_bsgs_stores_inverse_transversals():
                 assert (inverses[pt] * u).is_identity()
 
 
+def _elements_by_recursion(bsgs):
+    """The element enumeration as one Perm product per element: level by
+    level, each transversal in point order, the first level varying slowest."""
+    transversals = [sorted(orb.items()) for orb in bsgs.orbits]
+
+    def rec(level):
+        if level == len(bsgs.base):
+            yield bsgs.identity
+            return
+        for _, u in transversals[level]:
+            for h in rec(level + 1):
+                yield h * u
+
+    return list(rec(0))
+
+
+ENUMERATED = {
+    "trivial": lambda: PermGroup(3, []),          # empty base
+    "Z2": lambda: PermGroup(2, [cyc(2, (0, 1))]),  # one level
+    "S5": lambda: group("S5"),
+    "A8": lambda: construct_group(alternating(8)),
+    "Z4wrZ4": lambda: construct_group(wreath(cyclic(4), cyclic(4))),
+    "11 transpositions": lambda: PermGroup(64, [cyc(64, (2 * t, 2 * t + 1))
+                                                for t in range(11)]),
+}
+
+
+@pytest.mark.parametrize("name", ENUMERATED)
+def test_element_blocks_match_the_recursive_enumeration(name):
+    g = ENUMERATED[name]()
+    got = list(g.bsgs.iter_elements())
+    assert got == _elements_by_recursion(g.bsgs)
+    assert len(got) == len(set(got)) == g.order
+    assert all(type(x.images) is tuple and type(x.images[0]) is int for x in got)
+
+
+def test_element_blocks_cover_an_empty_base_and_a_single_level():
+    assert [len(ENUMERATED[name]().bsgs.base) for name in ("trivial", "Z2")] == [0, 1]
+
+
 # -- incremental Schreier-Sims against sympy
 
 
