@@ -12,11 +12,14 @@ is exact, and the certificate that the ranks sum to the number of
 p-regular classes).  Central characters, induced central functions and
 idempotent coefficients are divided exactly in Z[zeta]; a quotient that
 is not integral raises.  Lower defect multiplicities come from the defect
-filtration of the projected p-regular class sums inside the center of the
-modular group algebra: m(b, R) is the dimension jump of
+filtration of the projected p-regular class sums inside the center Z(kG)
+of the modular group algebra, over the residue field GF(p^f) of modp: the
+idempotents are arrays of field elements, e_b K_j for every class j is one
+contraction with the class matrices, and m(b, R) is the dimension jump of
 e_b * span{class sums with defect group below R} against the strictly
-smaller subgroup classes, and the sum over all R must equal l(b); that
-identity is enforced as a hard runtime assertion.
+smaller subgroup classes, each dimension a rank mod p over f.  The sum
+over all R must equal l(b); that identity is enforced as a hard runtime
+assertion.
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chartable import CharacterTable, _class_matrices, _rref_mod, character_table
+from .chartable import CharacterTable, _class_matrices, character_table
 from .cyclotomic import Cyclo
 from .errors import (AmbiguousMatch, InputError, InternalInconsistency, NoDefectClass,
                      NotPIntegral)
-from .exact import is_prime, nu, p_part, row_reduce
+from .exact import _rref_mod, is_prime, nu, p_part
 from .groups import (PermGroup, centralizer, subgroup_classes_of_p_group,
                      sylow_subgroup, subgroup_fingerprint, _set_orbit)
 from .modp import ModPContext, mod_p_context
@@ -157,11 +160,8 @@ def _defect_group_from_signature(table: CharacterTable, p: int, sig, defect: int
     """
     group = table.group
     nu_g = nu(group.order, p)
-    zero = mod_p_context(table.exponent, p).field.zero
     for j, cls in enumerate(table.classes):
-        if not cls.is_p_regular(p):
-            continue
-        if sig[j] == zero:
+        if not cls.is_p_regular(p) or not any(sig[j]):
             continue
         class_defect = nu_g - nu(cls.size, p)
         if class_defect == defect:
@@ -260,7 +260,9 @@ def _block_with_signature(table: CharacterTable, p: int, sig: tuple):
 
 
 def block_idempotent_vectors(table: CharacterTable, p: int):
-    """e_b mod p as vectors over the class-sum basis of Z(kG).
+    """(e_b mod p for every block b, the context): an array of shape
+    (blocks, classes, f) holding each coefficient over the class-sum basis
+    of Z(kG) as a field element.
 
     The class-K coefficient of e_b is sum_{chi in b} chi(1) chi(g_K^-1) / |G|,
     a p-integral cyclotomic value: the sum divides exactly by |G|_p (else
@@ -273,7 +275,6 @@ def _idempotent_vectors(table: CharacterTable, p: int):
     ctx = _context_for(table, p)
     n = table.group.order
     n_p = p_part(n, p)
-    scale = ctx.field.scalar(pow(n // n_p, -1, p))
     out = []
     for blk in block_distribution(table, p):
         vec = []
@@ -286,27 +287,21 @@ def _idempotent_vectors(table: CharacterTable, p: int):
             if w is None:
                 raise NotPIntegral(
                     f"idempotent coefficient at class {j} is not {p}-integral")
-            vec.append(ctx.field.mul(ctx.reduce(w), scale))
-        out.append(tuple(vec))
-    return tuple(out), ctx
+            vec.append(ctx.reduce(w))
+        out.append(vec)
+    vectors = np.array(out, dtype=ctx.dtype(table.n_classes * ctx.f))
+    return vectors * pow(n // n_p, -1, p) % p, ctx
 
 
-def _center_multiply(table: CharacterTable, ctx: ModPContext, vec, j: int):
-    """(sum_i vec_i K_i) * K_j in Z(kG), as a vector over class sums."""
-    mats = _class_matrices(table.group)
-    field = ctx.field
-    r = table.n_classes
-    out = [field.zero] * r
-    for i in range(r):
-        ci = vec[i]
-        if ci == field.zero:
-            continue
-        row = mats[i][j]
-        for k in range(r):
-            a = int(row[k]) % ctx.p
-            if a:
-                out[k] = field.add(out[k], field.mul(ci, field.scalar(a)))
-    return tuple(out)
+def _times_class_sums(table: CharacterTable, ctx: ModPContext, e: np.ndarray) -> np.ndarray:
+    """e K_j in Z(kG) for every class j, e an array of class-sum coefficients:
+    out[j, k] is the coefficient of K_k, (sum_i e_i M_i)[j, k] for the class
+    matrices M_i."""
+    out = np.zeros((table.n_classes,) + e.shape, dtype=e.dtype)
+    for i, mi in enumerate(_class_matrices(table.group)):
+        if e[i].any():
+            out += mi.astype(e.dtype)[:, :, None] % ctx.p * e[i]
+    return out % ctx.p
 
 
 def p_subgroup_classes(group: PermGroup, p: int) -> list[PermGroup]:
@@ -352,7 +347,6 @@ def lower_defect_multiplicities(blk: Block) -> LowerDefectTable:
     group = table.group
     p = blk.p
     ctx = _context_for(table, p)
-    field = ctx.field
     reps = p_subgroup_classes(group, p)
     idempotents, _ = block_idempotent_vectors(table, p)
     bidx = block_distribution(table, p).index(blk)
@@ -364,13 +358,17 @@ def lower_defect_multiplicities(blk: Block) -> LowerDefectTable:
     # containment partial order on the subgroup classes
     leq = _containment_matrix(group, p)
 
-    vectors = [_center_multiply(table, ctx, e_b, j) for j in pr]
+    vectors = _times_class_sums(table, ctx, e_b)[list(pr)]
+    rows = ctx.rows(vectors)
+    # vectors that form a GF(p)-basis of the vectors' GF(p)-span also span
+    # their GF(p^f)-span; the pivot columns of one elimination of their rows
+    # give coordinates injective on it, on which every subset's rank is read
+    _, basis = _rref_mod(vectors.reshape(len(vectors), -1).T, p)
+    _, pivots = _rref_mod(rows[basis].reshape(-1, rows.shape[2]), p)
+    rows = rows[:, :, pivots]
 
     def span_rank(pred):
-        rows = [v for v, cls in zip(vectors, class_rep_of) if pred(cls)]
-        _, pivots = row_reduce(rows, lambda a: a == field.zero, field.inv, field.mul,
-                               field.sub)
-        return len(pivots)
+        return ctx.rank(rows[[k for k, cls in enumerate(class_rep_of) if pred(cls)]])
 
     mult = []
     for ri in range(len(reps)):

@@ -18,9 +18,11 @@ import traceback
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
 from .blocks import (block_distribution, block_idempotent_vectors,
                      induce_principal_block, lower_defect_multiplicities, principal_block,
-                     p_subgroup_classes, _center_multiply)
+                     p_subgroup_classes, _times_class_sums)
 from .chartable import character_table
 from .classify import (check_local_structure, classify_case, count_weights,
                        verdict, verify_counts)
@@ -152,30 +154,27 @@ def _invariant_suite(group: PermGroup, table, blocks, p: int) -> dict:
 
 
 def _check_idempotents(table, p: int) -> bool:
-    """e_b mod p are orthogonal idempotents summing to 1 in Z(kG)."""
+    """e_b mod p are orthogonal idempotents summing to 1 in Z(kG).
+
+    e_b e_a = sum_j e_b[j] (e_a K_j): for every a, one product of the rows
+    y^t e_b[j] over GF(p) with the coordinates of the e_a K_j.
+    """
     vectors, ctx = block_idempotent_vectors(table, p)
-    field = ctx.field
-    r = table.n_classes
-
-    def mult(u, v):
-        out = [field.zero] * r
-        for j in range(r):
-            if v[j] != field.zero:
-                uk = _center_multiply(table, ctx, u, j)
-                out = [field.add(a, field.mul(v[j], b)) for a, b in zip(out, uk)]
-        return tuple(out)
-
-    one = tuple([field.one] + [field.zero] * (r - 1))
-    total = [field.zero] * r
-    for i, u in enumerate(vectors):
-        for k in range(r):
-            total[k] = field.add(total[k], u[k])
-        if mult(u, u) != u:
+    n, r, f = vectors.shape
+    one = np.zeros((r, f), dtype=vectors.dtype)
+    one[0, 0] = 1
+    if ((vectors.sum(axis=0) - one) % p).any():
+        return False
+    # rows (b, u), columns (j, t): coordinate u of y^t e_b[j]
+    left = ctx.regular(vectors).transpose(0, 3, 1, 2).reshape(n * f, r * f)
+    for a, e in enumerate(vectors):
+        right = _times_class_sums(table, ctx, e).transpose(0, 2, 1).reshape(r * f, r)
+        products = (left @ right % p).reshape(n, f, r).transpose(0, 2, 1)
+        expected = np.zeros_like(vectors)
+        expected[a] = e
+        if (products != expected).any():
             return False
-        for v in vectors[i + 1:]:
-            if any(x != field.zero for x in mult(u, v)):
-                return False
-    return tuple(total) == one
+    return True
 
 
 def _check_brauer_third(group: PermGroup, p: int) -> bool:

@@ -39,57 +39,13 @@ import numpy as np
 
 from .cyclotomic import Cyclo
 from .errors import CapExceeded, InternalInconsistency
-from .exact import is_prime, prime_factors
+from .exact import INT64_PRODUCT_LIMIT, _nullspace_mod, _rref_mod, is_prime, prime_factors
 from .groups import PermGroup, _element_index
 from .perms import Perm
 
 __all__ = ["CharacterTable", "character_table", "CLASS_COUNT_CAP"]
 
 CLASS_COUNT_CAP = 300
-
-
-# ---------------------------------------------------------------------------
-# dense linear algebra mod ell (int64 numpy, entries reduced)
-
-
-def _rref_mod(a: np.ndarray, ell: int):
-    """(reduced row echelon form of a mod ell, pivot columns).
-
-    Each pivot clears its column with one rank-one update over the columns
-    from the pivot on; the columns before it are already zero in its row.
-    """
-    a = a % ell
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, ell) % ell
-        f = a[:, c].copy()
-        f[r] = 0
-        a[:, c:] = (a[:, c:] - np.outer(f, a[r, c:])) % ell
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def _nullspace_mod(a: np.ndarray, ell: int):
-    """(kernel of a mod ell as an rref row basis, its pivot columns)."""
-    rows, cols = a.shape
-    r, pivots = _rref_mod(a.copy(), ell)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    if pivots:
-        basis[:, pivots] = -r[:len(pivots), free].T % ell
-    return _rref_mod(basis, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +92,7 @@ class CharacterTable:
         big = max(abs(c) for row in lifted for v in row for c in v)
         reach = max(abs(c) for row in fold for c in row)
         bound = n * big * big * phi * (2 * phi - 1) * reach
-        dtype = np.int64 if bound < _INT64_PRODUCT_LIMIT else object
+        dtype = np.int64 if bound < INT64_PRODUCT_LIMIT else object
         values = np.array(lifted, dtype=dtype)          # values[i, j, t]
         conj = values[:, list(self.inverse_class)]      # values at inverse classes
         fold = np.array(fold, dtype=dtype)
@@ -163,10 +119,6 @@ class CharacterTable:
             "degrees": list(self.degrees),
             "characters": [[v.to_json() for v in row] for row in self.values],
         }
-
-
-# Partial sums of the orthogonality products stay below this in int64.
-_INT64_PRODUCT_LIMIT = 2**62
 
 
 def _gram(a, b, fold):
@@ -230,15 +182,15 @@ def _count_class_products(group: PermGroup, i: int) -> np.ndarray:
 # main construction
 
 
-def character_table(group: PermGroup, class_cap: int = CLASS_COUNT_CAP) -> CharacterTable:
-    return group._memo("char_table", lambda: _build_table(group, class_cap))
+def character_table(group: PermGroup) -> CharacterTable:
+    return group._memo("char_table", lambda: _build_table(group))
 
 
-def _build_table(group: PermGroup, class_cap: int) -> CharacterTable:
+def _build_table(group: PermGroup) -> CharacterTable:
     classes = group.conjugacy_classes()
     r = len(classes)
-    if r > class_cap:
-        raise CapExceeded(f"{r} classes exceeds cap {class_cap}")
+    if r > CLASS_COUNT_CAP:
+        raise CapExceeded(f"{r} classes exceeds cap {CLASS_COUNT_CAP}")
     n = group.order
     exponent = 1
     for c in classes:

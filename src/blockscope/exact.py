@@ -1,14 +1,22 @@
 """Exact helpers shared by every layer.
 
 Integer arithmetic (distinct prime factors, p-adic valuations and p-parts,
-primality) and one Gauss-Jordan elimination over an exact field, which the
-caller describes by its zero test, inverse, product and difference.  There
-is no floating point.
+primality) and the one Gauss-Jordan elimination, over a prime field
+GF(ell) on numpy arrays: character tables split eigenspaces with it, blocks
+take ranks mod ell and mod p with it, and the residue fields factor
+cyclotomic polynomials with it.  Arrays hold int64 while every partial sum
+stays below INT64_PRODUCT_LIMIT and Python integers (object arrays) above
+it.  There is no floating point.
 """
 
 from __future__ import annotations
 
-__all__ = ["prime_factors", "nu", "p_part", "is_prime", "row_reduce"]
+import numpy as np
+
+__all__ = ["prime_factors", "nu", "p_part", "is_prime", "INT64_PRODUCT_LIMIT"]
+
+# Partial sums of exact integer array products stay below this in int64.
+INT64_PRODUCT_LIMIT = 2**62
 
 
 def prime_factors(n: int) -> list[int]:
@@ -46,28 +54,43 @@ def p_part(n: int, p: int) -> int:
     return p ** nu(n, p)
 
 
-def row_reduce(rows, is_zero, inv, mul, sub):
-    """Reduced row echelon form over an exact field.
+def _rref_mod(a: np.ndarray, ell: int):
+    """(reduced row echelon form of a mod ell, pivot columns).
 
-    Returns (rows, pivot columns): the first len(pivots) returned rows are
-    the reduced basis of the row space, the rest are zero.  Elimination
-    stops once every row holds a pivot.
+    Each pivot clears its column with one rank-one update over the columns
+    from the pivot on; the columns before it are already zero in its row.
+    An update adds products of two residues, so int64 holds it for
+    ell^2 < 2^63; pass an object array past that.
     """
-    rows = [list(r) for r in rows]
-    pivots: list[int] = []
-    for col in range(len(rows[0]) if rows else 0):
-        rank = len(pivots)
-        if rank == len(rows):
+    a = a % ell
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
             break
-        piv = next((r for r in range(rank, len(rows)) if not is_zero(rows[r][col])), None)
-        if piv is None:
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        scale = inv(rows[rank][col])
-        rows[rank] = [mul(v, scale) for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not is_zero(rows[r][col]):
-                f = rows[r][col]
-                rows[r] = [sub(a, mul(f, b)) for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-    return rows, pivots
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, ell) % ell
+        f = a[:, c].copy()
+        f[r] = 0
+        a[:, c:] = (a[:, c:] - np.outer(f, a[r, c:])) % ell
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def _nullspace_mod(a: np.ndarray, ell: int):
+    """(kernel {x : a x = 0} mod ell as an rref row basis, its pivot columns)."""
+    rows, cols = a.shape
+    r, pivots = _rref_mod(a.copy(), ell)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=a.dtype)
+    basis[np.arange(len(free)), free] = 1
+    if pivots:
+        basis[:, pivots] = -r[:len(pivots), free].T % ell
+    return _rref_mod(basis, ell)

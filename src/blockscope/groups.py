@@ -49,12 +49,15 @@ __all__ = [
     "same_subgroup",
     "ORDER_CAP",
     "SUBGROUP_ENUM_CAP",
+    "QUOTIENT_INDEX_CAP",
 ]
 
 # Refuse element enumeration and class computation above this order.
 ORDER_CAP = 10**6
 # Cap on |P| for exhaustive p-subgroup enumeration.
 SUBGROUP_ENUM_CAP = 2**8
+# Refuse a quotient by a normal subgroup of index above this.
+QUOTIENT_INDEX_CAP = 10**5
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +288,15 @@ class PermGroup:
     def identity(self) -> Perm:
         return Perm.identity(self.degree)
 
-    def elements(self, cap: int = ORDER_CAP) -> tuple:
+    def elements(self) -> tuple:
         def enumerate_elements():
-            if self.order > cap:
-                raise CapExceeded(f"order {self.order} exceeds cap {cap}")
+            if self.order > ORDER_CAP:
+                raise CapExceeded(f"order {self.order} exceeds cap {ORDER_CAP}")
             return tuple(self.bsgs.iter_elements())
         return self._memo("elements", enumerate_elements)
 
-    def element_set(self, cap: int = ORDER_CAP) -> frozenset:
-        return self._memo("element_set", lambda: frozenset(self.elements(cap)))
+    def element_set(self) -> frozenset:
+        return self._memo("element_set", lambda: frozenset(self.elements()))
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -306,14 +309,14 @@ class PermGroup:
 
     # -- conjugacy classes
 
-    def conjugacy_classes(self, cap: int = ORDER_CAP) -> tuple:
-        return self._class_walk(cap)[0]
+    def conjugacy_classes(self) -> tuple:
+        return self._class_walk()[0]
 
-    def _class_walk(self, cap: int = ORDER_CAP) -> tuple[tuple, np.ndarray]:
+    def _class_walk(self) -> tuple[tuple, np.ndarray]:
         """(classes, class index of each element key), computed once."""
-        return self._memo("classes", lambda: self._conjugacy_classes(cap))
+        return self._memo("classes", self._conjugacy_classes)
 
-    def _conjugacy_classes(self, cap: int) -> tuple[tuple, np.ndarray]:
+    def _conjugacy_classes(self) -> tuple[tuple, np.ndarray]:
         """The classes, and the class index of each element key.
 
         Elements are ranked in Perm order and named by their
@@ -325,9 +328,9 @@ class PermGroup:
         order, its least one as representative.  Keys are found from codes
         below |G| * degree, so the int64 arithmetic cannot overflow.
         """
-        if self.order > cap:
-            raise CapExceeded(f"order {self.order} exceeds cap {cap}")
-        elems = sorted(self.elements(cap), key=attrgetter("images"))
+        if self.order > ORDER_CAP:
+            raise CapExceeded(f"order {self.order} exceeds cap {ORDER_CAP}")
+        elems = sorted(self.elements(), key=attrgetter("images"))
         n = len(elems)
         index = _element_index(self)
         m = len(index.base)
@@ -702,7 +705,7 @@ def fixed_points(sub: PermGroup, actors: PermGroup) -> PermGroup:
         for s in sub.generators:
             if s ** a not in sub:
                 raise NotNormalized("actors do not normalize sub")
-    fixed = [x for x in sub.elements(cap=SUBGROUP_ENUM_CAP * 64)
+    fixed = [x for x in sub.elements()
              if all(x * a == a * x for a in actors.generators)]
     return PermGroup(sub.degree, fixed, parent=sub._top(),
                      _skip_check=True)
@@ -794,7 +797,7 @@ def conjugation_image(group: PermGroup, normalized: PermGroup) -> PermGroup:
     return PermGroup(len(domain), [act_perm(n) for n in group.generators])
 
 
-def quotient_by_normal(g: PermGroup, n: PermGroup, cap: int = 10**5):
+def quotient_by_normal(g: PermGroup, n: PermGroup):
     """g / n as a permutation group on the cosets of a normal subgroup n.
 
     Returns (quotient, project, section) where project maps an element of
@@ -817,8 +820,8 @@ def quotient_by_normal(g: PermGroup, n: PermGroup, cap: int = 10**5):
             cand = reps[i] * gg
             k = coset_key(cand)
             if k not in keys:
-                if len(reps) >= cap:
-                    raise CapExceeded("quotient index exceeds cap")
+                if len(reps) >= QUOTIENT_INDEX_CAP:
+                    raise CapExceeded(f"quotient index exceeds cap {QUOTIENT_INDEX_CAP}")
                 keys[k] = len(reps)
                 reps.append(cand)
         i += 1

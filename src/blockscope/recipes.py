@@ -82,18 +82,18 @@ def wreath(base: GroupRecipe, top: GroupRecipe) -> GroupRecipe:
 # evaluation
 
 
-def construct_group(recipe: GroupRecipe, degree_cap: int = DEGREE_CAP) -> PermGroup:
-    group, order = _eval(recipe, degree_cap)
+def construct_group(recipe: GroupRecipe) -> PermGroup:
+    group, order = _eval(recipe)
     if group.order != order:
         raise InvalidAction(
             f"recipe-theoretic order {order} != constructed order {group.order}")
     return group
 
 
-def _eval(recipe: GroupRecipe, cap: int):
+def _eval(recipe: GroupRecipe):
     kind = recipe.kind
     if kind == "symmetric":
-        n = _check_n(recipe.args["n"], cap)
+        n = _check_n(recipe.args["n"])
         gens = []
         if n >= 2:
             gens.append(Perm.from_cycles(n, [[0, 1]]))
@@ -102,7 +102,7 @@ def _eval(recipe: GroupRecipe, cap: int):
         from math import factorial
         return PermGroup(n, gens, name=f"S{n}"), factorial(n)
     if kind == "alternating":
-        n = _check_n(recipe.args["n"], cap)
+        n = _check_n(recipe.args["n"])
         gens = []
         if n >= 3:
             gens.append(Perm.from_cycles(n, [[0, 1, 2]]))
@@ -112,43 +112,43 @@ def _eval(recipe: GroupRecipe, cap: int):
         from math import factorial
         return PermGroup(n, gens, name=f"A{n}"), factorial(n) // 2 if n >= 2 else 1
     if kind == "cyclic":
-        n = _check_n(recipe.args["n"], cap)
+        n = _check_n(recipe.args["n"])
         gens = [Perm.from_cycles(n, [list(range(n))])] if n > 1 else []
         return PermGroup(n, gens, name=f"Z{n}"), n
     if kind == "direct":
-        ga, na = _eval(recipe.args["a"], cap)
-        gb, nb = _eval(recipe.args["b"], cap)
+        ga, na = _eval(recipe.args["a"])
+        gb, nb = _eval(recipe.args["b"])
         deg = ga.degree + gb.degree
-        if deg > cap:
-            raise DegreeOverflow(f"direct product degree {deg} exceeds cap {cap}")
+        if deg > DEGREE_CAP:
+            raise DegreeOverflow(f"direct product degree {deg} exceeds cap {DEGREE_CAP}")
         gens = [p.extend(deg) for p in ga.generators]
         gens += [p.shift(ga.degree, deg) for p in gb.generators]
         return PermGroup(deg, gens), na * nb
     if kind == "semidirect":
-        return _eval_semidirect(recipe, cap)
+        return _eval_semidirect(recipe)
     if kind == "wreath":
-        return _eval_wreath(recipe, cap)
+        return _eval_wreath(recipe)
     raise ParseError(f"unknown recipe kind: {kind!r}")
 
 
-def _check_n(n, cap: int) -> int:
+def _check_n(n) -> int:
     if not isinstance(n, int) or n < 1:
         raise ParseError(f"invalid size parameter: {n!r}")
-    if n > cap:
-        raise DegreeOverflow(f"degree {n} exceeds cap {cap}")
+    if n > DEGREE_CAP:
+        raise DegreeOverflow(f"degree {n} exceeds cap {DEGREE_CAP}")
     return n
 
 
-def _eval_semidirect(recipe: GroupRecipe, cap: int):
-    base, base_order = _eval(recipe.args["base"], cap)
-    acting, acting_order = _eval(recipe.args["acting"], cap)
+def _eval_semidirect(recipe: GroupRecipe):
+    base, base_order = _eval(recipe.args["base"])
+    acting, acting_order = _eval(recipe.args["acting"])
     action = recipe.args["action"]
     if base_order > SEMIDIRECT_BASE_CAP:
         raise DegreeOverflow(
             f"semidirect base order {base_order} exceeds cap {SEMIDIRECT_BASE_CAP}")
     deg = base_order + acting.degree
-    if deg > cap:
-        raise DegreeOverflow(f"semidirect degree {deg} exceeds cap {cap}")
+    if deg > DEGREE_CAP:
+        raise DegreeOverflow(f"semidirect degree {deg} exceeds cap {DEGREE_CAP}")
     if len(action) != len(acting.generators):
         raise InvalidAction("action table must have one row per acting generator")
 
@@ -210,15 +210,15 @@ def _automorphism_map(base: PermGroup, base_elems, index, gen_images):
     return [index[phi[x]] for x in base_elems]
 
 
-def _eval_wreath(recipe: GroupRecipe, cap: int):
-    base, base_order = _eval(recipe.args["base"], cap)
-    top, top_order = _eval(recipe.args["top"], cap)
+def _eval_wreath(recipe: GroupRecipe):
+    base, base_order = _eval(recipe.args["base"])
+    top, top_order = _eval(recipe.args["top"])
     support = sorted({p for g in top.generators for p in g.moved_points()})
     m = len(support)
     pos = {pt: i for i, pt in enumerate(support)}
     deg = m * base.degree
-    if deg > cap:
-        raise DegreeOverflow(f"wreath degree {deg} exceeds cap {cap}")
+    if deg > DEGREE_CAP:
+        raise DegreeOverflow(f"wreath degree {deg} exceeds cap {DEGREE_CAP}")
     gens = []
     for i in range(m):
         for b in base.generators:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -14,6 +15,7 @@ from blockscope.errors import InputError, InternalInconsistency, NotPIntegral
 from blockscope.groups import normalizer, quotient_by_normal, sylow_subgroup
 from blockscope.modp import mod_p_context
 from blockscope.perms import Perm
+from blockscope.recipes import construct_group, cyclic, direct, symmetric
 
 
 def cyc(degree, *cycles):
@@ -148,19 +150,29 @@ def test_principal_defect_group_is_sylow():
         assert b.defect_group.order == sylow_subgroup(g, 2).order
 
 
+def galois_twist(w, a):
+    """sigma_a(w) for the automorphism zeta_m -> zeta_m^a of Q(zeta_m)."""
+    return Cyclo.from_exponents(w.m, {a * k % w.m: c for k, c in enumerate(w.coeffs) if c})
+
+
 def test_partition_is_ideal_choice_independent():
-    # conductor 15 part of exp(A5) = 30 splits in two factors mod 2
-    table = character_table(group("A5"))
+    # Phi_21 splits in two factors mod 2, so S3 x Z7 (exponent 42) has two
+    # ideals above 2; reducing sigma_a(w) at the pinned ideal P reduces w at
+    # sigma_a^-1(P), and as a runs over the units mod 42 that reaches both
+    table = character_table(construct_group(direct(symmetric(3), cyclic(7))))
     om = central_characters(table)
-    parts = []
-    for idx in (0, 1):
-        ctx = mod_p_context(table.exponent, 2, factor_index=idx)
+    ctx = mod_p_context(table.exponent, 2)
+    parts, signatures = set(), set()
+    for a in (a for a in range(1, 42) if math.gcd(a, 42) == 1):
+        keys = [tuple(ctx.reduce(galois_twist(w, a)) for w in om[i])
+                for i in range(table.n_classes)]
         sig = {}
-        for i in range(table.n_classes):
-            key = tuple(ctx.reduce(w) for w in om[i])
+        for i, key in enumerate(keys):
             sig.setdefault(key, set()).add(i)
-        parts.append(frozenset(frozenset(v) for v in sig.values()))
-    assert parts[0] == parts[1]
+        parts.add(frozenset(frozenset(v) for v in sig.values()))
+        signatures.add(tuple(keys))
+    assert len(parts) == 1 and len(next(iter(parts))) == 14
+    assert len(signatures) > 1     # the twists do change the reductions
 
 
 # -- Brauer induction
@@ -216,12 +228,10 @@ def test_idempotents_orthogonal_and_sum_to_one():
     for name in ("S5", "Z6", "A5", "S3xS3"):
         table = character_table(group(name))
         vectors, ctx = block_idempotent_vectors(table, 2)
-        field = ctx.field
-        r = table.n_classes
         from blockscope.catalog import _check_idempotents
         assert _check_idempotents(table, 2)
         # coefficients are p-integral by construction (reduction succeeded)
-        assert len(vectors) == len(block_distribution(table, 2))
+        assert vectors.shape == (len(block_distribution(table, 2)), table.n_classes, ctx.f)
 
 
 def test_idempotent_division_not_p_integral():
@@ -310,3 +320,31 @@ def test_lower_defect_finds_each_class_defect_group_once(name, monkeypatch):
     assert got == LOWER_DEFECT_BY_BLOCK[name]
     # one centralizer per p-regular class, not one per class and block
     assert len(calls) == len(table.p_regular_indices(2))
+
+
+def test_a5_times_z7_blocks_at_2():
+    # A5's 2-blocks are {1, 3, 3', 5} (defect group V4, l = 3: the 2-regular
+    # classes 1, 3, 5a, 5b less the defect-0 block {4}) and {4}; each of the
+    # 7 characters of Z7, of odd order, is a block of defect 0; the blocks
+    # of the product are the products of blocks
+    from blockscope.catalog import analyze_group
+    from blockscope.recipes import alternating
+    report = analyze_group(construct_group(direct(alternating(5), cyclic(7))), 2)
+    shapes = sorted((b["k"], b["l"], b["defect"], b["defect_group_order"], sorted(b["degrees"]))
+                    for b in report["blocks"])
+    assert shapes == [(1, 1, 0, 1, [4])] * 7 + [(4, 3, 2, 4, [1, 3, 3, 5])] * 7
+    assert report["invariant_suite"] and all(report["invariant_suite"].values())
+
+
+def test_a_prime_past_int64_products_stays_exact():
+    # at p = 2^31 - 1 a sum of two products of residues passes 2^62, so the
+    # Z(kG) arrays hold Python integers; the residue field is GF(p^2), as
+    # p = 7 mod 12, and p does not divide |S4|, so every block has defect 0
+    from blockscope.catalog import analyze_group
+    p = 2**31 - 1
+    g = group("S4")
+    report = analyze_group(g, p)
+    assert [(b["k"], b["l"], b["defect"]) for b in report["blocks"]] == [(1, 1, 0)] * 5
+    assert all(report["invariant_suite"].values())
+    vectors, ctx = block_idempotent_vectors(character_table(g), p)
+    assert vectors.dtype == object and ctx.f == 2

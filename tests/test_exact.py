@@ -1,16 +1,12 @@
-import itertools
-import operator
 import random
-from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from blockscope.exact import is_prime, nu, p_part, prime_factors, row_reduce
-from blockscope.modp import GFq
+from blockscope.exact import INT64_PRODUCT_LIMIT, _rref_mod, is_prime, nu, p_part, prime_factors
 
 sympy = pytest.importorskip("sympy")
-
-RATIONAL = (operator.not_, lambda x: 1 / x, operator.mul, operator.sub)
+GF = sympy.GF
 
 
 # -- integer arithmetic
@@ -43,62 +39,60 @@ def test_nu_rejects_values_where_it_is_undefined(n, p):
         nu(n, p)
 
 
-# -- row reduction
+# -- elimination mod ell
 
 
-def random_rational_matrix(rng, rows, cols, rank):
-    """A rows x cols matrix of small fractions with rank at most `rank`."""
-    left = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rank)]
-            for _ in range(rows)]
-    right = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
-             for _ in range(rank)]
-    return [[sum((left[i][k] * right[k][j] for k in range(rank)), Fraction(0))
+def random_matrix(rng, rows, cols, rank, ell):
+    """A rows x cols matrix mod ell of rank at most `rank`, as Python ints."""
+    left = [[rng.randrange(ell) for _ in range(rank)] for _ in range(rows)]
+    right = [[rng.randrange(ell) for _ in range(cols)] for _ in range(rank)]
+    return [[sum(left[i][k] * right[k][j] for k in range(rank)) % ell
              for j in range(cols)] for i in range(rows)]
 
 
-def test_rank_matches_sympy_on_random_rational_matrices():
+def as_array(a, ell):
+    """int64 while the elimination's products fit, else Python integers."""
+    return np.array(a, dtype=np.int64 if ell * ell < INT64_PRODUCT_LIMIT else object)
+
+
+def sympy_rref(a, ell):
+    """(rref, pivots) of a over GF(ell) by sympy's DomainMatrix."""
+    from sympy.polys.matrices import DomainMatrix
+    dm = DomainMatrix([[GF(ell)(x) for x in row] for row in a], (len(a), len(a[0])), GF(ell))
+    reduced, pivots = dm.rref()
+    return [[int(x) % ell for x in row] for row in reduced.to_Matrix().tolist()], list(pivots)
+
+
+ELLS = [2, 3, 101, 2**31 - 1, 2**61 - 1]
+
+
+def test_rref_mod_matches_sympy_domain_matrix():
+    # past 2^31 the arrays hold Python integers
     rng = random.Random(7)
-    for _ in range(60):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        a = random_rational_matrix(rng, rows, cols, rng.randint(1, min(rows, cols)))
-        reduced, pivots = row_reduce(a, *RATIONAL)
-        assert len(pivots) == sympy.Matrix(a).rank()
-        assert sympy.Matrix(reduced) == sympy.Matrix(a).rref()[0]
-        assert tuple(pivots) == sympy.Matrix(a).rref()[1]
+    for ell in ELLS:
+        for _ in range(40):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            a = random_matrix(rng, rows, cols, rng.randint(0, min(rows, cols)), ell)
+            reduced, pivots = _rref_mod(as_array(a, ell), ell)
+            assert (reduced.tolist(), pivots) == sympy_rref(a, ell)
 
 
-def test_inverse_matches_sympy_on_random_rational_matrices():
+def test_inverse_mod_p_matches_sympy():
+    from sympy.polys.matrices import DomainMatrix
     rng = random.Random(11)
-    done = 0
-    while done < 30:
-        n = rng.randint(1, 5)
-        a = random_rational_matrix(rng, n, n, n)
-        if sympy.Matrix(a).det() == 0:
+    cases = [(ell, n) for ell in ELLS for n in range(1, 6) for _ in range(4)]
+    for ell, n in cases:
+        a = random_matrix(rng, n, n, n, ell)
+        dm = DomainMatrix([[GF(ell)(x) for x in row] for row in a], (n, n), GF(ell))
+        if dm.rank() < n:
             continue
-        aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-        reduced, pivots = row_reduce(aug, *RATIONAL)
+        aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+        reduced, pivots = _rref_mod(as_array(aug, ell), ell)
         assert pivots == list(range(n))
-        assert sympy.Matrix([row[n:] for row in reduced]) == sympy.Matrix(a).inv()
-        done += 1
+        inverse = [[int(x) % ell for x in row] for row in dm.inv().to_Matrix().tolist()]
+        assert reduced[:, n:].tolist() == inverse
 
 
-def test_rank_over_gf4_matches_brute_force():
-    field = GFq(2, (1, 1, 1))   # GF(2)[y]/(y^2 + y + 1)
-    elems = list(field.elements())
-    ops = (lambda a: a == field.zero, field.inv, field.mul, field.sub)
-    rng = random.Random(3)
-    for _ in range(40):
-        rows, cols = rng.randint(1, 3), rng.randint(1, 4)
-        a = [[rng.choice(elems) for _ in range(cols)] for _ in range(rows)]
-        span = set()
-        for coeffs in itertools.product(elems, repeat=rows):
-            vec = [field.zero] * cols
-            for c, row in zip(coeffs, a):
-                vec = [field.add(v, field.mul(c, x)) for v, x in zip(vec, row)]
-            span.add(tuple(vec))
-        _, pivots = row_reduce(a, *ops)
-        assert len(span) == 4 ** len(pivots)
-
-
-def test_row_reduce_of_no_rows_has_rank_zero():
-    assert row_reduce([], *RATIONAL) == ([], [])
+def test_rref_mod_of_no_rows_has_rank_zero():
+    reduced, pivots = _rref_mod(np.zeros((0, 3), dtype=np.int64), 5)
+    assert reduced.shape == (0, 3) and pivots == []
