@@ -39,7 +39,7 @@ import numpy as np
 
 from .cyclotomic import Cyclo
 from .errors import CapExceeded, InternalInconsistency
-from .exact import INT64_PRODUCT_LIMIT, _nullspace_mod, _rref_mod, is_prime, prime_factors
+from .exact import _nullspace_mod, _rref_mod, dtype_for, is_prime, prime_factors
 from .groups import PermGroup, _element_index
 from .perms import Perm
 
@@ -92,7 +92,7 @@ class CharacterTable:
         big = max(abs(c) for row in lifted for v in row for c in v)
         reach = max(abs(c) for row in fold for c in row)
         bound = n * big * big * phi * (2 * phi - 1) * reach
-        dtype = np.int64 if bound < INT64_PRODUCT_LIMIT else object
+        dtype = dtype_for(bound)
         values = np.array(lifted, dtype=dtype)          # values[i, j, t]
         conj = values[:, list(self.inverse_class)]      # values at inverse classes
         fold = np.array(fold, dtype=dtype)

@@ -13,10 +13,16 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["prime_factors", "nu", "p_part", "is_prime", "INT64_PRODUCT_LIMIT"]
+__all__ = ["prime_factors", "nu", "p_part", "is_prime", "INT64_PRODUCT_LIMIT", "dtype_for"]
 
 # Partial sums of exact integer array products stay below this in int64.
 INT64_PRODUCT_LIMIT = 2**62
+
+
+def dtype_for(bound: int):
+    """The array dtype for exact sums below `bound`: int64 under
+    INT64_PRODUCT_LIMIT, Python integers (object arrays) from there on."""
+    return np.int64 if bound < INT64_PRODUCT_LIMIT else object
 
 
 def prime_factors(n: int) -> list[int]:
@@ -59,8 +65,8 @@ def _rref_mod(a: np.ndarray, ell: int):
 
     Each pivot clears its column with one rank-one update over the columns
     from the pivot on; the columns before it are already zero in its row.
-    An update adds products of two residues, so int64 holds it for
-    ell^2 < 2^63; pass an object array past that.
+    An update adds products of two residues, so pass an array of
+    dtype_for(ell^2).
     """
     a = a % ell
     rows, cols = a.shape

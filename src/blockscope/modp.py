@@ -25,7 +25,7 @@ import numpy as np
 
 from .cyclotomic import Cyclo, cyclotomic_polynomial
 from .errors import InternalInconsistency
-from .exact import INT64_PRODUCT_LIMIT, _nullspace_mod, _rref_mod, p_part
+from .exact import _nullspace_mod, _rref_mod, dtype_for, p_part
 
 __all__ = ["ModPContext", "mod_p_context"]
 
@@ -75,7 +75,7 @@ def _berlekamp(g, p: int) -> tuple:
     for _ in range(d):
         rows.append(row + [0] * (d - len(row)))
         row = _poly_mulmod(row, yp, g, p)
-    q = np.array(rows, dtype=np.int64 if p * p < INT64_PRODUCT_LIMIT else object)
+    q = np.array(rows, dtype=dtype_for(p * p))
     kernel, _ = _nullspace_mod((q - np.eye(d, dtype=np.int64)).T % p, p)
     e = max(1, (p - 1) // 2)
     factors = [g]
@@ -169,9 +169,8 @@ class ModPContext:
         self.times = np.array(powers, dtype=self.dtype(f))[span[:, None] + span]
 
     def dtype(self, terms: int):
-        """int64 when every sum of `terms` products of two residues stays
-        below INT64_PRODUCT_LIMIT, else Python integers (object arrays)."""
-        return np.int64 if terms * (self.p - 1) ** 2 < INT64_PRODUCT_LIMIT else object
+        """The dtype for sums of `terms` products of two residues."""
+        return dtype_for(terms * (self.p - 1) ** 2)
 
     def reduce(self, x) -> tuple:
         """Image of a cyclotomic integer (or an int) in the residue field."""

@@ -3,6 +3,7 @@ data (tables, class lists, subgroup lattices) is computed once per run."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from blockscope.recipes import (alternating, construct_group, cyclic, direct,
@@ -91,3 +92,15 @@ def brute_class_count(g) -> int:
         seen |= orbit
         count += 1
     return count
+
+
+def sympy_rref(a, ell):
+    """(rref rows, pivots) of the integer matrix a over GF(ell) by sympy's
+    DomainMatrix: the oracle for the elimination mod ell."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    a = np.array(a, dtype=object)
+    field = sympy.GF(ell)
+    dm = DomainMatrix([[field(int(x)) for x in row] for row in a.tolist()], a.shape, field)
+    reduced, pivots = dm.rref()
+    return [[int(x) % ell for x in row] for row in reduced.to_Matrix().tolist()], list(pivots)

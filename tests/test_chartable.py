@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import RECIPES, group
-from blockscope import chartable
+from conftest import RECIPES, group, sympy_rref
+from blockscope import chartable, exact
 from blockscope.chartable import (_charpoly_mod, _choose_prime, _class_matrices,
                                   _class_matrix, _common_eigenvectors, character_table)
 from blockscope.cyclotomic import Cyclo, zeta
@@ -357,22 +357,12 @@ def _matrices_mod(draw):
     return a, ell
 
 
-def _sympy_rref_mod(a, ell):
-    """(rref rows, pivots) of a over GF(ell) by sympy's DomainMatrix."""
-    sympy = pytest.importorskip("sympy")
-    from sympy.polys.matrices import DomainMatrix
-    field = sympy.GF(ell)
-    dm = DomainMatrix([[field(x) for x in row] for row in a.tolist()], a.shape, field)
-    reduced, pivots = dm.rref()
-    return [[int(x) % ell for x in row] for row in reduced.to_Matrix().tolist()], list(pivots)
-
-
 @settings(max_examples=300, deadline=None)
 @given(_matrices_mod())
 def test_rref_mod_matches_the_exact_elimination(case):
     a, ell = case
     got, pivots = _rref_mod(a.copy(), ell)
-    want, want_pivots = _sympy_rref_mod(a, ell)
+    want, want_pivots = sympy_rref(a, ell)
     assert pivots == want_pivots
     assert got.tolist() == [list(row) for row in want]
 
@@ -382,7 +372,7 @@ def test_rref_mod_matches_the_exact_elimination(case):
 def test_nullspace_mod_is_an_rref_kernel(case):
     a, ell = case
     ker, pivots = _nullspace_mod(a, ell)
-    rank = len(_sympy_rref_mod(a, ell)[1])
+    rank = len(sympy_rref(a, ell)[1])
     assert ker.shape == (a.shape[1] - rank, a.shape[1])
     assert not (a @ ker.T % ell).any()
     again, again_pivots = _rref_mod(ker.copy(), ell)
@@ -439,7 +429,7 @@ def test_object_fallback_gives_the_same_verdicts(monkeypatch):
         table.verify_orthogonality()
     assert dtypes and all(d == np.int64 for d in dtypes)
     # a limit no product can meet sends every check through Python integers
-    monkeypatch.setattr(chartable, "INT64_PRODUCT_LIMIT", 0)
+    monkeypatch.setattr(exact, "INT64_PRODUCT_LIMIT", 0)
     dtypes.clear()
     for table in good:
         table.verify_orthogonality()

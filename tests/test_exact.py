@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from blockscope.exact import INT64_PRODUCT_LIMIT, _rref_mod, is_prime, nu, p_part, prime_factors
+from blockscope.exact import _rref_mod, dtype_for, is_prime, nu, p_part, prime_factors
+from conftest import sympy_rref
 
 sympy = pytest.importorskip("sympy")
 GF = sympy.GF
@@ -52,15 +53,7 @@ def random_matrix(rng, rows, cols, rank, ell):
 
 def as_array(a, ell):
     """int64 while the elimination's products fit, else Python integers."""
-    return np.array(a, dtype=np.int64 if ell * ell < INT64_PRODUCT_LIMIT else object)
-
-
-def sympy_rref(a, ell):
-    """(rref, pivots) of a over GF(ell) by sympy's DomainMatrix."""
-    from sympy.polys.matrices import DomainMatrix
-    dm = DomainMatrix([[GF(ell)(x) for x in row] for row in a], (len(a), len(a[0])), GF(ell))
-    reduced, pivots = dm.rref()
-    return [[int(x) % ell for x in row] for row in reduced.to_Matrix().tolist()], list(pivots)
+    return np.array(a, dtype=dtype_for(ell * ell))
 
 
 ELLS = [2, 3, 101, 2**31 - 1, 2**61 - 1]
