@@ -31,9 +31,9 @@ from .errors import (AmbiguousMatch, BlockscopeError, CapExceeded, DegreeOverflo
                      MethodDisagreement, NoComplementFound, NoDefectClass,
                      NotAbelian, NotNormalized, NotPIntegral, ParseError)
 from .fusion import EssentialClass, FusionSystem, HyperfocalReport, omega1
-from .groups import (ConjClass, PermGroup, abelian_invariants, centralizer,
-                     center, fixed_points, normalizer, o_p_residual,
-                     subgroup_classes_of_p_group, subgroup_transporter, sylow_subgroup)
+from .groups import (ConjClass, PermGroup, SubgroupClasses, abelian_invariants,
+                     centralizer, center, fixed_points, normalizer, o_p_residual,
+                     sylow_subgroup, sylow_subgroup_classes)
 from .modp import ModPContext, mod_p_context
 from .perms import Perm, parse_perm
 from .recipes import (GroupRecipe, alternating, construct_group, cyclic, direct,

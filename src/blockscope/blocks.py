@@ -17,9 +17,10 @@ of the modular group algebra, over the residue field GF(p^f) of modp: the
 idempotents are arrays of field elements, e_b K_j for every class j is one
 contraction with the class matrices, and m(b, R) is the dimension jump of
 e_b * span{class sums with defect group below R} against the strictly
-smaller subgroup classes, each dimension a rank mod p over f.  The sum
-over all R must equal l(b); that identity is enforced as a hard runtime
-assertion.
+smaller subgroup classes, each dimension a rank mod p over f.  The classes
+R, the class of each defect group and the containment order between
+classes are read from groups.sylow_subgroup_classes.  The sum over all R
+must equal l(b); that identity is enforced as a hard runtime assertion.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .cyclotomic import Cyclo
 from .errors import (AmbiguousMatch, InputError, InternalInconsistency, NoDefectClass,
                      NotPIntegral)
 from .exact import _rref_mod, is_prime, nu, p_part
-from .groups import (PermGroup, centralizer, subgroup_classes_of_p_group,
-                     sylow_subgroup, subgroup_fingerprint, _set_orbit)
+from .groups import (PermGroup, abelian_invariants, centralizer, subgroup_fingerprint,
+                     sylow_subgroup, sylow_subgroup_classes)
 from .modp import ModPContext, mod_p_context
 
 __all__ = ["Block", "LowerDefectTable", "central_characters", "block_distribution",
@@ -64,7 +65,6 @@ class Block:
         return tuple(self.table.degrees[i] for i in self.char_indices)
 
     def to_json(self):
-        from .groups import abelian_invariants
         dg = self.defect_group
         return {
             "p": self.p,
@@ -305,10 +305,9 @@ def _times_class_sums(table: CharacterTable, ctx: ModPContext, e: np.ndarray) ->
 
 
 def p_subgroup_classes(group: PermGroup, p: int) -> list[PermGroup]:
-    """G-conjugacy classes of p-subgroups, enumerated in the memoised Sylow
-    p-subgroup of group (every p-subgroup lies in a conjugate of it)."""
-    return group._memo(("p_subgroup_classes", p), lambda: subgroup_classes_of_p_group(
-        sylow_subgroup(group, p), group, p))
+    """One representative per G-conjugacy class of p-subgroups, in the
+    order of :func:`groups.sylow_subgroup_classes`."""
+    return list(sylow_subgroup_classes(group, p).reps)
 
 
 @dataclass(frozen=True)
@@ -347,7 +346,8 @@ def lower_defect_multiplicities(blk: Block) -> LowerDefectTable:
     group = table.group
     p = blk.p
     ctx = _context_for(table, p)
-    reps = p_subgroup_classes(group, p)
+    classes = sylow_subgroup_classes(group, p)
+    leq = classes.leq   # the containment partial order on the classes
     idempotents, _ = block_idempotent_vectors(table, p)
     bidx = block_distribution(table, p).index(blk)
     e_b = idempotents[bidx]
@@ -355,8 +355,6 @@ def lower_defect_multiplicities(blk: Block) -> LowerDefectTable:
     # defect group of each p-regular class, matched into the class list
     pr = table.p_regular_indices(p)
     class_rep_of = _defect_classes_of_p_regular_classes(table, p)
-    # containment partial order on the subgroup classes
-    leq = _containment_matrix(group, p)
 
     vectors = _times_class_sums(table, ctx, e_b)[list(pr)]
     rows = ctx.rows(vectors)
@@ -371,7 +369,7 @@ def lower_defect_multiplicities(blk: Block) -> LowerDefectTable:
         return ctx.rank(rows[[k for k, cls in enumerate(class_rep_of) if pred(cls)]])
 
     mult = []
-    for ri in range(len(reps)):
+    for ri in range(len(classes.reps)):
         below = span_rank(lambda c: leq[c][ri])
         strictly = span_rank(lambda c: leq[c][ri] and c != ri)
         mult.append(below - strictly)
@@ -380,14 +378,14 @@ def lower_defect_multiplicities(blk: Block) -> LowerDefectTable:
     if total != blk.l:
         raise InternalInconsistency(
             f"lower defect multiplicities sum to {total}, expected l(b) = {blk.l}")
-    dclass = _match_subgroup_class(group, blk.defect_group, reps)
+    dclass = classes.index_of(blk.defect_group)
     if mult[dclass] < 1:
         raise InternalInconsistency("defect group multiplicity is zero")
     for ri, m in enumerate(mult):
         if m and not leq[ri][dclass]:
             raise InternalInconsistency(
                 "nonzero multiplicity outside the defect group's subgroups")
-    return LowerDefectTable(block=blk, subgroup_classes=tuple(reps),
+    return LowerDefectTable(block=blk, subgroup_classes=classes.reps,
                             multiplicities=tuple(mult))
 
 
@@ -395,39 +393,7 @@ def _defect_classes_of_p_regular_classes(table: CharacterTable, p: int) -> list[
     """For each p-regular class, the p-subgroup class of a Sylow p-subgroup of
     its centralizer (the class's defect group); shared by every block."""
     group = table.group
-
-    def compute():
-        reps = p_subgroup_classes(group, p)
-        defect_groups = (sylow_subgroup(centralizer(group, table.classes[j].representative), p)
-                         for j in table.p_regular_indices(p))
-        return [_match_subgroup_class(group, d, reps) for d in defect_groups]
-
-    return group._memo(("p_regular_defect_classes", p), compute)
-
-
-def _match_subgroup_class(group: PermGroup, h: PermGroup, reps) -> int:
-    orbit = _set_orbit(group, h.element_set())
-    for i, r in enumerate(reps):
-        if r.element_set() in orbit:
-            return i
-    raise InternalInconsistency("subgroup matches no enumerated p-subgroup class")
-
-
-def _containment_matrix(group: PermGroup, p: int):
-    """leq[a][b]: some conjugate of the a-th p-subgroup class representative
-    is contained in the b-th."""
-    return group._memo(("p_subgroup_leq", p), lambda: _containment(group, p))
-
-
-def _containment(group: PermGroup, p: int):
-    reps = p_subgroup_classes(group, p)
-    sets = [r.element_set() for r in reps]
-    orbits = [_set_orbit(group, r.element_set()) for r in reps]
-    n = len(reps)
-    leq = [[False] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if reps[a].order > reps[b].order:
-                continue
-            leq[a][b] = any(s <= sets[b] for s in orbits[a])
-    return leq
+    classes = sylow_subgroup_classes(group, p)
+    return group._memo(("p_regular_defect_classes", p), lambda: [
+        classes.index_of(sylow_subgroup(centralizer(group, cls.representative), p))
+        for cls in table.classes if cls.is_p_regular(p)])

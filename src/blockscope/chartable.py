@@ -37,11 +37,10 @@ from itertools import islice
 
 import numpy as np
 
-from .cyclotomic import Cyclo
+from .cyclotomic import Cyclo, _phi, _power_basis_rows
 from .errors import CapExceeded, InternalInconsistency
 from .exact import _nullspace_mod, _rref_mod, dtype_for, is_prime, prime_factors
 from .groups import PermGroup, _element_index
-from .perms import Perm
 
 __all__ = ["CharacterTable", "character_table", "CLASS_COUNT_CAP"]
 
@@ -67,9 +66,6 @@ class CharacterTable:
     def n_classes(self) -> int:
         return len(self.classes)
 
-    def class_index(self, g: Perm) -> int:
-        return self.group.class_of(g)
-
     def p_regular_indices(self, p: int) -> tuple[int, ...]:
         return tuple(j for j, c in enumerate(self.classes) if c.is_p_regular(p))
 
@@ -82,8 +78,6 @@ class CharacterTable:
         n B^2 phi (2 phi - 1) R, so below 2^62 the products run in int64
         and otherwise on Python integers.
         """
-        from .cyclotomic import _power_basis_rows, _phi
-
         n = self.group.order
         e = self.exponent
         phi = _phi(e)

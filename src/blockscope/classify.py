@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .blocks import Block, block_distribution, brauer_induce, principal_block
+from .blocks import (Block, block_distribution, brauer_induce, p_subgroup_classes,
+                     principal_block)
 from .chartable import character_table
 from .errors import InternalInconsistency
 from .exact import nu, p_part
@@ -226,8 +227,6 @@ def count_weights(group: PermGroup, p: int, blk: Block) -> int:
     classes R were enumerated in; N_P(R) is most often Sylow in N_G(R)
     already, so the climb takes no step.
     """
-    from .blocks import p_subgroup_classes
-
     sylow = sylow_subgroup(group, p)
     total = 0
     for r in p_subgroup_classes(group, p):
@@ -239,7 +238,7 @@ def count_weights(group: PermGroup, p: int, blk: Block) -> int:
         blocks_n = block_distribution(tab_n, p)
         quotient_order = n.order // r.order
         target_nu = nu(quotient_order, p)
-        r_classes = [tab_n.class_index(x) for x in r.generators]
+        r_classes = [n.class_of(x) for x in r.generators]
         for i in range(tab_n.n_classes):
             # inflation from N/R: R inside the kernel
             if any(tab_n.values[i][j] != tab_n.degrees[i] for j in r_classes):

@@ -13,10 +13,18 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["prime_factors", "nu", "p_part", "is_prime", "INT64_PRODUCT_LIMIT", "dtype_for"]
+from .errors import InputError
+
+__all__ = ["prime_factors", "nu", "p_part", "is_prime", "INT64_PRODUCT_LIMIT", "dtype_for",
+           "PRIMALITY_BOUND"]
 
 # Partial sums of exact integer array products stay below this in int64.
 INT64_PRODUCT_LIMIT = 2**62
+
+# psi_13: below it, Miller-Rabin to the 13 prime bases 2, ..., 41 proves
+# primality (Sorenson and Webster, Math. Comp. 86, 2017).
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def dtype_for(bound: int):
@@ -41,7 +49,25 @@ def prime_factors(n: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and prime_factors(n) == [n]
+    """Miller-Rabin to the bases 2, ..., 41: exact below PRIMALITY_BOUND,
+    InputError from there on."""
+    if n >= PRIMALITY_BOUND:
+        raise InputError(f"{n} is past the primality bound {PRIMALITY_BOUND}")
+    if n < 2 or n in _WITNESSES:
+        return n in _WITNESSES
+    s = ((n - 1) & (1 - n)).bit_length() - 1   # 2^s exactly divides n - 1
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def nu(n: int, p: int) -> int:

@@ -5,7 +5,8 @@ of G.  The module computes the hyperfocal subgroup by two independent
 deterministic algorithms (commutators from Alperin's generators, that is
 from P and the essential subgroups, and P meet O^p(G)), locates essential
 subgroup classes with their automizers, and decides control by normalizers
-via Alperin's fusion theorem.
+via Alperin's fusion theorem.  Subgroup classes and their members inside
+P are read from groups.sylow_subgroup_classes.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from .errors import InputError, MethodDisagreement, NoComplementFound, NotAbelia
 from .exact import is_prime, p_part, prime_factors
 from .groups import (PermGroup, abelian_invariants, centralizer,
                      conjugation_image, fixed_points, normalizer, normal_closure,
-                     o_p_residual, quotient_by_normal, sylow_subgroup, _set_orbit,
-                     same_subgroup)
+                     o_p_residual, quotient_by_normal, same_subgroup, sylow_subgroup,
+                     sylow_subgroup_classes)
 from .perms import Perm
 
 __all__ = ["FusionSystem", "HyperfocalReport", "EssentialClass", "AutomizerInfo",
@@ -51,8 +52,7 @@ def omega1(q: PermGroup, p: int = 2) -> PermGroup:
     if not q.is_abelian():
         raise NotAbelian("omega1 requires an abelian group")
     gens = [x for x in q.elements() if not x.is_identity() and (x ** p).is_identity()]
-    return PermGroup(q.degree, gens, parent=q._top(),
-                     _skip_check=True)
+    return PermGroup(q.degree, gens)
 
 
 class FusionSystem:
@@ -132,12 +132,6 @@ class FusionSystem:
                         gens.append(c)
         return normal_closure(self.sylow, gens)
 
-    # -- subgroup classes of P up to G-conjugacy
-
-    def subgroup_classes(self) -> list[PermGroup]:
-        from .blocks import p_subgroup_classes
-        return p_subgroup_classes(self.group, self.p)
-
     # -- automizers
 
     def automizer_group(self, u: PermGroup) -> PermGroup:
@@ -157,53 +151,35 @@ class FusionSystem:
         if cached is not None:
             return cached
         out = []
-        for u in self.subgroup_classes():
+        classes = sylow_subgroup_classes(self.group, self.p)
+        for u, members in zip(classes.reps, classes.members):
             if u.order == 1:
                 continue
             # P itself is excluded automatically: its outer automizer has
             # order prime to p, so it has no strongly p-embedded subgroup
-            if not self._is_centric(u):
+            if not all(self._centric_local(uset, gens) for uset, gens in members):
                 continue
             quo = self.automizer_group(u)
             if not _strongly_p_embedded(quo, self.p):
                 continue
-            out.append(EssentialClass(representative=self._fully_normalized_rep(u),
+            out.append(EssentialClass(representative=self._fully_normalized_rep(members),
                                       automizer=_automizer_info(quo)))
         self._cache["essentials"] = out
         return out
 
-    def _conjugates_in_sylow(self, u: PermGroup):
-        """(element set, generators) of each G-conjugate u' of u inside P.
-
-        u' = u^w with w = w_u^-1 w_u' from the witnesses of u's orbit, so
-        u's generators conjugated by w generate u'.
-        """
-        uset = u.element_set()
-        orbit = _set_orbit(self.group, uset)
-        to_u = orbit[uset].inverse()
-        pset = self.sylow.element_set()
-        for conj, wit in orbit.items():
-            if conj <= pset:
-                w = to_u * wit
-                yield conj, [x ** w for x in u.generators]
-
-    def _is_centric(self, u: PermGroup) -> bool:
-        """C_P(u') = Z(u') for every conjugate u' of u inside P."""
-        return all(self._centric_local(conj, gens)
-                   for conj, gens in self._conjugates_in_sylow(u))
-
     def _centric_local(self, uset, gens) -> bool:
-        """No y in P outside u commutes with u's generators `gens`."""
+        """No y in P outside u commutes with u's generators `gens`, that is
+        C_P(u) = Z(u)."""
         for y in self.sylow.elements():
             if y not in uset and all(y * x == x * y for x in gens):
                 return False
         return True
 
-    def _fully_normalized_rep(self, u: PermGroup) -> PermGroup:
-        """Class member inside P maximizing |N_P(member)|, canonical tie-break."""
+    def _fully_normalized_rep(self, members) -> PermGroup:
+        """Of a class's members (element set, generators) inside P, the one
+        maximizing |N_P(member)|, the first in enumeration order on ties."""
         best = None
-        for _, gens in sorted(self._conjugates_in_sylow(u),
-                              key=lambda m: sorted(x.images for x in m[0])):
+        for _, gens in members:
             member = self.group.subgroup(gens)
             nsize = normalizer(self.sylow, member).order
             if best is None or nsize > best[0]:

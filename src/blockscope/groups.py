@@ -2,12 +2,17 @@
 
 Groups carry a base and strong generating set built by a deterministic
 Schreier-Sims procedure, which gives exact orders, membership tests and
-element enumeration.  Centralizers, normalizers and subgroup-conjugacy
-transporters are computed by orbit-stabilizer searches on the conjugation
-action; their correctness is anchored by brute-force oracles in the test
-suite for every group below the oracle cap.  A Sylow subgroup is grown
-from a given p-subgroup through nested normalizers, so its orbit walks run
-in ever smaller groups; each group memoises one Sylow subgroup per prime.
+element enumeration.  Centralizers and normalizers are computed by
+orbit-stabilizer searches on the conjugation action; their correctness is
+anchored by brute-force oracles in the test suite for every group below
+the oracle cap.  A Sylow subgroup is grown from a given p-subgroup through
+nested normalizers, so its orbit walks run in ever smaller groups; each
+group memoises one Sylow subgroup per prime.
+
+The G-classes of p-subgroups are one record per group and prime
+(:func:`sylow_subgroup_classes`), made in the pass that enumerates the
+subgroups of a Sylow subgroup and walks each conjugation orbit once;
+blocks and fusion read it and walk no orbit of their own.
 
 All objects are immutable after construction and safe for concurrent
 reads.  Derived data (classes, element lists, local subgroups) is memoised
@@ -36,11 +41,10 @@ __all__ = [
     "sylow_subgroup",
     "o_p_residual",
     "o_p_core",
-    "subgroup_transporter",
-    "subgroup_classes_of_p_group",
+    "SubgroupClasses",
+    "sylow_subgroup_classes",
     "fixed_points",
     "normal_closure",
-    "derived_subgroup",
     "center",
     "quotient_by_normal",
     "conjugation_image",
@@ -218,16 +222,16 @@ class ConjClass:
 
 
 class PermGroup:
-    """A finite permutation group, optionally a handle into a parent group.
+    """A finite permutation group, given by generators.
 
-    Subgroup handles built with :meth:`subgroup` verify that every
-    generator is a member of the parent; their own order is computed from
-    a fresh base and strong generating set.  Handles returned by the
-    orbit-stabilizer constructions keep the BSGS built while finding them.
+    :meth:`subgroup` verifies that every generator is a member of the
+    group; a subgroup's own order is computed from a fresh base and strong
+    generating set.  Subgroups returned by the orbit-stabilizer
+    constructions keep the BSGS built while finding them.  A subgroup holds
+    no link to the group it came from.
     """
 
-    def __init__(self, degree: int, generators, parent: "PermGroup | None" = None,
-                 name: str | None = None, _skip_check: bool = False):
+    def __init__(self, degree: int, generators, name: str | None = None):
         gens = []
         for g in generators:
             if g.degree != degree:
@@ -236,22 +240,17 @@ class PermGroup:
                 gens.append(g)
         self.degree = degree
         self.generators = tuple(gens)
-        self.parent = parent
         self.name = name
-        if parent is not None and not _skip_check:
-            for g in gens:
-                if g not in parent:
-                    raise ValueError("subgroup generator outside parent group")
         self._bsgs = None
         self._cache: dict = {}
 
     # -- construction helpers
 
-    def subgroup(self, generators, name: str | None = None) -> "PermGroup":
-        return PermGroup(self.degree, generators, parent=self._top(), name=name)
-
-    def _top(self) -> "PermGroup":
-        return self if self.parent is None else self.parent
+    def subgroup(self, generators) -> "PermGroup":
+        gens = list(generators)
+        if not all(g in self for g in gens):
+            raise ValueError("subgroup generator outside the group")
+        return PermGroup(self.degree, gens)
 
     # -- BSGS-backed primitives
 
@@ -450,8 +449,8 @@ def _images_at(elements, points, dtype) -> np.ndarray:
 
 
 def _with_bsgs(group: PermGroup, gens, bsgs: _BSGS) -> PermGroup:
-    """Subgroup handle of `group` that keeps the BSGS its generators built."""
-    h = PermGroup(group.degree, gens, parent=group._top(), _skip_check=True)
+    """Subgroup of `group` that keeps the BSGS its generators built."""
+    h = PermGroup(group.degree, gens)
     h._bsgs = bsgs
     return h
 
@@ -506,12 +505,6 @@ def _orbit_entry(group: PermGroup, sset: frozenset) -> tuple[dict, PermGroup]:
     return entry
 
 
-def _set_orbit(group: PermGroup, sset: frozenset) -> dict[frozenset, Perm]:
-    """Conjugation orbit of an element set, each member t mapped to a
-    witness w_t with s0^(w_t) = t for the orbit's seed s0."""
-    return _orbit_entry(group, sset)[0]
-
-
 def centralizer(g: PermGroup, h) -> PermGroup:
     """C_g(h) for a single permutation or a subgroup handle."""
     if isinstance(h, Perm):
@@ -539,25 +532,8 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
         orbit, stab = _orbit_entry(g, hset)
         w = orbit[hset]   # the identity exactly for the seed
         memo[hset] = stab if w.is_identity() else PermGroup(
-            g.degree, [x ** w for x in stab.generators], parent=g._top(),
-            _skip_check=True)
+            g.degree, [x ** w for x in stab.generators])
     return memo[hset]
-
-
-def subgroup_transporter(g: PermGroup, a: PermGroup, b: PermGroup):
-    """An element x of g with a^x = b, or None.
-
-    Read from the memoised conjugation orbit of a's element set: with w_s
-    the witness of member s, a^(w_a^-1 w_b) = b.
-    """
-    if a.order != b.order:
-        return None
-    aset = frozenset(a.elements())
-    orbit = _set_orbit(g, aset)
-    w_b = orbit.get(frozenset(b.elements()))
-    if w_b is None:
-        return None
-    return orbit[aset].inverse() * w_b
 
 
 # ---------------------------------------------------------------------------
@@ -577,15 +553,6 @@ def normal_closure(g: PermGroup, seeds) -> PermGroup:
                 gens.append(c)
                 queue.append(c)
     return _with_bsgs(g, gens, bsgs)
-
-
-def derived_subgroup(g: PermGroup) -> PermGroup:
-    comms = []
-    gens = g.generators
-    for i, a in enumerate(gens):
-        for b in gens[i + 1:]:
-            comms.append(a.inverse() * b.inverse() * a * b)
-    return normal_closure(g, comms)
 
 
 def center(g: PermGroup) -> PermGroup:
@@ -672,7 +639,7 @@ def sylow_subgroup(g: PermGroup, p: int, start: PermGroup | None = None) -> Perm
         return g
     if start is None:
         return g._memo(("sylow", p), lambda: _grow_sylow(
-            g, p, PermGroup(g.degree, [], parent=g._top(), _skip_check=True)))
+            g, p, PermGroup(g.degree, [])))
     return _grow_sylow(g, p, start)
 
 
@@ -685,8 +652,7 @@ def _grow_sylow(g: PermGroup, p: int, s: PermGroup) -> PermGroup:
             p_parts = (x ** (x.order() // p_part(x.order(), p))
                        for x in g.bsgs.iter_elements())
             z = next((z for z in p_parts if z not in s), None)
-            grown = None if z is None else PermGroup(
-                g.degree, list(s.generators) + [z], parent=g._top(), _skip_check=True)
+            grown = None if z is None else PermGroup(g.degree, list(s.generators) + [z])
         # neither can happen: each contradicts Sylow theory
         if grown is None or grown.order == s.order:  # pragma: no cover
             raise InternalInconsistency("sylow climb stalled")
@@ -707,8 +673,7 @@ def fixed_points(sub: PermGroup, actors: PermGroup) -> PermGroup:
                 raise NotNormalized("actors do not normalize sub")
     fixed = [x for x in sub.elements()
              if all(x * a == a * x for a in actors.generators)]
-    return PermGroup(sub.degree, fixed, parent=sub._top(),
-                     _skip_check=True)
+    return PermGroup(sub.degree, fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -759,24 +724,60 @@ def _subgroups_of_p_group(pgrp: PermGroup, p: int) -> dict[frozenset, tuple]:
             sorted(gens_of, key=lambda s: (len(s), sorted(x.images for x in s)))}
 
 
-def subgroup_classes_of_p_group(pgrp: PermGroup, ambient: PermGroup,
-                                p: int) -> list[PermGroup]:
-    """All subgroups of pgrp, one representative per ambient-conjugacy class.
-
-    Deterministic order: by (order, canonical minimal element tuple).
-    The representative is the lexicographically least class member that
-    lies inside pgrp, generated as the enumeration found it.
+@dataclass(frozen=True)
+class SubgroupClasses:
+    """The G-conjugacy classes of p-subgroups, from the subgroups of a Sylow
+    p-subgroup P, ordered by (order, least sorted element images over the
+    class).  `reps[i]`: the least member of class i inside P, with the
+    generators the enumeration found.  `class_of`: the element set of every
+    p-subgroup of G -> its class.  `members[i]`: (element set, generators)
+    of each member of class i inside P, in enumeration order.  `leq[a][b]`:
+    some member of class a inside P, so some conjugate of reps[a], lies in
+    reps[b].
     """
-    least: dict[tuple, tuple] = {}   # (order, canonical key) -> representative's generators
-    seen: set[frozenset] = set()
-    # the subgroups come sorted, so a class's first member met is its least in pgrp
-    for s, gens in _subgroups_of_p_group(pgrp, p).items():
-        if s in seen:
-            continue
-        orbit = _set_orbit(ambient, s)
-        seen.update(orbit)
-        least[(len(s), min(tuple(sorted(x.images for x in t)) for t in orbit))] = gens
-    return [ambient.subgroup(least[key]) for key in sorted(least)]
+
+    reps: tuple
+    class_of: dict
+    members: tuple
+    leq: tuple
+
+    def index_of(self, h: PermGroup) -> int:
+        """The class index of the p-subgroup h."""
+        i = self.class_of.get(h.element_set())
+        if i is None:
+            raise InternalInconsistency("subgroup matches no enumerated p-subgroup class")
+        return i
+
+
+def sylow_subgroup_classes(group: PermGroup, p: int) -> SubgroupClasses:
+    """The classes of p-subgroups of group, enumerated in its memoised Sylow
+    p-subgroup; memoised per group and prime."""
+    return group._memo(("p_subgroup_classes", p), lambda: _sylow_subgroup_classes(group, p))
+
+
+def _sylow_subgroup_classes(group: PermGroup, p: int) -> SubgroupClasses:
+    """One pass over the subgroups of P: the first member of an orbit met
+    walks the orbit, and every later member of it is only labelled."""
+    found = []      # per orbit: [canonical key, members inside P]
+    position = {}   # element set of every orbit member -> its orbit's place in found
+    # the subgroups come sorted, so a class's first member met is its least in P
+    for s, gens in _subgroups_of_p_group(sylow_subgroup(group, p), p).items():
+        at = position.get(s)
+        if at is None:
+            orbit = _orbit_entry(group, s)[0]
+            at = len(found)
+            position.update(dict.fromkeys(orbit, at))
+            found.append([(len(s), min(tuple(sorted(x.images for x in t)) for t in orbit)), []])
+        found[at][1].append((s, gens))
+    order = sorted(range(len(found)), key=lambda i: found[i][0])
+    index = {at: i for i, at in enumerate(order)}
+    members = tuple(tuple(found[at][1]) for at in order)
+    sets = [m[0][0] for m in members]
+    return SubgroupClasses(
+        reps=tuple(group.subgroup(m[0][1]) for m in members),
+        class_of={t: index[at] for t, at in position.items()},
+        members=members,
+        leq=tuple(tuple(any(s <= b for s, _ in m) for b in sets) for m in members))
 
 
 # ---------------------------------------------------------------------------

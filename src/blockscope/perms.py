@@ -12,6 +12,8 @@ import math
 import re
 from operator import itemgetter
 
+from .errors import ParseError
+
 __all__ = ["Perm", "parse_perm"]
 
 
@@ -182,8 +184,6 @@ _CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s*[, ]\s*\d+)*)?\s*\)")
 
 def parse_perm(text: str, degree: int) -> Perm:
     """Parse 1-based disjoint-cycle notation, e.g. ``(1,2,3)(4,5)``."""
-    from .errors import ParseError
-
     stripped = text.strip()
     if stripped in ("", "()", "id", "e"):
         return Perm.identity(degree)

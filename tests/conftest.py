@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from blockscope.groups import normal_closure
 from blockscope.recipes import (alternating, construct_group, cyclic, direct,
                                 semidirect, symmetric, wreath)
 
@@ -78,6 +79,13 @@ def brute_conjugator(g, a, b):
         if frozenset(t ** x for t in aset) == bset:
             return x
     return None
+
+
+def derived_subgroup(g):
+    """G' as the normal closure of the commutators of G's generators."""
+    gens = g.generators
+    return normal_closure(g, [a.inverse() * b.inverse() * a * b
+                              for i, a in enumerate(gens) for b in gens[i + 1:]])
 
 
 def brute_class_count(g) -> int:

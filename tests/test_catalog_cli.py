@@ -186,6 +186,19 @@ def test_console_script_entry_point():
 # -- unusable input and containment
 
 
+def test_cli_analyze_at_a_61_bit_prime(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--group", "S4", "--prime", str(2**61 - 1),
+                 "--out", str(out)]) == EXIT_PASS
+    assert [(b["k"], b["l"]) for b in json.loads(out.read_text())["blocks"]] == [(1, 1)] * 5
+
+
+def test_cli_refuses_a_prime_past_the_primality_bound(capsys):
+    assert main(["analyze", "--group", "S4", "--prime", str(2**89 - 1)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("prime", [0, 1, 4, -3])
 def test_cli_rejects_a_non_prime(prime, capsys):
     code = main(["analyze", "--group", "S4", "--prime", str(prime)])

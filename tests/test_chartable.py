@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import RECIPES, group, sympy_rref
+from conftest import RECIPES, derived_subgroup, group, sympy_rref
 from blockscope import chartable, exact
 from blockscope.chartable import (_charpoly_mod, _choose_prime, _class_matrices,
                                   _class_matrix, _common_eigenvectors, character_table)
 from blockscope.cyclotomic import Cyclo, zeta
 from blockscope.errors import CapExceeded, InternalInconsistency
 from blockscope.exact import _nullspace_mod, _rref_mod
-from blockscope.groups import derived_subgroup
 from blockscope.recipes import (alternating, construct_group, cyclic, direct, symmetric,
                                 wreath)
 

@@ -108,7 +108,7 @@ def _weights_over_every_subgroup(group, p, blk):
         blocks_n = block_distribution(tab_n, p)
         target_nu = nu(n.order // r.order, p)
         for i in range(tab_n.n_classes):
-            if any(tab_n.values[i][tab_n.class_index(x)] != tab_n.degrees[i]
+            if any(tab_n.values[i][n.class_of(x)] != tab_n.degrees[i]
                    for x in r.generators):
                 continue
             if nu(tab_n.degrees[i], p) != target_nu:

@@ -3,7 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from blockscope.exact import _rref_mod, dtype_for, is_prime, nu, p_part, prime_factors
+from blockscope.errors import InputError
+from blockscope.exact import (PRIMALITY_BOUND, _rref_mod, dtype_for, is_prime, nu, p_part,
+                              prime_factors)
 from conftest import sympy_rref
 
 sympy = pytest.importorskip("sympy")
@@ -32,6 +34,35 @@ def test_nu_and_p_part_match_sympy():
 def test_is_prime_matches_sympy():
     for n in range(-5, 2001):
         assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_matches_a_sieve_below_10_to_the_5():
+    n = 10**5
+    sieve = [False, False] + [True] * (n - 2)
+    for d in range(2, int(n ** 0.5) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(range(d * d, n, d))
+    assert [is_prime(k) for k in range(n)] == sieve
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,                    # strong pseudoprime to the bases 2, 3, 5, 7
+    3825123056546413051,           # strong pseudoprime to the bases 2, ..., 23
+    318665857834031151167461,      # psi_12: strong pseudoprime to the bases 2, ..., 37
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [2**31 - 1, 2**61 - 1])
+def test_is_prime_accepts_mersenne_primes(n):
+    assert is_prime(n)
+
+
+@pytest.mark.parametrize("n", [PRIMALITY_BOUND, 2**89 - 1])
+def test_is_prime_refuses_past_the_proven_bound(n):
+    with pytest.raises(InputError):
+        is_prime(n)
 
 
 @pytest.mark.parametrize("n, p", [(0, 2), (12, 1), (12, 0), (12, -3)])

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (ORACLE_CAP, RECIPES, brute_centralizer_order, brute_class_count,
-                      brute_conjugator, brute_normalizer_order, group)
-from blockscope.errors import NotAbelian, NotNormalized
+                      brute_conjugator, brute_normalizer_order, derived_subgroup, group)
+from blockscope.errors import InternalInconsistency, NotAbelian, NotNormalized
 from blockscope.exact import p_part
 from blockscope.groups import (PermGroup, _BSGS, _element_index, _images_at,
                                _subgroups_of_p_group, abelian_invariants, center,
-                               centralizer, derived_subgroup, fixed_points, normal_closure,
-                               normalizer, o_p_core, o_p_residual, quotient_by_normal,
-                               subgroup_classes_of_p_group, subgroup_fingerprint,
-                               subgroup_transporter, sylow_subgroup, same_subgroup)
+                               centralizer, fixed_points, normal_closure, normalizer,
+                               o_p_core, o_p_residual, quotient_by_normal,
+                               subgroup_fingerprint, sylow_subgroup, sylow_subgroup_classes,
+                               same_subgroup)
 from blockscope.recipes import (alternating, construct_group, cyclic, direct, symmetric,
                                 wreath)
 from blockscope.perms import Perm
@@ -65,6 +65,10 @@ def test_subgroup_generator_outside_parent_rejected():
     a4 = group("A4")
     with pytest.raises(ValueError):
         a4.subgroup([cyc(4, (0, 1))])
+    # membership is tested in the group itself, not in a group it came from
+    v4 = group("S4").subgroup([cyc(4, (0, 1), (2, 3)), cyc(4, (0, 2), (1, 3))])
+    with pytest.raises(ValueError):
+        v4.subgroup([cyc(4, (0, 1))])
 
 
 # -- conjugacy classes
@@ -174,7 +178,7 @@ def test_normalizer_of_a_conjugate_member(name):
     """N(r^x) for x outside N(r) is read from r's memoised orbit, as N(r)
     conjugated by the witness of r^x; it must still be N(r^x)."""
     g = construct_group(RECIPES[name])
-    reps = subgroup_classes_of_p_group(sylow_subgroup(g, 2), g, 2)
+    reps = sylow_subgroup_classes(g, 2).reps
     tried = 0
     for r in reps:
         n_r = normalizer(g, r)
@@ -208,41 +212,19 @@ def _conjugation_orbit(g, sset):
 
 
 def test_each_orbit_of_element_sets_is_walked_once(monkeypatch):
-    """A walk is a call of `_stabilizer_of_action` on an element set, or a
-    call of `_set_orbit` that returns an orbit not seen before without one."""
-    import blockscope.blocks
-    import blockscope.fusion
+    """A walk is a call of `_stabilizer_of_action` on an element set: the
+    class enumeration and every normalizer read the memoised walks."""
     import blockscope.groups
     from blockscope.catalog import analyze_group
     walks = []
-    produced = []   # what the walks returned, kept alive so the ids stay distinct
-    produced_ids = set()
     stabilizer_of_action = blockscope.groups._stabilizer_of_action
-    set_orbit = blockscope.groups._set_orbit
 
-    def keep(*objects):
-        produced.extend(objects)
-        produced_ids.update(map(id, objects))
-
-    def recording_stabilizer(g, seed, *args):
-        result = stabilizer_of_action(g, seed, *args)
+    def recording_stabilizer(g, seed):
         if isinstance(seed, frozenset):
             walks.append((g, seed))
-            keep(*(result if isinstance(result, tuple) else (result,)))
-        return result
+        return stabilizer_of_action(g, seed)
 
-    def recording_set_orbit(g, sset):
-        orbit = set_orbit(g, sset)
-        if id(orbit) not in produced_ids:   # an orbit no recorded walk returned
-            walks.append((g, sset))
-            keep(orbit)
-        return orbit
-
-    for module in (blockscope.groups, blockscope.fusion, blockscope.blocks):
-        if hasattr(module, "_stabilizer_of_action"):
-            monkeypatch.setattr(module, "_stabilizer_of_action", recording_stabilizer)
-        if hasattr(module, "_set_orbit"):
-            monkeypatch.setattr(module, "_set_orbit", recording_set_orbit)
+    monkeypatch.setattr(blockscope.groups, "_stabilizer_of_action", recording_stabilizer)
     for name in ("K192", "L48xZ2"):
         analyze_group(construct_group(RECIPES[name]), 2)
     assert walks
@@ -527,41 +509,84 @@ def test_conjugate_klein_subgroups():
     s4 = group("S4")
     a = s4.subgroup([cyc(4, (0, 1)), cyc(4, (2, 3))])
     b = s4.subgroup([cyc(4, (0, 2)), cyc(4, (1, 3))])
-    w = subgroup_transporter(s4, a, b)
-    assert w is not None
-    assert frozenset(x ** w for x in a.element_set()) == b.element_set()
-    assert (brute_conjugator(s4, a, b) is not None)
+    classes = sylow_subgroup_classes(s4, 2)
+    assert classes.index_of(a) == classes.index_of(b)
+    assert brute_conjugator(s4, a, b) is not None
 
 
 def test_nonconjugate_klein_subgroups():
     s4 = group("S4")
     v4 = s4.subgroup([cyc(4, (0, 1), (2, 3)), cyc(4, (0, 2), (1, 3))])
     other = s4.subgroup([cyc(4, (0, 1)), cyc(4, (2, 3))])
-    assert subgroup_transporter(s4, v4, other) is None
+    classes = sylow_subgroup_classes(s4, 2)
+    assert classes.index_of(v4) != classes.index_of(other)
     assert brute_conjugator(s4, v4, other) is None
 
 
-def test_self_conjugacy_gives_identity():
+def test_a_subgroup_with_no_class_is_an_internal_inconsistency():
     s4 = group("S4")
-    a = s4.subgroup([cyc(4, (0, 1))])
-    assert subgroup_transporter(s4, a, a) == s4.identity
+    a4 = s4.subgroup([cyc(4, (0, 1, 2)), cyc(4, (1, 2, 3))])   # not a 2-subgroup
+    with pytest.raises(InternalInconsistency, match="no enumerated p-subgroup class"):
+        sylow_subgroup_classes(s4, 2).index_of(a4)
+
+
+_RECORD_CASES = [("S4", 2), ("S4", 3), ("A5", 2), ("L48", 2), ("S3xS3", 3), ("G96", 2)]
 
 
 @pytest.mark.parametrize("name,p", [("S4", 2), ("S4", 3), ("A5", 2), ("L48", 2),
                                     ("S3xS3", 3)])
 def test_transporter_agrees_with_brute_force(name, p):
-    from blockscope.blocks import p_subgroup_classes
+    """Two p-subgroups share a class label exactly when the brute-force
+    transporter finds an element that conjugates one onto the other."""
     g = group(name)
     x = g.generators[-1] * g.generators[0]
-    reps = p_subgroup_classes(g, p)
-    targets = reps + [g.subgroup([t ** x for t in r.generators]) for r in reps]
-    for a in reps:
+    classes = sylow_subgroup_classes(g, p)
+    targets = list(classes.reps) + [g.subgroup([t ** x for t in r.generators])
+                                    for r in classes.reps]
+    for a in classes.reps:
         for b in targets:
-            w = subgroup_transporter(g, a, b)
-            assert (w is None) == (brute_conjugator(g, a, b) is None)
-            if w is not None:
-                assert w in g
-                assert frozenset(t ** w for t in a.element_set()) == b.element_set()
+            same = classes.class_of[a.element_set()] == classes.class_of[b.element_set()]
+            assert same == (brute_conjugator(g, a, b) is not None)
+
+
+@pytest.mark.parametrize("name,p", _RECORD_CASES)
+def test_class_of_labels_every_conjugate_of_every_subgroup_of_the_sylow(name, p):
+    g = group(name)
+    classes = sylow_subgroup_classes(g, p)
+    orbits = {}   # class index -> the orbit of its representative's element set
+    for i, r in enumerate(classes.reps):
+        assert classes.class_of[r.element_set()] == i
+        orbits[i] = _conjugation_orbit(g, r.element_set())
+    for s in _subgroups_of_p_group(sylow_subgroup(g, p), p):
+        i = classes.class_of[s]
+        assert s in orbits[i]
+        assert all(classes.class_of[t] == i for t in _conjugation_orbit(g, s))
+    assert set(classes.class_of) == set().union(*orbits.values())
+
+
+@pytest.mark.parametrize("name,p", _RECORD_CASES)
+def test_leq_is_containment_of_some_conjugate(name, p):
+    """The former definition: some conjugate of reps[a] lies in reps[b]."""
+    g = group(name)
+    classes = sylow_subgroup_classes(g, p)
+    sets = [r.element_set() for r in classes.reps]
+    for a, sa in enumerate(sets):
+        orbit = _conjugation_orbit(g, sa)
+        assert list(classes.leq[a]) == [any(t <= sb for t in orbit) for sb in sets]
+
+
+@pytest.mark.parametrize("name,p", _RECORD_CASES)
+def test_members_are_the_conjugates_inside_the_sylow(name, p):
+    g = group(name)
+    pset = sylow_subgroup(g, p).element_set()
+    classes = sylow_subgroup_classes(g, p)
+    for r, members in zip(classes.reps, classes.members):
+        inside = {t for t in _conjugation_orbit(g, r.element_set()) if t <= pset}
+        assert [s for s, _ in members] == sorted(
+            inside, key=lambda t: sorted(x.images for x in t))
+        assert members[0] == (r.element_set(), r.generators)
+        for s, gens in members:
+            assert PermGroup(g.degree, gens).element_set() == s
 
 
 # -- subgroup enumeration
@@ -569,30 +594,24 @@ def test_transporter_agrees_with_brute_force(name, p):
 
 def test_subgroup_classes_d8_in_s4():
     s4 = group("S4")
-    d8 = sylow_subgroup(s4, 2)
-    classes = subgroup_classes_of_p_group(d8, s4, 2)
+    classes = sylow_subgroup_classes(s4, 2).reps
     assert [c.order for c in classes] == [1, 2, 2, 4, 4, 4, 8]
     # ten subgroups in total, fused to seven classes under S4
-    classes_in_d8 = subgroup_classes_of_p_group(d8, d8, 2)
+    d8 = sylow_subgroup(s4, 2)
+    classes_in_d8 = sylow_subgroup_classes(d8, 2).reps
     assert len(classes_in_d8) == 8   # D8-conjugacy is finer
-    total = 10
-    seen = set()
-    for c in classes_in_d8:
-        seen.add(frozenset(c.element_set()))
-    assert len(seen) == 8
+    assert len({c.element_set() for c in classes_in_d8}) == 8
+    assert len(_subgroups_of_p_group(d8, 2)) == 10
 
 
 def test_subgroup_classes_v4_in_a4():
-    a4 = group("A4")
-    v4 = sylow_subgroup(a4, 2)
-    classes = subgroup_classes_of_p_group(v4, a4, 2)
+    classes = sylow_subgroup_classes(group("A4"), 2).reps
     assert [c.order for c in classes] == [1, 2, 4]
 
 
 def test_subgroup_classes_trivial():
-    a4 = group("A4")
-    t = a4.subgroup([])
-    assert [c.order for c in subgroup_classes_of_p_group(t, a4, 2)] == [1]
+    z3 = group("A4").subgroup([cyc(4, (0, 1, 2))])   # its Sylow 2-subgroup is trivial
+    assert [c.order for c in sylow_subgroup_classes(z3, 2).reps] == [1]
 
 
 def _elementary(rank):
