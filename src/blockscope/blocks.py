@@ -11,16 +11,13 @@ p-regular classes, ell the table's prime (see _l_by_rank for why that rank
 is exact, and the certificate that the ranks sum to the number of
 p-regular classes).  Central characters, induced central functions and
 idempotent coefficients are divided exactly in Z[zeta]; a quotient that
-is not integral raises.  Lower defect multiplicities come from the defect
-filtration of the projected p-regular class sums inside the center Z(kG)
-of the modular group algebra, over the residue field GF(p^f) of modp: the
-idempotents are arrays of field elements, e_b K_j for every class j is one
-contraction with the class matrices, and m(b, R) is the dimension jump of
-e_b * span{class sums with defect group below R} against the strictly
-smaller subgroup classes, each dimension a rank mod p over f.  The classes
-R, the class of each defect group and the containment order between
-classes are read from groups.sylow_subgroup_classes.  The sum over all R
-must equal l(b); that identity is enforced as a hard runtime assertion.
+is not integral raises.  Lower defect multiplicities m(b, R) come from the
+defect filtration of the p-regular class sums in Z(kG), k the residue
+field GF(p^f) of modp: dimension jumps of e_b * span{class sums with defect
+group below R}, read as ranks over GF(p) on the sum of the e_a over b's
+Frobenius orbit.  The classes R and their containment order come from
+groups.sylow_subgroup_classes.  The sum over all R must equal l(b), a hard
+runtime assertion.
 """
 
 from __future__ import annotations
@@ -255,6 +252,21 @@ def _block_with_signature(table: CharacterTable, p: int, sig: tuple):
     return matches[0]
 
 
+def _frobenius_orbit(blk: Block) -> list[Block]:
+    """b and its images under the Frobenius x -> x^p of the residue field,
+    in turn: the image of a block has its signature raised to the p-th power."""
+    ctx = _context_for(blk.table, blk.p)
+    orbit, sig = [blk], np.array(blk.signature, dtype=ctx.dtype(ctx.f))
+    while True:
+        sig = sig @ ctx.frobenius % blk.p
+        nxt = _block_with_signature(blk.table, blk.p, tuple(map(tuple, sig.tolist())))
+        if nxt is blk:
+            return orbit
+        if nxt is None or len(orbit) == ctx.f:
+            raise InternalInconsistency("the Frobenius does not permute the blocks")
+        orbit.append(nxt)
+
+
 # ---------------------------------------------------------------------------
 # block idempotents mod p and lower defect groups
 
@@ -294,13 +306,13 @@ def _idempotent_vectors(table: CharacterTable, p: int):
 
 
 def _times_class_sums(table: CharacterTable, ctx: ModPContext, e: np.ndarray) -> np.ndarray:
-    """e K_j in Z(kG) for every class j, e an array of class-sum coefficients:
-    out[j, k] is the coefficient of K_k, (sum_i e_i M_i)[j, k] for the class
-    matrices M_i."""
+    """e K_j in Z(kG) for every class j, e an array of class-sum coefficients
+    (field elements, or GF(p) values): out[j, k] is the coefficient of K_k,
+    (sum_i e_i M_i)[j, k] for the class matrices M_i."""
     out = np.zeros((table.n_classes,) + e.shape, dtype=e.dtype)
     for i, mi in enumerate(_class_matrices(table.group)):
-        if e[i].any():
-            out += mi.astype(e.dtype)[:, :, None] % ctx.p * e[i]
+        if np.any(e[i]):
+            out += np.multiply.outer(mi.astype(e.dtype) % ctx.p, e[i])
     return out % ctx.p
 
 
@@ -338,46 +350,49 @@ class LowerDefectTable:
 def lower_defect_multiplicities(blk: Block) -> LowerDefectTable:
     """Multiplicities m(b, R) over p-subgroup classes R, via the defect filtration.
 
-    Hard assertions: the multiplicities sum to l(b), the defect group
-    carries multiplicity at least 1, and classes not below the defect
-    group carry 0.
+    m(b, R) is the k-dimension jump of e_b V_R against e_b V_<R, V_R the
+    span of the p-regular class sums whose defect group is in R's class or
+    below.  The Frobenius x -> x^p of k, on coefficients, is a semilinear
+    ring automorphism of kG that fixes the class sums, keeps k-dimensions
+    and maps e_b to the idempotent of the block whose signature is b's
+    raised to the p-th power.  So over b's orbit O, E = sum_{a in O} e_a
+    has GF(p) coefficients (hard assertion), E V is the direct sum of the
+    e_a V, all of one dimension, and its dimension is the GF(p)-rank of
+    the E K_j: each jump of those ranks is |O| m(b, R) (Linckelmann, *The
+    Block Theory of Finite Group Algebras* I, 2018, for Z(OG)e_b).  Hard
+    assertions: |O| divides each jump, the multiplicities sum to l(b), the
+    defect group carries multiplicity at least 1, and classes not below the
+    defect group carry 0.
     """
-    table = blk.table
-    group = table.group
-    p = blk.p
-    ctx = _context_for(table, p)
-    classes = sylow_subgroup_classes(group, p)
+    table, p = blk.table, blk.p
+    classes = sylow_subgroup_classes(table.group, p)
     leq = classes.leq   # the containment partial order on the classes
-    idempotents, _ = block_idempotent_vectors(table, p)
-    bidx = block_distribution(table, p).index(blk)
-    e_b = idempotents[bidx]
+    idempotents, ctx = block_idempotent_vectors(table, p)
+    blocks = block_distribution(table, p)
+    orbit = _frobenius_orbit(blk)
+    e = idempotents[[blocks.index(b) for b in orbit]].sum(axis=0) % p
+    if e[:, 1:].any():
+        raise InternalInconsistency("a Frobenius orbit's idempotents sum outside GF(p)")
 
     # defect group of each p-regular class, matched into the class list
-    pr = table.p_regular_indices(p)
     class_rep_of = _defect_classes_of_p_regular_classes(table, p)
-
-    vectors = _times_class_sums(table, ctx, e_b)[list(pr)]
-    rows = ctx.rows(vectors)
-    # vectors that form a GF(p)-basis of the vectors' GF(p)-span also span
-    # their GF(p^f)-span; the pivot columns of one elimination of their rows
-    # give coordinates injective on it, on which every subset's rank is read
-    _, basis = _rref_mod(vectors.reshape(len(vectors), -1).T, p)
-    _, pivots = _rref_mod(rows[basis].reshape(-1, rows.shape[2]), p)
-    rows = rows[:, :, pivots]
+    vectors = _times_class_sums(table, ctx, e[:, 0])[list(table.p_regular_indices(p))]
 
     def span_rank(pred):
-        return ctx.rank(rows[[k for k, cls in enumerate(class_rep_of) if pred(cls)]])
+        picked = [k for k, cls in enumerate(class_rep_of) if pred(cls)]
+        return len(_rref_mod(vectors[picked], p)[1])
 
     mult = []
     for ri in range(len(classes.reps)):
-        below = span_rank(lambda c: leq[c][ri])
-        strictly = span_rank(lambda c: leq[c][ri] and c != ri)
-        mult.append(below - strictly)
+        jump = span_rank(lambda c: leq[c][ri]) - span_rank(lambda c: leq[c][ri] and c != ri)
+        if jump % len(orbit):
+            raise InternalInconsistency(
+                f"a Frobenius orbit of {len(orbit)} blocks has a dimension jump of {jump}")
+        mult.append(jump // len(orbit))
 
-    total = sum(mult)
-    if total != blk.l:
+    if sum(mult) != blk.l:
         raise InternalInconsistency(
-            f"lower defect multiplicities sum to {total}, expected l(b) = {blk.l}")
+            f"lower defect multiplicities sum to {sum(mult)}, expected l(b) = {blk.l}")
     dclass = classes.index_of(blk.defect_group)
     if mult[dclass] < 1:
         raise InternalInconsistency("defect group multiplicity is zero")

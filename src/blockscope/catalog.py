@@ -63,11 +63,13 @@ def load_catalog(path: str) -> list[CatalogEntry]:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read catalog {path}: {exc}") from exc
-    if not isinstance(data, dict) or "entries" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
         raise ParseError("catalog must be an object with an 'entries' list")
     entries = []
     for raw in data["entries"]:
         try:
+            if not isinstance(raw, dict):
+                raise TypeError(f"entry {raw!r} is not an object")
             prime = raw.get("prime", 2)
             if not isinstance(prime, int) or isinstance(prime, bool):
                 raise TypeError(f"prime {prime!r} is not an integer")

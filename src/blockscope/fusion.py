@@ -98,8 +98,9 @@ class FusionSystem:
     def _hyperfocal_residual(self) -> PermGroup:
         """P meet O^p(G), the hyperfocal subgroup by the residual characterization."""
         opg = o_p_residual(self.group, self.p)
-        gens = [x for x in self.sylow.elements() if x in opg and not x.is_identity()]
-        return self.group.subgroup(gens)
+        q = self.group.subgroup([])
+        return self.group.subgroup([x for x in self.sylow.elements()
+                                    if x in opg and q.bsgs.add(x)])
 
     def _hyperfocal_commutator(self) -> PermGroup:
         """The hyperfocal subgroup from Alperin's generators of the fusion system.

@@ -7,8 +7,8 @@ GF(p), found by Berlekamp's algorithm (Bell Syst. Tech. J. 46, 1967): the
 field is GF(p)[y]/(g) and zeta_m maps to the class of y (so the p-power
 part of zeta collapses to 1).  A field element is the vector of its f
 coordinates in the basis 1, y, ..., y^(f-1), so arrays of them are integer
-arrays: products are contractions with one multiplication tensor, and a
-rank over GF(p^f) is a rank over GF(p) from exact._rref_mod.  A value's
+arrays: products are contractions with one multiplication tensor, and the
+Frobenius x -> x^p, which is GF(p)-linear, is one f x f matrix.  A value's
 integer power-basis coordinates reduce mod p, so the map is defined on all
 of Z[zeta_m]; a p-integral quotient x / n is reduced by its caller as
 (x / n_p) times the inverse of n_p' mod p.  Block partitions do not depend
@@ -25,7 +25,7 @@ import numpy as np
 
 from .cyclotomic import Cyclo, cyclotomic_polynomial
 from .errors import InternalInconsistency
-from .exact import _nullspace_mod, _rref_mod, dtype_for, p_part
+from .exact import _nullspace_mod, dtype_for, p_part
 
 __all__ = ["ModPContext", "mod_p_context"]
 
@@ -167,6 +167,9 @@ class ModPContext:
         # times[s, t] = y^(s + t): the product of a and b is sum a_s b_t times[s, t]
         span = np.arange(f)
         self.times = np.array(powers, dtype=self.dtype(f))[span[:, None] + span]
+        # row t is y^(p t): the coordinate row of x times it is x^p
+        self.frobenius = np.array([self._zpow[p * t % mprime] for t in range(f)],
+                                  dtype=self.dtype(f))
 
     def dtype(self, terms: int):
         """The dtype for sums of `terms` products of two residues."""
@@ -191,23 +194,6 @@ class ModPContext:
         """The GF(p)-matrix of multiplication by each field element v[..., :]:
         row t holds y^t v, so the coordinate row of b times it is b v."""
         return np.tensordot(v, self.times, axes=([-1], [1])) % self.p
-
-    def rows(self, vectors: np.ndarray) -> np.ndarray:
-        """rows[i, t] = y^t vectors[i] over GF(p), for rows vectors[i] of
-        field elements: the GF(p)-span of all rows[i, t] is the
-        GF(p^f)-span of the vectors."""
-        n, r, f = vectors.shape
-        return self.regular(vectors).transpose(0, 2, 1, 3).reshape(n, f, r * f)
-
-    def rank(self, rows: np.ndarray) -> int:
-        """Rank over GF(p^f) of the vectors whose self.rows are given (or
-        their coordinates on columns injective on their span): the
-        GF(p)-rank, over f."""
-        _, pivots = _rref_mod(rows.reshape(-1, rows.shape[-1]), self.p)
-        if len(pivots) % self.f:
-            raise InternalInconsistency(
-                f"a GF({self.p}^{self.f})-span has GF({self.p})-dimension {len(pivots)}")
-        return len(pivots) // self.f
 
     def __repr__(self):
         return (f"ModPContext(m={self.m}, p={self.p}, "

@@ -23,8 +23,6 @@ top group.
 
 from __future__ import annotations
 
-import json
-
 from .errors import DegreeOverflow, InvalidAction, ParseError
 from .groups import PermGroup
 from .perms import Perm, parse_perm
@@ -246,13 +244,11 @@ def _as_perm(entry, degree: int) -> Perm:
 
 
 def recipe_from_json(obj) -> GroupRecipe:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError("recipe JSON must be an object with a 'kind' field")
     kind = obj["kind"]
 
-    def field(name, types=(dict, str)):
+    def field(name, types=(dict,)):
         # a missing or ill-typed field is a parse error, not a KeyError later;
         # bool is a subclass of int, but true is no group size
         value = obj.get(name)

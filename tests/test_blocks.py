@@ -322,6 +322,41 @@ def test_lower_defect_finds_each_class_defect_group_once(name, monkeypatch):
     assert len(calls) == len(table.p_regular_indices(2))
 
 
+@pytest.mark.parametrize("name, sizes", [
+    ("Z47", [1, 23, 23]),                  # 2 has order 23 mod 47
+    ("A5xZ7", [1, 1, 3, 3, 3, 3]),         # A5's two blocks times 1 + 3 + 3 of Z7
+    ("Z3wrZ2", [1, 1, 2, 2]),
+])
+def test_frobenius_orbits_and_constant_multiplicities(name, sizes):
+    from blockscope.blocks import _frobenius_orbit
+    from blockscope.recipes import alternating
+    from conftest import RECIPES
+    recipes = {"Z47": cyclic(47), "A5xZ7": direct(alternating(5), cyclic(7)),
+               "Z3wrZ2": RECIPES["Z3wrZ2"]}
+    found = block_distribution(character_table(construct_group(recipes[name])), 2)
+    orbits = {tuple(sorted(found.index(a) for a in _frobenius_orbit(b))) for b in found}
+    assert sorted(map(len, orbits)) == sizes and sum(sizes) == len(found)
+    for orbit in orbits:
+        assert len({lower_defect_multiplicities(found[i]).multiplicities for i in orbit}) == 1
+
+
+def test_a_short_frobenius_orbit_fails_the_gf_p_check(monkeypatch):
+    from blockscope import blocks
+    found = block_distribution(character_table(group("Z3wrZ2")), 2)
+    blk = next(b for b in found if len(blocks._frobenius_orbit(b)) > 1)
+    monkeypatch.setattr(blocks, "_frobenius_orbit", lambda b: [b])
+    with pytest.raises(InternalInconsistency, match="outside GF"):
+        lower_defect_multiplicities(blk)
+
+
+def test_a_frobenius_image_that_is_no_block_is_refused(monkeypatch):
+    from blockscope import blocks
+    blk = principal_block(group("Z3wrZ2"), 2)
+    monkeypatch.setattr(blocks, "_block_with_signature", lambda table, p, sig: None)
+    with pytest.raises(InternalInconsistency, match="does not permute"):
+        lower_defect_multiplicities(blk)
+
+
 def test_a5_times_z7_blocks_at_2():
     # A5's 2-blocks are {1, 3, 3', 5} (defect group V4, l = 3: the 2-regular
     # classes 1, 3, 5a, 5b less the defect-0 block {4}) and {4}; each of the

@@ -272,6 +272,21 @@ def test_cli_catalog_prime_not_an_integer_is_an_input_error(prime, tmp_path, cap
     assert err.startswith("input error") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("catalog", [
+    {"entries": 5},
+    {"entries": [1]},
+    {"entries": [{"name": "X", "recipe": "S4"}]},
+    {"entries": [{"name": "X", "recipe": {"kind": "direct", "a": "oops",
+                                          "b": {"kind": "cyclic", "n": 2}}}]},
+])
+def test_cli_malformed_catalog_is_an_input_error(catalog, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(catalog))
+    assert main(["catalog", "--file", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [
     ["analyze", "--group", "S4"], ["catalog", "--filter", "S4"], ["table", "--group", "S4"]])
 @pytest.mark.parametrize("where", ["directory", "missing parent"])

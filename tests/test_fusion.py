@@ -130,6 +130,9 @@ def test_hyperfocal_two_methods(name, order, invariants):
     assert rep.subgroup.order == order
     assert rep.commutator_order == rep.residual_order == order
     assert rep.invariants == invariants
+    # the residual keeps an element of P meet O^p(G) only when it is new to
+    # the subgroup grown so far, so each generator at least doubles it
+    assert 2 ** len(rep.subgroup.generators) <= order
 
 
 def _hyperfocal_over_all_classes(fs):

@@ -159,29 +159,11 @@ def test_berlekamp_factor_count_is_checked(monkeypatch):
         modp._phi_factors_mod_p.__wrapped__(5, 2)
 
 
-def _span_size(ctx, vectors):
-    """The number of GF(p^f)-combinations of the rows of vectors."""
-    field = list(itertools.product(range(ctx.p), repeat=ctx.f))
-    span = set()
-    for coeffs in itertools.product(field, repeat=len(vectors)):
-        total = sum(times(ctx, c, v) for c, v in zip(coeffs, vectors))
-        span.add(tuple((total % ctx.p).ravel().tolist()))
-    return len(span)
-
-
-def times(ctx, c, v):
-    """The field element c times each entry of the vector v."""
-    return np.einsum("t,ktu->ku", np.array(c), ctx.regular(v)) % ctx.p
-
-
-def test_regular_rank_matches_brute_force_over_gf4_and_gf8():
-    rng = random.Random(5)
-    for m in (3, 7):                       # GF(4) for m = 3, GF(8) for m = 7
-        ctx = mod_p_context(m, 2)
-        for _ in range(25):
-            n, r = rng.randint(1, 2 if m == 7 else 3), rng.randint(1, 3)
-            vectors = np.array([[[rng.randrange(2) for _ in range(ctx.f)] for _ in range(r)]
-                                for _ in range(n)], dtype=np.int64)
-            if n > 1 and rng.random() < 0.4:   # a multiple of the first vector
-                vectors[-1] = times(ctx, vectors[0, 0], vectors[0])
-            assert _span_size(ctx, vectors) == 2 ** (ctx.f * ctx.rank(ctx.rows(vectors)))
+@pytest.mark.parametrize("m, p, f", [(3, 2, 2), (7, 2, 3), (5, 2, 4), (8, 3, 2), (3, 5, 2)])
+def test_frobenius_matrix_is_the_p_th_power(m, p, f):
+    # GF(4), GF(8), GF(16), GF(9) and GF(25): every x, its p-th power by products
+    ctx = mod_p_context(m, p)
+    assert ctx.f == f
+    for x in itertools.product(range(p), repeat=f):
+        got = tuple(int(c) for c in np.array(x) @ ctx.frobenius % p)
+        assert got == power(ctx, x, p), x
