@@ -26,7 +26,7 @@ from .chartable import CharacterTable, character_table
 from .classify import (ClassificationReport, check_local_structure, classify_case,
                        count_weights, verify_counts)
 from .cyclotomic import Cyclo, zeta
-from .errors import (AmbiguousMatch, BlockscopeError, CapExceeded, DegreeOverflow,
+from .errors import (BlockscopeError, CapExceeded, DegreeOverflow,
                      InputError, InternalInconsistency, InvalidAction,
                      MethodDisagreement, NoComplementFound, NoDefectClass,
                      NotAbelian, NotNormalized, NotPIntegral, ParseError)

@@ -9,27 +9,31 @@ k(b) is the number of ordinary characters in the block; l(b) is the rank
 over GF(ell) of the block's character values mod ell restricted to the
 p-regular classes, ell the table's prime (see _l_by_rank for why that rank
 is exact, and the certificate that the ranks sum to the number of
-p-regular classes).  Central characters, induced central functions and
-idempotent coefficients are divided exactly in Z[zeta]; a quotient that
-is not integral raises.  Lower defect multiplicities m(b, R) come from the
-defect filtration of the p-regular class sums in Z(kG), k the residue
-field GF(p^f) of modp: dimension jumps of e_b * span{class sums with defect
-group below R}, read as ranks over GF(p) on the sum of the e_a over b's
-Frobenius orbit.  The classes R and their containment order come from
-groups.sylow_subgroup_classes.  The sum over all R must equal l(b), a hard
-runtime assertion.
+p-regular classes).  Central characters and idempotent coefficients are
+divided exactly in Z[zeta]; a quotient that is not integral raises.  A
+block's defect group is found on its first read, from one Sylow
+p-subgroup per p-regular class (that of the class's centralizer, shared
+with the lower defect multiplicities); building the blocks computes no
+centralizer or Sylow subgroup.  Lower defect multiplicities m(b, R) come
+from the defect filtration of the p-regular class sums in Z(kG), k the
+residue field GF(p^f) of modp: dimension jumps of e_b * span{class sums
+with defect group below R}, read as ranks over GF(p) on the sum of the
+e_a over b's Frobenius orbit.  The classes R and their containment order
+come from groups.sylow_subgroup_classes.  The sum over all R must equal
+l(b), a hard runtime assertion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
 from .chartable import CharacterTable, _class_matrices, character_table
 from .cyclotomic import Cyclo
-from .errors import (AmbiguousMatch, InputError, InternalInconsistency, NoDefectClass,
-                     NotPIntegral)
+from .errors import InputError, InternalInconsistency, NoDefectClass, NotPIntegral
 from .exact import _rref_mod, is_prime, nu, p_part
 from .groups import (PermGroup, abelian_invariants, centralizer, subgroup_fingerprint,
                      sylow_subgroup, sylow_subgroup_classes)
@@ -48,7 +52,6 @@ class Block:
     p: int
     char_indices: tuple[int, ...]
     defect: int
-    defect_group: PermGroup
     is_principal: bool
     k: int
     l: int
@@ -57,6 +60,22 @@ class Block:
     @property
     def group(self) -> PermGroup:
         return self.table.group
+
+    @cached_property
+    def defect_group(self) -> PermGroup:
+        """Sylow p-subgroup of the centralizer of a defect class: a p-regular
+        class with nonzero reduced central character whose class defect
+        equals the block defect.  Computed on first read."""
+        table, p = self.table, self.p
+        nu_g = nu(self.group.order, p)
+        j = next((j for j, cls in enumerate(table.classes) if cls.is_p_regular(p)
+                  and any(self.signature[j]) and nu_g - nu(cls.size, p) == self.defect), None)
+        if j is None:
+            raise NoDefectClass(f"no defect class found for a block of defect {self.defect}")
+        dg = _class_defect_group(table, p, j)
+        if self.is_principal and dg.order != p_part(self.group.order, p):
+            raise InternalInconsistency("principal block defect group is not Sylow")
+        return dg
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(self.table.degrees[i] for i in self.char_indices)
@@ -97,10 +116,6 @@ def _central_characters(table: CharacterTable):
     return tuple(rows)
 
 
-def _context_for(table: CharacterTable, p: int) -> ModPContext:
-    return mod_p_context(table.exponent, p)
-
-
 def block_distribution(table: CharacterTable, p: int) -> list[Block]:
     """Partition of Irr(G) into p-blocks, principal block first.
 
@@ -112,24 +127,21 @@ def block_distribution(table: CharacterTable, p: int) -> list[Block]:
 
 
 def _block_distribution(table: CharacterTable, p: int) -> list[Block]:
-    ctx = _context_for(table, p)
+    ctx = mod_p_context(table.exponent, p)
     omegas = central_characters(table)
     sig_of: dict[tuple, list[int]] = {}
     for i in range(table.n_classes):
         sig = tuple(ctx.reduce(w) for w in omegas[i])
         sig_of.setdefault(sig, []).append(i)
 
-    n = table.group.order
-    nu_g = nu(n, p)
+    nu_g = nu(table.group.order, p)
     blocks = []
     for sig, idxs in sig_of.items():
         idxs = tuple(sorted(idxs))
         defect = nu_g - min(nu(table.degrees[i], p) for i in idxs)
-        principal = 0 in idxs
-        dg = _defect_group_from_signature(table, p, sig, defect)
         blocks.append(Block(
             table=table, p=p, char_indices=idxs, defect=defect,
-            defect_group=dg, is_principal=principal, k=len(idxs),
+            is_principal=0 in idxs, k=len(idxs),
             l=_l_by_rank(table, p, idxs), signature=sig,
         ))
     blocks.sort(key=lambda b: (not b.is_principal, b.char_indices))
@@ -143,28 +155,15 @@ def _block_distribution(table: CharacterTable, p: int) -> list[Block]:
         raise InternalInconsistency(
             f"ranks mod {table.ell} sum to {sum(b.l for b in blocks)}, "
             f"not to the {s} p-regular classes")
-    if blocks[0].is_principal:
-        if blocks[0].defect_group.order != p_part(n, p):
-            raise InternalInconsistency("principal block defect group is not Sylow")
     return blocks
 
 
-def _defect_group_from_signature(table: CharacterTable, p: int, sig, defect: int):
-    """Defect group: Sylow p-subgroup of the centralizer of a defect class.
-
-    A defect class is a p-regular class with nonzero reduced central
-    character whose class defect equals the block defect.
-    """
+def _class_defect_group(table: CharacterTable, p: int, j: int) -> PermGroup:
+    """A Sylow p-subgroup of the centralizer of class j's representative, the
+    class's defect group; memoised per class, shared by every block."""
     group = table.group
-    nu_g = nu(group.order, p)
-    for j, cls in enumerate(table.classes):
-        if not cls.is_p_regular(p) or not any(sig[j]):
-            continue
-        class_defect = nu_g - nu(cls.size, p)
-        if class_defect == defect:
-            cent = centralizer(group, cls.representative)
-            return sylow_subgroup(cent, p)
-    raise NoDefectClass(f"no defect class found for a block of defect {defect}")
+    return group._memo(("class_defect_group", p, j), lambda: sylow_subgroup(
+        centralizer(group, table.classes[j].representative), p))
 
 
 def _l_by_rank(table: CharacterTable, p: int, idxs) -> int:
@@ -193,39 +192,15 @@ def principal_block(group: PermGroup, p: int) -> Block:
 # Brauer induction
 
 
-def brauer_induce(blk_local: Block, group: PermGroup):
-    """Induced block of `group`, or None when induction is undefined.
+def brauer_induce(table_h: CharacterTable, chi: int, group: PermGroup, p: int):
+    """Block of `group` that the block of chi in Irr(h) induces to, h the
+    group of `table_h`, or None when induction is undefined.
 
-    The induced central function evaluates the local block's central
-    character on the intersection of each class with the subgroup; the
-    result is a block of `group` exactly when the reduced values match
-    some block's signature on every class.  Both sides are reduced in the
-    big group's context so the maximal-ideal choice is shared.
+    The induced central character at a class K of `group` is the sum of
+    omega_chi over the classes of h inside K; no block of h is built.
     """
-    h = blk_local.group
-    table_g = character_table(group)
-    p = blk_local.p
-    ctx = _context_for(table_g, p)
-    table_h = blk_local.table
-    chi = blk_local.char_indices[0]
-
-    h_class_of_g_class: dict[int, list[int]] = {}
-    elements = h.elements()
-    for j, hj in zip(group.classes_of(elements).tolist(), h.classes_of(elements).tolist()):
-        h_class_of_g_class.setdefault(j, []).append(hj)
-
-    sig = []
-    for j in range(table_g.n_classes):
-        total = Cyclo.zero()
-        for hj in h_class_of_g_class.get(j, ()):  # one term per element of K cap H
-            total = total + table_h.values[chi][hj]
-        # a sum of central characters of h, so an algebraic integer
-        w = total.exact_div(table_h.degrees[chi])
-        if w is None:
-            raise InternalInconsistency(
-                f"induced central character at class {j} is not an algebraic integer")
-        sig.append(ctx.reduce(w))
-    return _block_with_signature(table_g, p, tuple(sig))
+    fusion = group.classes_of([cls.representative for cls in table_h.classes])
+    return _induced_block(group, p, fusion.tolist(), central_characters(table_h)[chi])
 
 
 def induce_principal_block(h: PermGroup, group: PermGroup, p: int):
@@ -233,29 +208,35 @@ def induce_principal_block(h: PermGroup, group: PermGroup, p: int):
     to, or None when induction is undefined.
 
     The trivial character of h lies in its principal block, so the induced
-    central character on a class K of `group` is |K cap h|, reduced in the
-    big group's context.  No character table or block of h is built.
+    central character on a class K of `group` is |K cap h|: a 1 for each
+    element of h.  No character table or block of h is built.
     """
-    table_g = character_table(group)
-    ctx = _context_for(table_g, p)
-    counts = np.bincount(group.classes_of(h.elements()), minlength=table_g.n_classes).tolist()
-    return _block_with_signature(table_g, p, tuple(ctx.reduce(c) for c in counts))
+    return _induced_block(group, p, group.classes_of(h.elements()).tolist(), repeat(1))
+
+
+def _induced_block(group: PermGroup, p: int, classes, terms):
+    """The block of `group` whose signature is the class function summing
+    each term on its class of `group` (classes[i] for terms[i]), or None.
+    The sums are reduced in the big group's context, so the maximal-ideal
+    choice is shared with its blocks."""
+    table = character_table(group)
+    totals = [0] * table.n_classes
+    for j, w in zip(classes, terms):
+        totals[j] += w
+    ctx = mod_p_context(table.exponent, p)
+    return _block_with_signature(table, p, tuple(ctx.reduce(w) for w in totals))
 
 
 def _block_with_signature(table: CharacterTable, p: int, sig: tuple):
-    """The block of `table` whose reduced central character is `sig`, or None."""
-    matches = [b for b in block_distribution(table, p) if b.signature == sig]
-    if not matches:
-        return None
-    if len(matches) > 1:  # pragma: no cover - signatures are distinct by construction
-        raise AmbiguousMatch("induced central function matches several blocks")
-    return matches[0]
+    """The block of `table` whose reduced central character is `sig`, or None;
+    the signatures of the blocks are distinct by construction."""
+    return next((b for b in block_distribution(table, p) if b.signature == sig), None)
 
 
 def _frobenius_orbit(blk: Block) -> list[Block]:
     """b and its images under the Frobenius x -> x^p of the residue field,
     in turn: the image of a block has its signature raised to the p-th power."""
-    ctx = _context_for(blk.table, blk.p)
+    ctx = mod_p_context(blk.table.exponent, blk.p)
     orbit, sig = [blk], np.array(blk.signature, dtype=ctx.dtype(ctx.f))
     while True:
         sig = sig @ ctx.frobenius % blk.p
@@ -284,7 +265,7 @@ def block_idempotent_vectors(table: CharacterTable, p: int):
 
 
 def _idempotent_vectors(table: CharacterTable, p: int):
-    ctx = _context_for(table, p)
+    ctx = mod_p_context(table.exponent, p)
     n = table.group.order
     n_p = p_part(n, p)
     out = []
@@ -374,8 +355,9 @@ def lower_defect_multiplicities(blk: Block) -> LowerDefectTable:
     if e[:, 1:].any():
         raise InternalInconsistency("a Frobenius orbit's idempotents sum outside GF(p)")
 
-    # defect group of each p-regular class, matched into the class list
-    class_rep_of = _defect_classes_of_p_regular_classes(table, p)
+    # the class of each p-regular class's defect group in the class list
+    class_rep_of = [classes.index_of(_class_defect_group(table, p, j))
+                    for j in table.p_regular_indices(p)]
     vectors = _times_class_sums(table, ctx, e[:, 0])[list(table.p_regular_indices(p))]
 
     def span_rank(pred):
@@ -403,12 +385,3 @@ def lower_defect_multiplicities(blk: Block) -> LowerDefectTable:
     return LowerDefectTable(block=blk, subgroup_classes=classes.reps,
                             multiplicities=tuple(mult))
 
-
-def _defect_classes_of_p_regular_classes(table: CharacterTable, p: int) -> list[int]:
-    """For each p-regular class, the p-subgroup class of a Sylow p-subgroup of
-    its centralizer (the class's defect group); shared by every block."""
-    group = table.group
-    classes = sylow_subgroup_classes(group, p)
-    return group._memo(("p_regular_defect_classes", p), lambda: [
-        classes.index_of(sylow_subgroup(centralizer(group, cls.representative), p))
-        for cls in table.classes if cls.is_p_regular(p)])

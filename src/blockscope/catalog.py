@@ -22,7 +22,7 @@ import numpy as np
 
 from .blocks import (block_distribution, block_idempotent_vectors,
                      induce_principal_block, lower_defect_multiplicities, principal_block,
-                     p_subgroup_classes, _times_class_sums)
+                     p_subgroup_classes, _frobenius_orbit, _times_class_sums)
 from .chartable import character_table
 from .classify import (check_local_structure, classify_case, count_weights,
                        verdict, verify_counts)
@@ -70,17 +70,25 @@ def load_catalog(path: str) -> list[CatalogEntry]:
         try:
             if not isinstance(raw, dict):
                 raise TypeError(f"entry {raw!r} is not an object")
-            prime = raw.get("prime", 2)
+            name, provenance = raw["name"], raw.get("provenance", "")
+            prime, expected = raw.get("prime", 2), raw.get("expected", {})
+            if not isinstance(name, str) or not isinstance(provenance, str):
+                raise TypeError(f"name {name!r} or provenance {provenance!r} is not a string")
             if not isinstance(prime, int) or isinstance(prime, bool):
                 raise TypeError(f"prime {prime!r} is not an integer")
-            entries.append(CatalogEntry(
-                name=raw["name"],
-                recipe=recipe_from_json(raw["recipe"]),
-                prime=prime,
-                expected=dict(raw.get("expected", {})),
-                provenance=raw.get("provenance", ""),
-            ))
-        except (KeyError, TypeError) as exc:
+            if not is_prime(prime):
+                raise ValueError(f"prime {prime} is not a prime")
+            if not isinstance(expected, dict):
+                raise TypeError(f"expected {expected!r} is not an object")
+            lower = expected.get("lower_defect", [])
+            if not isinstance(lower, list) or not all(
+                    isinstance(pair, list) and len(pair) == 2 and
+                    all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
+                    for pair in lower):
+                raise TypeError(f"lower_defect {lower!r} is not a list of two-integer lists")
+            entries.append(CatalogEntry(name=name, recipe=recipe_from_json(raw["recipe"]),
+                                        prime=prime, expected=expected, provenance=provenance))
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed catalog entry: {exc}") from exc
     return entries
 
@@ -158,22 +166,36 @@ def _invariant_suite(group: PermGroup, table, blocks, p: int) -> dict:
 def _check_idempotents(table, p: int) -> bool:
     """e_b mod p are orthogonal idempotents summing to 1 in Z(kG).
 
-    e_b e_a = sum_j e_b[j] (e_a K_j): for every a, one product of the rows
-    y^t e_b[j] over GF(p) with the coordinates of the e_a K_j.
+    The Frobenius F, x -> x^p on coefficients, is a ring automorphism of
+    Z(kG), and sigma, the next block of _frobenius_orbit, permutes the
+    blocks.  For each orbit, e_sigma(a) = F(e_a) is checked for every block
+    a of the orbit, and e_b e_a = [a = b] e_b for every a but only for the
+    orbit's first block b: for the others, F^i(e_b) e_sigma^i(a) =
+    F^i(e_b e_a) = [a = b] F^i(e_b), and sigma^i(a) runs over all blocks.
+    e_b e_a = sum_j e_a[j] (e_b K_j): one product of the rows y^t e_a[j]
+    over GF(p) with the coordinates of the e_b K_j.
     """
     vectors, ctx = block_idempotent_vectors(table, p)
+    blocks = block_distribution(table, p)
     n, r, f = vectors.shape
-    one = np.zeros((r, f), dtype=vectors.dtype)
-    one[0, 0] = 1
-    if ((vectors.sum(axis=0) - one) % p).any():
+    total = vectors.sum(axis=0)
+    total[0, 0] -= 1                                   # minus the identity
+    if (total % p).any():
         return False
-    # rows (b, u), columns (j, t): coordinate u of y^t e_b[j]
+    # rows (a, u), columns (j, t): coordinate u of y^t e_a[j]
     left = ctx.regular(vectors).transpose(0, 3, 1, 2).reshape(n * f, r * f)
-    for a, e in enumerate(vectors):
+    seen: set[int] = set()
+    for b, e in enumerate(vectors):
+        if b in seen:
+            continue
+        orbit = [blocks.index(x) for x in _frobenius_orbit(blocks[b])]
+        seen.update(orbit)
+        if (vectors[orbit] @ ctx.frobenius % p != vectors[orbit[1:] + orbit[:1]]).any():
+            return False
         right = _times_class_sums(table, ctx, e).transpose(0, 2, 1).reshape(r * f, r)
         products = (left @ right % p).reshape(n, f, r).transpose(0, 2, 1)
         expected = np.zeros_like(vectors)
-        expected[a] = e
+        expected[b] = e
         if (products != expected).any():
             return False
     return True

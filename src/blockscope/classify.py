@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .blocks import (Block, block_distribution, brauer_induce, p_subgroup_classes,
+from .blocks import (Block, brauer_induce, induce_principal_block, p_subgroup_classes,
                      principal_block)
 from .chartable import character_table
 from .errors import InternalInconsistency
@@ -184,8 +184,8 @@ def verify_counts(report: ClassificationReport) -> ClassificationReport:
         "normalizer_q_order": n_q.order,
         "normalizer_p_order": n_p.order,
     })
-    ind_c = brauer_induce(c, group)
-    ind_b0 = brauer_induce(b0, group)
+    ind_c = induce_principal_block(n_q, group, p)
+    ind_b0 = induce_principal_block(n_p, group, p)
     report.verdicts["brauer_correspondent_c"] = verdict(
         ind_c is not None and ind_c.is_principal)
     report.verdicts["brauer_correspondent_b0"] = verdict(
@@ -221,7 +221,10 @@ def count_weights(group: PermGroup, p: int, blk: Block) -> int:
     A weight is a pair (R, theta): R a p-subgroup up to conjugacy and
     theta an irreducible character of N_G(R)/R of defect zero whose
     inflation's block in N_G(R) induces to blk.  Inflations are detected
-    by kernel containment, so no quotient tables are needed.  Only radical
+    by kernel containment, so no quotient tables are needed.  Each such
+    character is induced directly from its central character
+    (blocks.brauer_induce), so no block distribution of N_G(R) is built;
+    for R = 1 the induction returns the character's own block.  Only radical
     R, with R = O_p(N_G(R)), can carry a weight.  The radical test grows
     the Sylow subgroup of N_G(R) from N_P(R), with P the Sylow subgroup the
     classes R were enumerated in; N_P(R) is most often Sylow in N_G(R)
@@ -235,7 +238,6 @@ def count_weights(group: PermGroup, p: int, blk: Block) -> int:
         if len(o_p_core(n, p, start=normalizer(sylow, r))) != r.order:
             continue
         tab_n = character_table(n)
-        blocks_n = block_distribution(tab_n, p)
         quotient_order = n.order // r.order
         target_nu = nu(quotient_order, p)
         r_classes = [n.class_of(x) for x in r.generators]
@@ -245,8 +247,7 @@ def count_weights(group: PermGroup, p: int, blk: Block) -> int:
                 continue
             if nu(tab_n.degrees[i], p) != target_nu:
                 continue
-            blk_n = next(bb for bb in blocks_n if i in bb.char_indices)
-            ind = blk_n if n is group else brauer_induce(blk_n, group)
+            ind = brauer_induce(tab_n, i, group, p)
             if ind is not None and ind.char_indices == blk.char_indices:
                 total += 1
     return total

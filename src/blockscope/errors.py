@@ -41,10 +41,6 @@ class InternalInconsistency(BlockscopeError):
     """A mathematical invariant failed; results must not be emitted."""
 
 
-class AmbiguousMatch(InternalInconsistency):
-    """Block induction matched more than one block."""
-
-
 class NoDefectClass(InternalInconsistency):
     """No defect class was found for a block."""
 

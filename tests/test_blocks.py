@@ -183,8 +183,7 @@ def test_principal_of_klein_normalizer_induces_to_principal():
     v4 = s5.subgroup([cyc(5, (0, 1), (2, 3)), cyc(5, (0, 2), (1, 3))])
     n = normalizer(s5, v4)
     assert n.order == 24
-    c = principal_block(n, 2)
-    ind = brauer_induce(c, s5)
+    ind = brauer_induce(character_table(n), 0, s5, 2)   # the trivial character
     assert ind is not None and ind.is_principal
 
 
@@ -199,7 +198,7 @@ def test_principal_induction_for_all_local_subgroups():
                 continue
             n = normalizer(g, r)
             ind = induce_principal_block(n, g, p)
-            assert ind is brauer_induce(principal_block(n, p), g)
+            assert ind is brauer_induce(character_table(n), 0, g, p)
             assert ind is not None and ind.is_principal
 
 
@@ -217,8 +216,60 @@ def test_nonprincipal_induction_s5():
     n = normalizer(s5, r)
     assert n.order == 12
     blocks_n = block_distribution(character_table(n), 2)
-    small_targets = [brauer_induce(b, s5) for b in blocks_n if not b.is_principal]
+    small_targets = [brauer_induce(b.table, b.char_indices[0], s5, 2)
+                     for b in blocks_n if not b.is_principal]
     assert any(t is not None and not t.is_principal for t in small_targets)
+
+
+def _induce_elementwise(table_h, chi, group, p):
+    """The induced block from the definition: chi summed over the elements
+    of h in each class of `group`, divided by chi(1) after the sum."""
+    h = table_h.group
+    table_g = character_table(group)
+    ctx = mod_p_context(table_g.exponent, p)
+    totals = [Cyclo.zero()] * table_g.n_classes
+    elements = h.elements()
+    for j, hj in zip(group.classes_of(elements).tolist(), h.classes_of(elements).tolist()):
+        totals[j] = totals[j] + table_h.values[chi][hj]
+    quotients = [total.exact_div(table_h.degrees[chi]) for total in totals]
+    assert None not in quotients         # sums of central characters of h
+    sig = tuple(ctx.reduce(w) for w in quotients)
+    return next((b for b in block_distribution(table_g, p) if b.signature == sig), None)
+
+
+@pytest.mark.parametrize("name, p", [("S4", 2), ("S5", 2), ("L48", 2), ("G96", 2), ("S5", 3)])
+def test_induction_over_class_fusion_matches_the_elementwise_sum(name, p):
+    g = group(name)
+    for r in p_subgroup_classes(g, p):
+        table_n = character_table(normalizer(g, r) if r.order > 1 else g)
+        for chi in range(table_n.n_classes):
+            assert brauer_induce(table_n, chi, g, p) is _induce_elementwise(table_n, chi, g, p)
+
+
+def _fresh(name):
+    from conftest import RECIPES
+    return construct_group(RECIPES[name])     # no memo of an earlier test
+
+
+@pytest.mark.parametrize("name", ["S5", "L48", "Z3wrZ2"])
+def test_block_distribution_computes_no_defect_group(name, monkeypatch):
+    from blockscope import blocks
+    calls = []
+    monkeypatch.setattr(blocks, "centralizer", lambda *a: calls.append(a))
+    monkeypatch.setattr(blocks, "sylow_subgroup", lambda *a: calls.append(a))
+    found = block_distribution(character_table(_fresh(name)), 2)
+    assert [b.k for b in found] and not calls
+
+
+def test_a_principal_defect_group_that_is_not_sylow_is_refused_when_read():
+    g = _fresh("S4")
+    table = character_table(g)
+    principal = block_distribution(table, 2)[0]      # builds no defect group
+    assert table.classes[0].representative.is_identity()
+    # the identity is the principal block's first defect class
+    g._memo(("class_defect_group", 2, 0), lambda: g.subgroup([cyc(4, (0, 1))]))
+    with pytest.raises(InternalInconsistency, match="not Sylow"):
+        principal.defect_group
 
 
 # -- idempotents
@@ -242,6 +293,23 @@ def test_idempotent_division_not_p_integral():
     values[0] = (Cyclo.integer(2),) + values[0][1:]
     with pytest.raises(NotPIntegral):
         _idempotent_vectors(dataclasses.replace(table, values=tuple(values)), 2)
+
+
+def test_idempotents_swapped_within_a_frobenius_orbit_fail_the_check(monkeypatch):
+    # the product check runs on one block per orbit; the check e_sigma(a) =
+    # F(e_a) is what sees the rows of the rest of the orbit
+    from blockscope import catalog
+    from blockscope.blocks import _frobenius_orbit
+    table = character_table(construct_group(cyclic(47)))
+    found = block_distribution(table, 2)
+    vectors, ctx = block_idempotent_vectors(table, 2)
+    assert catalog._check_idempotents(table, 2)
+    orbit = next(o for o in map(_frobenius_orbit, found) if len(o) == 23)
+    a, b = found.index(orbit[1]), found.index(orbit[2])
+    swapped = vectors.copy()
+    swapped[[a, b]] = vectors[[b, a]]
+    monkeypatch.setattr(catalog, "block_idempotent_vectors", lambda t, p: (swapped, ctx))
+    assert not catalog._check_idempotents(table, 2)
 
 
 # -- lower defect multiplicities
@@ -316,9 +384,12 @@ def test_lower_defect_finds_each_class_defect_group_once(name, monkeypatch):
     calls = []
     centralizer = blocks.centralizer
     monkeypatch.setattr(blocks, "centralizer", lambda g, h: calls.append(h) or centralizer(g, h))
+    assert found[0].defect_group.order == sylow_subgroup(table.group, 2).order
+    assert all(b.defect_group.order for b in found)      # every block's, before the labels
     got = [lower_defect_multiplicities(b).multiplicities for b in found]
     assert got == LOWER_DEFECT_BY_BLOCK[name]
-    # one centralizer per p-regular class, not one per class and block
+    # one centralizer per p-regular class, not one per class and block: the
+    # blocks' defect groups and the lower defect labels share them
     assert len(calls) == len(table.p_regular_indices(2))
 
 

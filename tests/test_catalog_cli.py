@@ -278,6 +278,16 @@ def test_cli_catalog_prime_not_an_integer_is_an_input_error(prime, tmp_path, cap
     {"entries": [{"name": "X", "recipe": "S4"}]},
     {"entries": [{"name": "X", "recipe": {"kind": "direct", "a": "oops",
                                           "b": {"kind": "cyclic", "n": 2}}}]},
+    {"entries": [{"name": ["x"], "recipe": {"kind": "cyclic", "n": 2}}]},
+    {"entries": [{"name": "X", "provenance": 7, "recipe": {"kind": "cyclic", "n": 2}}]},
+    {"entries": [{"name": "X", "expected": "abc", "recipe": {"kind": "cyclic", "n": 2}}]},
+    {"entries": [{"name": "X", "expected": {"lower_defect": 5},
+                  "recipe": {"kind": "cyclic", "n": 2}}]},
+    {"entries": [{"name": "X", "expected": {"lower_defect": [[2, 1, 0]]},
+                  "recipe": {"kind": "cyclic", "n": 2}}]},
+    {"entries": [{"name": "X", "expected": {"lower_defect": [["1", 1]]},
+                  "recipe": {"kind": "cyclic", "n": 2}}]},
+    {"entries": [{"name": "X", "prime": 4, "recipe": {"kind": "cyclic", "n": 2}}]},
 ])
 def test_cli_malformed_catalog_is_an_input_error(catalog, tmp_path, capsys):
     path = tmp_path / "bad.json"

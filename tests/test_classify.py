@@ -114,7 +114,7 @@ def _weights_over_every_subgroup(group, p, blk):
             if nu(tab_n.degrees[i], p) != target_nu:
                 continue
             blk_n = next(bb for bb in blocks_n if i in bb.char_indices)
-            ind = blk_n if n is group else brauer_induce(blk_n, group)
+            ind = brauer_induce(tab_n, blk_n.char_indices[0], group, p)
             if ind is not None and ind.char_indices == blk.char_indices:
                 total += 1
     return total
@@ -125,6 +125,21 @@ def test_radical_filter_keeps_the_weight_count(name):
     g = group(name)
     for blk in block_distribution(character_table(g), 2):
         assert count_weights(g, 2, blk) == _weights_over_every_subgroup(g, 2, blk)
+
+
+@pytest.mark.parametrize("name", ["S5", "L48"])
+def test_weights_build_no_block_distribution_of_a_normalizer(name, monkeypatch):
+    from blockscope import blocks
+    from blockscope.recipes import construct_group
+    from conftest import RECIPES
+    g = construct_group(RECIPES[name])             # no normalizer memoised yet
+    found = block_distribution(character_table(g), 2)
+    built = []
+    real = blocks._block_distribution
+    monkeypatch.setattr(blocks, "_block_distribution",
+                        lambda table, p: built.append(table.group) or real(table, p))
+    assert [count_weights(g, 2, b) for b in found] == [b.l for b in found]
+    assert not built
 
 
 def test_weights_nonprincipal_block_s5():
