@@ -32,7 +32,7 @@ from .errors import (BlockscopeError, CapExceeded, DegreeOverflow,
                      NotAbelian, NotNormalized, NotPIntegral, ParseError)
 from .fusion import EssentialClass, FusionSystem, HyperfocalReport, omega1
 from .groups import (ConjClass, PermGroup, SubgroupClasses, abelian_invariants,
-                     centralizer, center, fixed_points, normalizer, o_p_residual,
+                     centralizer, center, normalizer, o_p_residual,
                      sylow_subgroup, sylow_subgroup_classes)
 from .modp import ModPContext, mod_p_context
 from .perms import Perm, parse_perm

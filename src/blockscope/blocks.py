@@ -305,7 +305,6 @@ def p_subgroup_classes(group: PermGroup, p: int) -> list[PermGroup]:
 
 @dataclass(frozen=True)
 class LowerDefectTable:
-    block: Block
     subgroup_classes: tuple          # PermGroup representatives, deterministic order
     multiplicities: tuple[int, ...]  # aligned with subgroup_classes
 
@@ -382,6 +381,5 @@ def lower_defect_multiplicities(blk: Block) -> LowerDefectTable:
         if m and not leq[ri][dclass]:
             raise InternalInconsistency(
                 "nonzero multiplicity outside the defect group's subgroups")
-    return LowerDefectTable(block=blk, subgroup_classes=classes.reps,
-                            multiplicities=tuple(mult))
+    return LowerDefectTable(subgroup_classes=classes.reps, multiplicities=tuple(mult))
 

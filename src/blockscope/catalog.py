@@ -113,7 +113,7 @@ def analyze_group(group: PermGroup, p: int, strict_lt_threshold: bool = False) -
     out = {
         "case_label": report.case_label,
         "threshold_reading": "lt16" if strict_lt_threshold else "le16",
-        "evidence": dict(sorted(report.evidence.items())),
+        "evidence": report.evidence,
         "predicted": {},
         "measured": {},
         "verdicts": {},
@@ -128,10 +128,8 @@ def analyze_group(group: PermGroup, p: int, strict_lt_threshold: bool = False) -
         weights = count_weights(group, p, blk)
         report.measured["weights"] = weights
         report.verdicts["weights_equal_l"] = verdict(weights == blk.l)
-        out["predicted"] = dict(sorted(report.predicted.items()))
-        out["measured"] = dict(sorted(report.measured.items()))
-        out["verdicts"] = dict(sorted(report.verdicts.items()))
-        out["local_structure"] = dict(sorted(report.local_structure.items()))
+        out.update(predicted=report.predicted, measured=report.measured,
+                   verdicts=report.verdicts, local_structure=report.local_structure)
 
     table = character_table(group)
     blocks = block_distribution(table, p)
@@ -268,6 +266,10 @@ def run_catalog(path: str, filters: list[str] | None = None,
     recorded in the report: nothing in the pipeline samples."""
     entries = load_catalog(path)
     if filters:
+        known = {e.name for e in entries} | {e.expected.get("case_label") for e in entries}
+        unknown = [f for f in filters if f not in known]
+        if unknown:
+            raise InputError(f"filter {unknown[0]!r} matches no entry name or case label")
         entries = [e for e in entries
                    if e.name in filters or e.expected.get("case_label") in filters]
     report = {

@@ -1,13 +1,15 @@
 """End-to-end classification and verification of a group at a prime.
 
 ``classify_case`` assembles the fusion-theoretic evidence (hyperfocal
-subgroup, control by the Sylow normalizer, essential subgroup data) and
-assigns exactly one case label.  ``verify_counts`` measures the character
-counts k and l for the principal block and its correspondents in the
-normalizers of the hyperfocal and Sylow subgroups and records a verdict
-per predicted identity.  ``count_weights`` counts conjugacy classes of
-pairs (R, defect-zero character of N_G(R)/R lying over the block), and
-``check_local_structure`` verifies the expected local decompositions.
+subgroup, essential subgroup data, control by the Sylow normalizer as the
+absence of essentials) and assigns exactly one case label.
+``verify_counts`` measures the character counts k and l for the principal
+block and its correspondents in the normalizers of the hyperfocal and
+Sylow subgroups and records a verdict per identity the label predicts.
+``count_weights`` counts conjugacy classes of pairs (R, defect-zero
+character of N_G(R)/R lying over the block), and ``check_local_structure``
+verifies the expected local decompositions, reading the essential
+geometry from the evidence.
 
 The two threshold readings of "small" hyperfocal order (at most 16, or
 strictly below 16) are both implemented; reports always state which one
@@ -24,15 +26,22 @@ from .chartable import character_table
 from .errors import InternalInconsistency
 from .exact import nu, p_part
 from .fusion import FusionSystem, omega1
-from .groups import (PermGroup, abelian_invariants, center, centralizer, fixed_points,
-                     normalizer, o_p_core, same_subgroup, sylow_subgroup)
+from .groups import (PermGroup, abelian_invariants, centralizer, normalizer, o_p_core,
+                     same_subgroup, sylow_subgroup)
 
 __all__ = ["ClassificationReport", "classify_case", "verify_counts",
            "count_weights", "check_local_structure", "Q_ORDER_LIMIT"]
 
 Q_ORDER_LIMIT = 16
 
-IN_SCOPE = ("P_equals_Q", "case_i", "case_ii")
+# per in-scope label: the predicted l values, and the predicted k equalities
+_PREDICTED = {
+    "P_equals_Q": ({"l_b": 3}, ()),
+    "case_i": ({"l_b": 3, "l_c": 3, "l_b0": 3}, ("k_b=k_c", "k_b=k_b0")),
+    "case_ii": ({"l_b": 2, "l_c": 2}, ("k_b=k_c",)),
+}
+
+IN_SCOPE = tuple(_PREDICTED)
 
 
 @dataclass
@@ -56,6 +65,11 @@ class ClassificationReport:
 def verdict(ok: bool) -> str:
     """The report's word for a check's outcome."""
     return "pass" if ok else "fail"
+
+
+def _central_in(h: PermGroup, g: PermGroup) -> bool:
+    """h <= Z(g), tested on generators without building Z(g)."""
+    return all(x in g and all(x * y == y * x for y in g.generators) for x in h.generators)
 
 
 def _is_homocyclic_rank2(q: PermGroup, p: int) -> bool:
@@ -109,17 +123,15 @@ def classify_case(group: PermGroup, p: int = 2,
         report.evidence["q_in_center_of_sylow"] = True
         return report
 
-    controlled = fs.is_controlled_by_normalizer()
-    report.evidence["controlled_by_sylow_normalizer"] = controlled
-    zp = center(sylow)
-    q_central = all(x in zp for x in q.generators)
+    essentials = fs.essential_classes()
+    report.evidence["controlled_by_sylow_normalizer"] = not essentials
+    q_central = _central_in(q, sylow)
     report.evidence["q_in_center_of_sylow"] = q_central
 
-    if controlled:
+    if not essentials:
         report.case_label = "case_i" if q_central else "out_of_scope_Q_not_central"
         return report
 
-    essentials = fs.essential_classes()
     report.evidence["essential_class_count"] = len(essentials)
     if len(essentials) != 1:
         raise InternalInconsistency(
@@ -128,11 +140,9 @@ def classify_case(group: PermGroup, p: int = 2,
     ess = essentials[0]
     s = ess.representative
     q0 = omega1(q, p)
-    cp_q0 = fixed_points(sylow, q0)
-    s_is_cpq0 = same_subgroup(s, cp_q0)
+    s_is_cpq0 = same_subgroup(s, centralizer(sylow, q0))
     index = sylow.order // s.order
-    zs = center(s)
-    q_in_zs = all(x in zs for x in q.generators)
+    q_in_zs = _central_in(q, s)
     report.evidence.update({
         "essential_order": s.order,
         "essential_automizer_order": ess.automizer.order,
@@ -171,7 +181,7 @@ def verify_counts(report: ClassificationReport) -> ClassificationReport:
     group = report.group
     p = report.prime
     fs = report.fusion
-    q = fs.hyperfocal_subgroup()
+    q = fs.hyperfocal().subgroup
     b = principal_block(group, p)
     n_q = normalizer(group, q)
     n_p = normalizer(group, fs.sylow)
@@ -191,23 +201,15 @@ def verify_counts(report: ClassificationReport) -> ClassificationReport:
     report.verdicts["brauer_correspondent_b0"] = verdict(
         ind_b0 is not None and ind_b0.is_principal)
 
-    label = report.case_label
-    if label == "case_i":
-        report.predicted.update({"l_b": 3, "l_c": 3, "l_b0": 3,
-                                 "k_equalities": ["k_b=k_c", "k_b=k_b0"]})
-        report.verdicts["l_b"] = verdict(b.l == 3)
-        report.verdicts["l_c"] = verdict(c.l == 3)
-        report.verdicts["l_b0"] = verdict(b0.l == 3)
-        report.verdicts["k_b=k_c"] = verdict(b.k == c.k)
-        report.verdicts["k_b=k_b0"] = verdict(b.k == b0.k)
-    elif label == "case_ii":
-        report.predicted.update({"l_b": 2, "l_c": 2, "k_equalities": ["k_b=k_c"]})
-        report.verdicts["l_b"] = verdict(b.l == 2)
-        report.verdicts["l_c"] = verdict(c.l == 2)
-        report.verdicts["k_b=k_c"] = verdict(b.k == c.k)
-    elif label == "P_equals_Q":
-        report.predicted.update({"l_b": 3})
-        report.verdicts["l_b"] = verdict(b.l == 3)
+    l_values, k_equalities = _PREDICTED[report.case_label]
+    report.predicted.update(l_values)
+    if k_equalities:
+        report.predicted["k_equalities"] = list(k_equalities)
+    for key, value in l_values.items():
+        report.verdicts[key] = verdict(report.measured[key] == value)
+    for equality in k_equalities:
+        left, right = equality.split("=")
+        report.verdicts[equality] = verdict(report.measured[left] == report.measured[right])
     return report
 
 
@@ -271,7 +273,7 @@ def check_local_structure(report: ClassificationReport) -> ClassificationReport:
     p = report.prime
     fs = report.fusion
     sylow = fs.sylow
-    q = fs.hyperfocal_subgroup()
+    q = fs.hyperfocal().subgroup
     q0 = omega1(q, p)
     out = report.local_structure
 
@@ -281,20 +283,17 @@ def check_local_structure(report: ClassificationReport) -> ClassificationReport:
     out["centralizer_q0_block_nilpotent"] = verdict(
         local_fs.hyperfocal().subgroup.order == 1)
 
-    label = report.case_label
-    if label in ("case_i", "P_equals_Q"):
-        zp = center(sylow)
-        out["q0_in_center_of_sylow"] = verdict(all(x in zp for x in q0.generators))
+    if report.case_label in ("case_i", "P_equals_Q"):
+        out["q0_in_center_of_sylow"] = verdict(_central_in(q0, sylow))
         site = sylow
     else:
-        ess = fs.essential_classes()[0]
-        s = ess.representative
-        out["unique_essential"] = verdict(len(fs.essential_classes()) == 1)
-        out["essential_is_centralizer_of_q0"] = verdict(
-            same_subgroup(s, fixed_points(sylow, q0)))
-        out["sylow_essential_index_2"] = verdict(sylow.order // s.order == 2)
-        out["essential_automizer_s3"] = verdict(ess.automizer.is_symmetric_3)
-        site = s
+        # the essential geometry as classify_case recorded it
+        ev = report.evidence
+        out["unique_essential"] = verdict(ev["essential_class_count"] == 1)
+        out["essential_is_centralizer_of_q0"] = verdict(ev["essential_is_centralizer_of_q0"])
+        out["sylow_essential_index_2"] = verdict(ev["sylow_essential_index"] == 2)
+        out["essential_automizer_s3"] = verdict(ev["essential_automizer_is_s3"])
+        site = fs.essential_classes()[0].representative
 
     e, fixed = fs.odd_complement_fixed_points(site)
     qset = q.element_set()

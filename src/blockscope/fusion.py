@@ -3,10 +3,11 @@
 Morphisms are conjugation maps between subgroups of P induced by elements
 of G.  The module computes the hyperfocal subgroup by two independent
 deterministic algorithms (commutators from Alperin's generators, that is
-from P and the essential subgroups, and P meet O^p(G)), locates essential
-subgroup classes with their automizers, and decides control by normalizers
-via Alperin's fusion theorem.  Subgroup classes and their members inside
-P are read from groups.sylow_subgroup_classes.
+from P and the essential subgroups, and P meet O^p(G)) and locates the
+essential subgroup classes, never P, with their automizers; by Alperin's
+fusion theorem N_G(P) controls fusion exactly when there are none.
+Subgroup classes and their members inside P are read from
+groups.sylow_subgroup_classes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from .errors import InputError, MethodDisagreement, NoComplementFound, NotAbelian
 from .exact import is_prime, p_part, prime_factors
 from .groups import (PermGroup, abelian_invariants, centralizer,
-                     conjugation_image, fixed_points, normalizer, normal_closure,
+                     conjugation_image, normalizer, normal_closure,
                      o_p_residual, quotient_by_normal, same_subgroup, sylow_subgroup,
                      sylow_subgroup_classes)
 from .perms import Perm
@@ -68,19 +69,11 @@ class FusionSystem:
 
     # -- hyperfocal subgroup
 
-    def hyperfocal_subgroup(self) -> PermGroup:
-        """The hyperfocal subgroup P meet O^p(G), cached without the
-        two-method report (cheap; used by downstream verification passes)."""
-        q = self._cache.get("hyperfocal_q")
-        if q is None:
-            q = self._cache["hyperfocal_q"] = self._hyperfocal_residual()
-        return q
-
     def hyperfocal(self) -> HyperfocalReport:
         cached = self._cache.get("hyperfocal")
         if cached is not None:
             return cached
-        residual = self.hyperfocal_subgroup()
+        residual = self._hyperfocal_residual()
         commutator = self._hyperfocal_commutator()
         if not same_subgroup(commutator, residual):
             raise MethodDisagreement(
@@ -154,10 +147,10 @@ class FusionSystem:
         out = []
         classes = sylow_subgroup_classes(self.group, self.p)
         for u, members in zip(classes.reps, classes.members):
-            if u.order == 1:
+            # P is Sylow in N_G(P), so Out_F(P) is a p'-group and P is never
+            # essential: no automizer of P is built
+            if u.order in (1, self.sylow.order):
                 continue
-            # P itself is excluded automatically: its outer automizer has
-            # order prime to p, so it has no strongly p-embedded subgroup
             if not all(self._centric_local(uset, gens) for uset, gens in members):
                 continue
             quo = self.automizer_group(u)
@@ -187,12 +180,6 @@ class FusionSystem:
                 best = (nsize, member)
         return best[1]
 
-    # -- control by normalizers
-
-    def is_controlled_by_normalizer(self) -> bool:
-        """Control by N_G(P), by Alperin's criterion: no essential classes."""
-        return not self.essential_classes()
-
     # -- odd complements and their fixed points
 
     def odd_complement_fixed_points(self, u: PermGroup):
@@ -211,14 +198,14 @@ class FusionSystem:
         m = n.order // cent.order
         odd = m // p_part(m, self.p)
         if odd == 1:
-            return cent, fixed_points(u, cent)
+            return cent, centralizer(u, cent)
         qprimes = prime_factors(odd)
         if len(qprimes) != 1:
             raise NoComplementFound(
                 f"odd part {odd} of the automizer layer is not a prime power")
         e_gens = list(cent.generators) + list(sylow_subgroup(n, qprimes[0]).generators)
         e = self.group.subgroup(e_gens)
-        return e, fixed_points(u, e)
+        return e, centralizer(u, e)
 
 
 def _automizer_info(quo: PermGroup) -> AutomizerInfo:

@@ -43,7 +43,6 @@ __all__ = [
     "o_p_core",
     "SubgroupClasses",
     "sylow_subgroup_classes",
-    "fixed_points",
     "normal_closure",
     "center",
     "quotient_by_normal",
@@ -506,7 +505,8 @@ def _orbit_entry(group: PermGroup, sset: frozenset) -> tuple[dict, PermGroup]:
 
 
 def centralizer(g: PermGroup, h) -> PermGroup:
-    """C_g(h) for a single permutation or a subgroup handle."""
+    """C_g(h) for a single permutation or a group handle h, which need not
+    lie in g: with h acting on g by conjugation, the fixed points of h."""
     if isinstance(h, Perm):
         targets = [h]
     else:
@@ -526,7 +526,7 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
     Memoised on g by the element set of h, so repeated queries share the
     handle (and everything cached on it, like its character table).
     """
-    hset = frozenset(h.elements())
+    hset = h.element_set()
     memo = g._memo("normalizers", dict)
     if hset not in memo:
         orbit, stab = _orbit_entry(g, hset)
@@ -660,20 +660,6 @@ def _grow_sylow(g: PermGroup, p: int, s: PermGroup) -> PermGroup:
             raise InternalInconsistency("sylow climb left the p-group")
         s = grown
     return s
-
-
-def fixed_points(sub: PermGroup, actors: PermGroup) -> PermGroup:
-    """C_sub(actors): elements of sub commuting with every actor generator.
-
-    Requires actors to normalize sub.
-    """
-    for a in actors.generators:
-        for s in sub.generators:
-            if s ** a not in sub:
-                raise NotNormalized("actors do not normalize sub")
-    fixed = [x for x in sub.elements()
-             if all(x * a == a * x for a in actors.generators)]
-    return PermGroup(sub.degree, fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -867,8 +853,12 @@ def subgroup_fingerprint(h: PermGroup) -> str:
     """Cheap isomorphism fingerprint: order plus structure summary.
 
     Abelian groups report their elementary divisors; non-abelian groups an
-    element-order histogram.  Not a full isomorphism test.
+    element-order histogram.  Not a full isomorphism test.  Memoised on h.
     """
+    return h._memo("fingerprint", lambda: _fingerprint(h))
+
+
+def _fingerprint(h: PermGroup) -> str:
     if h.order == 1:
         return "1"
     if h.order <= SUBGROUP_ENUM_CAP * 16 and h.is_abelian():

@@ -364,6 +364,20 @@ def test_lower_defect_json_fingerprints():
     assert len({r["fingerprint"] for r in rows}) == len(rows)
 
 
+@pytest.mark.parametrize("name", ["K192", "W384", "S3xS3", "Z3wrZ2"])
+def test_lower_defect_tables_fingerprint_each_class_once(name, monkeypatch):
+    from blockscope import groups
+    from conftest import RECIPES
+    g = construct_group(RECIPES[name])   # a fresh group: no memo
+    calls = []
+    fingerprint = groups._fingerprint
+    monkeypatch.setattr(groups, "_fingerprint", lambda h: calls.append(h) or fingerprint(h))
+    for b in block_distribution(character_table(g), 2):
+        table = lower_defect_multiplicities(b)
+        assert table.to_json() == table.to_json()    # serialised twice
+    assert [id(h) for h in calls] == [id(r) for r in p_subgroup_classes(g, 2)]
+
+
 # multiplicities of every 2-block, in block order, as computed when each block
 # still found its own p-regular classes' defect groups
 LOWER_DEFECT_BY_BLOCK = {

@@ -169,6 +169,14 @@ def test_cli_catalog_filter(tmp_path, capsys):
     assert "nilpotent" in text
 
 
+def test_cli_catalog_filter_matching_nothing_is_an_input_error(capsys):
+    code = main(["catalog", "--filter", "S4", "--filter", "S44"])
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "'S44'" in captured.err and "input error" in captured.err
+    assert captured.out == ""      # refused before any entry runs
+
+
 def test_cli_reports_byte_identical(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert main(["analyze", "--group", "A4", "--seed", "3", "--out", str(out1)]) == EXIT_PASS

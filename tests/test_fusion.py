@@ -150,7 +150,7 @@ def test_hyperfocal_from_alperin_generators_matches_all_classes(name):
     fs = fs_of(name)
     oracle = _hyperfocal_over_all_classes(fs)
     alperin = fs._hyperfocal_commutator()
-    residual = fs.hyperfocal_subgroup()
+    residual = fs.hyperfocal().subgroup
     assert same_subgroup(alperin, oracle) and same_subgroup(oracle, residual)
 
 
@@ -238,16 +238,27 @@ def test_k192_essential_has_noncentral_hyperfocal():
 
 def test_control_examples():
     fsa = fs_of("A4")
-    assert fsa.is_controlled_by_normalizer()
+    assert not fsa.essential_classes()
 
     fss = fs_of("S4")
-    assert not fss.is_controlled_by_normalizer()
+    assert fss.essential_classes()
+
+
+@pytest.mark.parametrize("name", ["S4", "G96", "K192"])
+def test_essential_search_builds_no_automizer_of_the_sylow(name, monkeypatch):
+    fs = fs_of(name)
+    orders = []
+    automizer_group = fs.automizer_group
+    monkeypatch.setattr(fs, "automizer_group",
+                        lambda u: orders.append(u.order) or automizer_group(u))
+    assert fs.essential_classes()
+    assert orders and fs.sylow.order not in orders
 
 
 def test_l96_z6_controlled_but_not_central():
     from blockscope.groups import center
     fs = fs_of("L96_Z6")
-    assert fs.is_controlled_by_normalizer()
+    assert not fs.essential_classes()
     q = fs.hyperfocal().subgroup
     zp = center(fs.sylow)
     assert not all(x in zp for x in q.generators)

@@ -10,7 +10,7 @@ from blockscope.errors import InternalInconsistency, NotAbelian, NotNormalized
 from blockscope.exact import p_part
 from blockscope.groups import (PermGroup, _BSGS, _element_index, _images_at,
                                _subgroups_of_p_group, abelian_invariants, center,
-                               centralizer, fixed_points, normal_closure, normalizer,
+                               centralizer, normal_closure, normalizer,
                                o_p_core, o_p_residual, quotient_by_normal,
                                subgroup_fingerprint, sylow_subgroup, sylow_subgroup_classes,
                                same_subgroup)
@@ -785,7 +785,7 @@ def test_o_p_core_is_the_intersection_of_all_sylow_subgroups(name, p, order):
     assert len(core) == order
 
 
-# -- fixed points
+# -- fixed points of a group acting by conjugation, as centralizers
 
 
 def test_fixed_points_free_action():
@@ -793,21 +793,13 @@ def test_fixed_points_free_action():
     q = sylow_subgroup(l48, 2)
     theta = next(x for x in l48.elements() if x.order() == 3)
     actors = l48.subgroup([theta])
-    assert fixed_points(q, actors).order == 1
+    assert centralizer(q, actors).order == 1
 
 
 def test_fixed_points_identity_actors():
     s4 = group("S4")
     d8 = sylow_subgroup(s4, 2)
-    assert fixed_points(d8, s4.subgroup([])).order == 8
-
-
-def test_fixed_points_requires_normalization():
-    s4 = group("S4")
-    h = s4.subgroup([cyc(4, (0, 1))])
-    actors = s4.subgroup([cyc(4, (1, 2))])
-    with pytest.raises(NotNormalized):
-        fixed_points(h, actors)
+    assert centralizer(d8, s4.subgroup([])).order == 8
 
 
 # -- structure helpers
