@@ -226,16 +226,16 @@ def count_weights(group: PermGroup, p: int, blk: Block) -> int:
     by kernel containment, so no quotient tables are needed.  Each such
     character is induced directly from its central character
     (blocks.brauer_induce), so no block distribution of N_G(R) is built;
-    for R = 1 the induction returns the character's own block.  Only radical
-    R, with R = O_p(N_G(R)), can carry a weight.  The radical test grows
-    the Sylow subgroup of N_G(R) from N_P(R), with P the Sylow subgroup the
-    classes R were enumerated in; N_P(R) is most often Sylow in N_G(R)
-    already, so the climb takes no step.
+    N_G(1) is G's own handle, and induction from it returns the character's
+    own block.  Only radical R, with R = O_p(N_G(R)), can carry a weight.
+    The radical test grows the Sylow subgroup of N_G(R) from N_P(R), with P
+    the Sylow subgroup the classes R were enumerated in; N_P(R) is most
+    often Sylow in N_G(R) already, so the climb takes no step.
     """
     sylow = sylow_subgroup(group, p)
     total = 0
     for r in p_subgroup_classes(group, p):
-        n = normalizer(group, r) if r.order > 1 else group
+        n = normalizer(group, r)
         # N/R has a block of defect zero only if O_p(N/R) = 1 (Alperin 1987)
         if len(o_p_core(n, p, start=normalizer(sylow, r))) != r.order:
             continue

@@ -226,7 +226,8 @@ class PermGroup:
     :meth:`subgroup` verifies that every generator is a member of the
     group; a subgroup's own order is computed from a fresh base and strong
     generating set.  Subgroups returned by the orbit-stabilizer
-    constructions keep the BSGS built while finding them.  A subgroup holds
+    constructions keep the BSGS built while finding them; a stabilizer that
+    is the whole acting group is that group's own handle.  A subgroup holds
     no link to the group it came from.
     """
 
@@ -462,6 +463,11 @@ def _stabilizer_of_action(group: PermGroup, seed) -> tuple[dict, PermGroup]:
     to a witness w_t with seed^(w_t) = t.  Each Schreier generator that is
     not yet a member extends the stabilizer's BSGS, which the returned
     handle keeps.
+
+    A seed fixed by every generator returns `group` itself, memos shared.
+    The walk would build the same BSGS (base, transversals, element order):
+    its Schreier generators 1·g·1⁻¹ = g come in generator order, the `add`
+    sequence of `group.bsgs`; its handle only dropped redundant generators.
     """
     if isinstance(seed, frozenset):
         # the memo keeps every member, so members share one object per element
@@ -471,6 +477,8 @@ def _stabilizer_of_action(group: PermGroup, seed) -> tuple[dict, PermGroup]:
                    for g in group.generators]
     else:
         actions = [(g, g.conjugator()) for g in group.generators]
+    if all(act(seed) == seed for _, act in actions):
+        return {seed: group.identity}, group
     orbit = {seed: group.identity}
     queue = deque([seed])
     gens: list[Perm] = []
@@ -506,15 +514,15 @@ def _orbit_entry(group: PermGroup, sset: frozenset) -> tuple[dict, PermGroup]:
 
 def centralizer(g: PermGroup, h) -> PermGroup:
     """C_g(h) for a single permutation or a group handle h, which need not
-    lie in g: with h acting on g by conjugation, the fixed points of h."""
+    lie in g: with h acting on g by conjugation, the fixed points of h.
+    When h centralizes g, this is g's own handle."""
     if isinstance(h, Perm):
         targets = [h]
     else:
         targets = list(h.generators)
     current = g
     for t in targets:
-        if not t.is_identity():
-            current = _stabilizer_of_action(current, t)[1]
+        current = _stabilizer_of_action(current, t)[1]
     return current
 
 
@@ -524,7 +532,8 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
     Read from the memoised orbit of h's element set: the stabilizer of the
     orbit's seed, conjugated by h's witness when h is another member.
     Memoised on g by the element set of h, so repeated queries share the
-    handle (and everything cached on it, like its character table).
+    handle (and everything cached on it, like its character table).  When
+    g normalizes h, this is g's own handle.
     """
     hset = h.element_set()
     memo = g._memo("normalizers", dict)

@@ -339,3 +339,23 @@ def test_catalog_report_is_unchanged(tmp_path, capsys):
         argv += ["--filter", name]
     assert main(argv) == EXIT_PASS
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("name", ["S4", "A4", "L48", "G96", "A4xZ4", "S4xZ2"])
+def test_analyze_builds_one_character_table_per_distinct_group(name, monkeypatch):
+    """A normalizer or centralizer equal to G is G's own handle, so G's
+    table is built once."""
+    from blockscope import catalog, chartable
+    from blockscope.recipes import construct_group
+    from conftest import RECIPES
+
+    built = []
+    build_table = chartable._build_table
+
+    def counting_build(g):
+        built.append(g.element_set())
+        return build_table(g)
+
+    monkeypatch.setattr(chartable, "_build_table", counting_build)
+    catalog.analyze_group(construct_group(RECIPES[name]), 2)
+    assert built and len(built) == len(set(built))

@@ -143,6 +143,61 @@ def test_normalizer_examples():
     assert normalizer(s4, s4).order == 24
 
 
+# (stabilizer, acting group) pairs in which the stabilizer is the whole group
+
+
+def _normalizer_of_v4_in_s4():
+    s4 = group("S4")
+    return normalizer(s4, s4.subgroup([cyc(4, (0, 1), (2, 3)), cyc(4, (0, 2), (1, 3))])), s4
+
+
+def _normalizer_of_z4xz4_in_l48():
+    l48 = group("L48")
+    q = sylow_subgroup(l48, 2)
+    assert abelian_invariants(q) == (4, 4)
+    return normalizer(l48, q), l48
+
+
+def _normalizer_of_the_trivial_subgroup():
+    s5 = group("S5")
+    return normalizer(s5, s5.subgroup([])), s5
+
+
+def _centralizer_of_a_central_involution():
+    g = group("S4xZ2")
+    (z,) = [x for x in g.elements()
+            if x.order() == 2 and all(x * y == y * x for y in g.generators)]
+    return centralizer(g, z), g
+
+
+def _centralizer_of_an_abelian_group_in_itself():
+    a = construct_group(direct(cyclic(4), cyclic(4)))
+    return centralizer(a, a), a
+
+
+@pytest.mark.parametrize("case", [
+    _normalizer_of_v4_in_s4, _normalizer_of_z4xz4_in_l48,
+    _normalizer_of_the_trivial_subgroup, _centralizer_of_a_central_involution,
+    _centralizer_of_an_abelian_group_in_itself,
+], ids=lambda f: f.__name__.lstrip("_"))
+def test_a_stabilizer_that_is_the_whole_group_is_its_handle(case):
+    """A normalizer or centralizer equal to the acting group is that
+    group's own handle, so its BSGS, classes and table are shared."""
+    stab, g = case()
+    assert stab is g
+
+
+@pytest.mark.parametrize("name", ["S4", "L48", "G96"])
+def test_a_moved_seed_gets_the_stabilizer_of_index_its_orbit(name):
+    import blockscope.groups
+    g = construct_group(RECIPES[name])
+    x = next(y for y in g.elements() if any(y ** h != y for h in g.generators))
+    for seed in (x, g.subgroup([x]).element_set()):
+        orbit, stab = blockscope.groups._stabilizer_of_action(g, seed)
+        assert len(orbit) > 1 and stab is not g
+        assert stab.order == g.order // len(orbit)
+
+
 def test_normalizer_of_a_subgroup_outside_the_group():
     a4 = group("A4")
     n = normalizer(a4, PermGroup(4, [cyc(4, (0, 1))]))
