@@ -9,32 +9,31 @@ k(b) is the number of ordinary characters in the block; l(b) is the rank
 over GF(ell) of the block's character values mod ell restricted to the
 p-regular classes, ell the table's prime (see _l_by_rank for why that rank
 is exact, and the certificate that the ranks sum to the number of
-p-regular classes).  Central characters and idempotent coefficients are
-divided exactly in Z[zeta]; a quotient that is not integral raises.  A
-block's defect group is found on its first read, from one Sylow
-p-subgroup per p-regular class (that of the class's centralizer, shared
-with the lower defect multiplicities); building the blocks computes no
-centralizer or Sylow subgroup.  Lower defect multiplicities m(b, R) come
-from the defect filtration of the p-regular class sums in Z(kG), k the
-residue field GF(p^f) of modp: dimension jumps of e_b * span{class sums
-with defect group below R}, read as ranks over GF(p) on the sum of the
-e_a over b's Frobenius orbit.  The classes R and their containment order
-come from groups.sylow_subgroup_classes.  The sum over all R must equal
-l(b), a hard runtime assertion.
+p-regular classes).  Central characters, idempotent coefficients and
+induced central characters are integer array products on the table's
+coordinates (CharacterTable.coordinates), a quotient that is not integral
+raises, and each array reduces mod p in one contraction.  A block's defect
+group is found on its first read, from one Sylow p-subgroup per p-regular
+class (that of the class's centralizer, shared with the lower defect
+multiplicities); building the blocks computes no centralizer or Sylow
+subgroup.  Lower defect multiplicities m(b, R) come from the defect
+filtration of the p-regular class sums in Z(kG), k the residue field
+GF(p^f) of modp: dimension jumps of e_b * span{class sums with defect
+group below R}, read as ranks over GF(p) on the sum of the e_a over b's
+Frobenius orbit.  The classes R and their containment order come from
+groups.sylow_subgroup_classes.  The sum over all R must equal l(b), a hard
+runtime assertion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-
 import numpy as np
 
 from .chartable import CharacterTable, _class_matrices, character_table
-from .cyclotomic import Cyclo
 from .errors import InputError, InternalInconsistency, NoDefectClass, NotPIntegral
-from .exact import _rref_mod, is_prime, nu, p_part
+from .exact import _rref_mod, dtype_for, is_prime, nu, p_part
 from .groups import (PermGroup, abelian_invariants, centralizer, subgroup_fingerprint,
                      sylow_subgroup, sylow_subgroup_classes)
 from .modp import ModPContext, mod_p_context
@@ -96,24 +95,24 @@ class Block:
         }
 
 
-def central_characters(table: CharacterTable):
-    """omega_chi(K) = |K| chi(g_K) / chi(1); all values must be algebraic integers."""
+def central_characters(table: CharacterTable) -> np.ndarray:
+    """omega[i, j, t] = |K_j| a[i, j, t] / chi_i(1) for the coordinates a:
+    omega_chi_i(K_j) in the power basis, an algebraic integer, so every
+    quotient must be exact.  The products are at most B |G| in absolute
+    value, B the largest coordinate.  Memoised on the group."""
     return table.group._memo("central_chars", lambda: _central_characters(table))
 
 
-def _central_characters(table: CharacterTable):
-    rows = []
-    for i in range(table.n_classes):
-        deg = table.degrees[i]
-        row = []
-        for j, cls in enumerate(table.classes):
-            w = (table.values[i][j] * cls.size).exact_div(deg)
-            if w is None:
-                raise InternalInconsistency(
-                    f"central character ({i},{j}) is not an algebraic integer")
-            row.append(w)
-        rows.append(tuple(row))
-    return tuple(rows)
+def _central_characters(table: CharacterTable) -> np.ndarray:
+    a = table.coordinates()
+    dtype = dtype_for(int(np.abs(a).max()) * table.group.order)
+    scaled = a.astype(dtype) * np.array([c.size for c in table.classes], dtype=dtype)[:, None]
+    degrees = np.array(table.degrees, dtype=dtype)[:, None, None]
+    bad = np.argwhere((scaled % degrees).any(axis=2))
+    if bad.size:
+        raise InternalInconsistency(
+            f"central character ({bad[0][0]},{bad[0][1]}) is not an algebraic integer")
+    return scaled // degrees
 
 
 def block_distribution(table: CharacterTable, p: int) -> list[Block]:
@@ -127,12 +126,10 @@ def block_distribution(table: CharacterTable, p: int) -> list[Block]:
 
 
 def _block_distribution(table: CharacterTable, p: int) -> list[Block]:
-    ctx = mod_p_context(table.exponent, p)
-    omegas = central_characters(table)
+    sigs = mod_p_context(table.exponent, p).reduce(central_characters(table), table.exponent)
     sig_of: dict[tuple, list[int]] = {}
-    for i in range(table.n_classes):
-        sig = tuple(ctx.reduce(w) for w in omegas[i])
-        sig_of.setdefault(sig, []).append(i)
+    for i, row in enumerate(sigs.tolist()):
+        sig_of.setdefault(tuple(map(tuple, row)), []).append(i)
 
     nu_g = nu(table.group.order, p)
     blocks = []
@@ -200,7 +197,7 @@ def brauer_induce(table_h: CharacterTable, chi: int, group: PermGroup, p: int):
     omega_chi over the classes of h inside K; no block of h is built.
     """
     fusion = group.classes_of([cls.representative for cls in table_h.classes])
-    return _induced_block(group, p, fusion.tolist(), central_characters(table_h)[chi])
+    return _induced_block(group, p, fusion, central_characters(table_h)[chi], table_h.exponent)
 
 
 def induce_principal_block(h: PermGroup, group: PermGroup, p: int):
@@ -211,20 +208,22 @@ def induce_principal_block(h: PermGroup, group: PermGroup, p: int):
     central character on a class K of `group` is |K cap h|: a 1 for each
     element of h.  No character table or block of h is built.
     """
-    return _induced_block(group, p, group.classes_of(h.elements()).tolist(), repeat(1))
+    return _induced_block(group, p, group.classes_of(h.elements()),
+                          np.ones((h.order, 1), dtype=np.int64), 1)
 
 
-def _induced_block(group: PermGroup, p: int, classes, terms):
+def _induced_block(group: PermGroup, p: int, classes, terms: np.ndarray, conductor: int):
     """The block of `group` whose signature is the class function summing
-    each term on its class of `group` (classes[i] for terms[i]), or None.
+    terms[i], coordinates in Z[zeta_conductor], on class classes[i] of
+    `group`, or None; a sum is at most len(terms) times the largest term.
     The sums are reduced in the big group's context, so the maximal-ideal
     choice is shared with its blocks."""
     table = character_table(group)
-    totals = [0] * table.n_classes
-    for j, w in zip(classes, terms):
-        totals[j] += w
-    ctx = mod_p_context(table.exponent, p)
-    return _block_with_signature(table, p, tuple(ctx.reduce(w) for w in totals))
+    totals = np.zeros((table.n_classes, terms.shape[1]),
+                      dtype=dtype_for(len(terms) * int(np.abs(terms).max())))
+    np.add.at(totals, classes, terms.astype(totals.dtype))
+    sig = mod_p_context(table.exponent, p).reduce(totals, conductor)
+    return _block_with_signature(table, p, tuple(map(tuple, sig.tolist())))
 
 
 def _block_with_signature(table: CharacterTable, p: int, sig: tuple):
@@ -258,7 +257,9 @@ def block_idempotent_vectors(table: CharacterTable, p: int):
     of Z(kG) as a field element.
 
     The class-K coefficient of e_b is sum_{chi in b} chi(1) chi(g_K^-1) / |G|,
-    a p-integral cyclotomic value: the sum divides exactly by |G|_p (else
+    a p-integral cyclotomic value: the sum, one array product for all
+    blocks on the coordinates a at the inverse classes and at most
+    B sum_chi chi(1) for B the largest |a|, divides exactly by |G|_p (else
     NotPIntegral), and the quotient reduces times the inverse of |G|_p' mod p.
     """
     return table.group._memo(("idempotents", p), lambda: _idempotent_vectors(table, p))
@@ -268,21 +269,16 @@ def _idempotent_vectors(table: CharacterTable, p: int):
     ctx = mod_p_context(table.exponent, p)
     n = table.group.order
     n_p = p_part(n, p)
-    out = []
-    for blk in block_distribution(table, p):
-        vec = []
-        for j in range(table.n_classes):
-            total = Cyclo.zero()
-            jinv = table.inverse_class[j]
-            for i in blk.char_indices:
-                total = total + table.values[i][jinv] * table.degrees[i]
-            w = total.exact_div(n_p)
-            if w is None:
-                raise NotPIntegral(
-                    f"idempotent coefficient at class {j} is not {p}-integral")
-            vec.append(ctx.reduce(w))
-        out.append(vec)
-    vectors = np.array(out, dtype=ctx.dtype(table.n_classes * ctx.f))
+    a = table.coordinates()
+    dtype = dtype_for(int(np.abs(a).max()) * sum(table.degrees))
+    weights = np.array([[d if i in b.char_indices else 0 for i, d in enumerate(table.degrees)]
+                        for b in block_distribution(table, p)], dtype=dtype)
+    totals = np.tensordot(weights, a.astype(dtype)[:, list(table.inverse_class)], axes=1)
+    bad = np.argwhere((totals % n_p).any(axis=2))
+    if bad.size:
+        raise NotPIntegral(
+            f"idempotent coefficient at class {bad[0][1]} is not {p}-integral")
+    vectors = ctx.reduce(totals // n_p, ctx.m).astype(ctx.dtype(table.n_classes * ctx.f))
     return vectors * pow(n // n_p, -1, p) % p, ctx
 
 

@@ -22,11 +22,12 @@ The table keeps ell and the values mod ell (the prime above ell that this
 correspondence fixes), from which blocks takes l(b) as a rank over GF(ell).
 
 Every emitted table is verified against both orthogonality relations, in
-full and in exact integer arithmetic on power-basis coordinates (int64
-array products under an explicit bound, Python integers above it); a
-failure aborts with InternalInconsistency rather than emitting a wrong
-table.  Row order is deterministic: the trivial character first, then by
-(degree, value fingerprint).
+full and exactly on the values' power-basis coordinates, the one array
+that blocks computes on too (CharacterTable.coordinates; int64 products
+under an explicit bound, Python integers above it); a failure aborts with
+InternalInconsistency rather than emitting a wrong table.  Row order is
+deterministic: the trivial character first, then by (degree, value
+fingerprint).
 """
 
 from __future__ import annotations
@@ -69,6 +70,14 @@ class CharacterTable:
     def p_regular_indices(self, p: int) -> tuple[int, ...]:
         return tuple(j for j, c in enumerate(self.classes) if c.is_p_regular(p))
 
+    def coordinates(self) -> np.ndarray:
+        """a[i, j, t], coordinate t of values[i][j] in the power basis of the
+        exponent field, lifted from `values` on every call; dtype_for(B), B
+        the largest coordinate in absolute value."""
+        lifted = [[v._lift(self.exponent) for v in row] for row in self.values]
+        return np.array(lifted, dtype=dtype_for(max(abs(c) for row in lifted
+                                                    for v in row for c in v)))
+
     def verify_orthogonality(self):
         """Both orthogonality relations, exactly and in full.
 
@@ -82,12 +91,12 @@ class CharacterTable:
         e = self.exponent
         phi = _phi(e)
         fold = [_power_basis_rows(e)[s % e] for s in range(2 * phi - 1)]
-        lifted = [[v._lift(e) for v in row] for row in self.values]
-        big = max(abs(c) for row in lifted for v in row for c in v)
+        values = self.coordinates()                     # values[i, j, t]
+        big = int(np.abs(values).max())
         reach = max(abs(c) for row in fold for c in row)
         bound = n * big * big * phi * (2 * phi - 1) * reach
         dtype = dtype_for(bound)
-        values = np.array(lifted, dtype=dtype)          # values[i, j, t]
+        values = values.astype(dtype)
         conj = values[:, list(self.inverse_class)]      # values at inverse classes
         fold = np.array(fold, dtype=dtype)
         sizes = np.array([c.size for c in self.classes], dtype=dtype)

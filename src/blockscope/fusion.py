@@ -30,8 +30,6 @@ __all__ = ["FusionSystem", "HyperfocalReport", "EssentialClass", "AutomizerInfo"
 class HyperfocalReport:
     subgroup: PermGroup
     invariants: tuple
-    commutator_order: int
-    residual_order: int
 
 
 @dataclass(frozen=True)
@@ -82,8 +80,6 @@ class FusionSystem:
         report = HyperfocalReport(
             subgroup=residual,
             invariants=(abelian_invariants(residual) if residual.is_abelian() else None),
-            commutator_order=commutator.order,
-            residual_order=residual.order,
         )
         self._cache["hyperfocal"] = report
         return report

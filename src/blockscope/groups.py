@@ -214,7 +214,6 @@ class ConjClass:
     size: int
     element_order: int
     centralizer_order: int
-    elements: tuple
 
     def is_p_regular(self, p: int) -> bool:
         return self.element_order % p != 0
@@ -323,8 +322,8 @@ class PermGroup:
         generator is one array operation on base images, which gives one
         successor map of ranks per generator.  Each orbit is labelled by its
         least rank: every element takes the least label over its successors
-        until nothing changes.  A class holds the enumerated objects in Perm
-        order, its least one as representative.  Keys are found from codes
+        until nothing changes.  A class's representative is its least
+        enumerated member in Perm order.  Keys are found from codes
         below |G| * degree, so the int64 arithmetic cannot overflow.
         """
         if self.order > ORDER_CAP:
@@ -359,14 +358,12 @@ class PermGroup:
         by_label = np.argsort(label, kind="stable")   # ranks ascending within a class
         found = []
         for ranks in np.split(by_label, np.flatnonzero(np.diff(label[by_label])) + 1):
-            members = tuple(map(elems.__getitem__, ranks.tolist()))
-            rep = members[0]
+            rep = elems[ranks[0]]
             found.append((ConjClass(
                 representative=rep,
-                size=len(members),
+                size=len(ranks),
                 element_order=rep.order(),
-                centralizer_order=n // len(members),
-                elements=members,
+                centralizer_order=n // len(ranks),
             ), ranks))
         found.sort(key=lambda f: (f[0].element_order, f[0].size, f[0].representative.images))
         class_at = np.empty(n, dtype=np.min_scalar_type(len(found)))
@@ -532,16 +529,19 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
     Read from the memoised orbit of h's element set: the stabilizer of the
     orbit's seed, conjugated by h's witness when h is another member.
     Memoised on g by the element set of h, so repeated queries share the
-    handle (and everything cached on it, like its character table).  When
-    g normalizes h, this is g's own handle.
+    handle (and everything cached on it, like its character table); one
+    memoised for another subgroup, of the same order and holding the new
+    generators, is the same group and is reused, generators and all, so
+    those depend on query order.  When g normalizes h, this is g's handle.
     """
     hset = h.element_set()
     memo = g._memo("normalizers", dict)
     if hset not in memo:
         orbit, stab = _orbit_entry(g, hset)
         w = orbit[hset]   # the identity exactly for the seed
-        memo[hset] = stab if w.is_identity() else PermGroup(
-            g.degree, [x ** w for x in stab.generators])
+        new = stab if w.is_identity() else PermGroup(g.degree, [x ** w for x in stab.generators])
+        memo[hset] = next((n for n in memo.values() if n.order == stab.order
+                           and all(x in n for x in new.generators)), new)
     return memo[hset]
 
 

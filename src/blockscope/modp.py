@@ -8,13 +8,13 @@ field is GF(p)[y]/(g) and zeta_m maps to the class of y (so the p-power
 part of zeta collapses to 1).  A field element is the vector of its f
 coordinates in the basis 1, y, ..., y^(f-1), so arrays of them are integer
 arrays: products are contractions with one multiplication tensor, and the
-Frobenius x -> x^p, which is GF(p)-linear, is one f x f matrix.  A value's
-integer power-basis coordinates reduce mod p, so the map is defined on all
-of Z[zeta_m]; a p-integral quotient x / n is reduced by its caller as
-(x / n_p) times the inverse of n_p' mod p.  Block partitions do not depend
-on the factor choice: the Galois group of Q(zeta_m) permutes the ideals
-above p, and the test suite asserts identical partitions under every
-Galois twist of one group's values.
+Frobenius x -> x^p, which is GF(p)-linear, is one f x f matrix.  Reduction
+contracts power-basis coordinates mod p with the images of the basis, one
+product per array, so it is defined on all of Z[zeta_m]; a p-integral
+quotient x / n is reduced by its caller as (x / n_p) times the inverse of
+n_p' mod p.  Block partitions do not depend on the factor choice: the
+Galois group of Q(zeta_m) permutes the ideals above p, and the test suite
+asserts identical partitions under every Galois twist of one group's values.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import Cyclo, cyclotomic_polynomial
+from .cyclotomic import _phi, cyclotomic_polynomial
 from .errors import InternalInconsistency
 from .exact import _nullspace_mod, dtype_for, p_part
 
@@ -162,33 +162,30 @@ class ModPContext:
             powers.append([(a + v[-1] * t) % p for a, t in zip([0] + v[:-1], top)])
         if powers[mprime] != powers[0] or powers[0] in powers[1:mprime]:
             raise InternalInconsistency(f"the image of zeta does not have order {mprime}")
-        # image of zeta_m^k depends only on k mod m'
-        self._zpow = [tuple(v) for v in powers[:mprime]]
+        powers = np.array(powers, dtype=self.dtype(f))
+        # row k is the image of zeta_m^k, which depends only on k mod m'
+        self._zpow = powers[:mprime]
         # times[s, t] = y^(s + t): the product of a and b is sum a_s b_t times[s, t]
         span = np.arange(f)
-        self.times = np.array(powers, dtype=self.dtype(f))[span[:, None] + span]
+        self.times = powers[span[:, None] + span]
         # row t is y^(p t): the coordinate row of x times it is x^p
-        self.frobenius = np.array([self._zpow[p * t % mprime] for t in range(f)],
-                                  dtype=self.dtype(f))
+        self.frobenius = self._zpow[[p * t % mprime for t in range(f)]]
 
     def dtype(self, terms: int):
         """The dtype for sums of `terms` products of two residues."""
         return dtype_for(terms * (self.p - 1) ** 2)
 
-    def reduce(self, x) -> tuple:
-        """Image of a cyclotomic integer (or an int) in the residue field."""
-        if isinstance(x, int):
-            x = Cyclo.integer(x)
-        if self.m % x.m != 0:
-            raise ValueError(f"conductor {x.m} does not divide context conductor {self.m}")
-        step = self.m // x.m
-        p = self.p
-        out = [0] * self.f
-        for k, c in enumerate(x.coeffs):
-            if c % p:
-                for i, y in enumerate(self._zpow[(k * step) % self.m_prime]):
-                    out[i] += c * y
-        return tuple(c % p for c in out)
+    def reduce(self, coords, conductor: int) -> np.ndarray:
+        """Images in the residue field of the values whose power-basis
+        coordinates in Z[zeta_c], c = conductor dividing m, run along the
+        last axis of `coords`: one contraction mod p with the images of the
+        power basis, sums of phi(c) products of two residues."""
+        if self.m % conductor:
+            raise ValueError(f"conductor {conductor} does not divide context conductor {self.m}")
+        dtype = self.dtype(_phi(conductor))
+        # zeta_c^k = zeta_m^(k m / c); a wrong coordinate count fails the product
+        basis = self._zpow[np.arange(_phi(conductor)) * (self.m // conductor) % self.m_prime]
+        return (np.asarray(coords) % self.p).astype(dtype) @ basis.astype(dtype) % self.p
 
     def regular(self, v: np.ndarray) -> np.ndarray:
         """The GF(p)-matrix of multiplication by each field element v[..., :]:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from conftest import group
@@ -10,12 +11,13 @@ from blockscope.blocks import (_block_distribution, _idempotent_vectors,
                                lower_defect_multiplicities, p_subgroup_classes,
                                principal_block)
 from blockscope.chartable import character_table
-from blockscope.cyclotomic import Cyclo
+from blockscope.cyclotomic import Cyclo, _power_basis_rows
 from blockscope.errors import InputError, InternalInconsistency, NotPIntegral
+from blockscope.exact import p_part
 from blockscope.groups import normalizer, quotient_by_normal, sylow_subgroup
-from blockscope.modp import mod_p_context
+from blockscope.modp import _poly_powmod, mod_p_context
 from blockscope.perms import Perm
-from blockscope.recipes import construct_group, cyclic, direct, symmetric
+from blockscope.recipes import alternating, construct_group, cyclic, direct, symmetric
 
 
 def cyc(degree, *cycles):
@@ -29,7 +31,7 @@ def test_trivial_character_central_values_are_class_sizes():
     table = character_table(group("S4"))
     om = central_characters(table)
     for j, cls in enumerate(table.classes):
-        assert om[0][j] == cls.size
+        assert om[0, j].tolist() == [cls.size] + [0] * (om.shape[2] - 1)
 
 
 def test_degree2_vanishes_on_transpositions():
@@ -38,7 +40,7 @@ def test_degree2_vanishes_on_transpositions():
     i = table.degrees.index(2)
     j = next(j for j, c in enumerate(table.classes)
              if c.element_order == 2 and c.size == 6)
-    assert om[i][j] == Cyclo.zero()
+    assert not om[i, j].any()
 
 
 def test_a4_degree3_vanishes_on_three_cycles():
@@ -46,7 +48,7 @@ def test_a4_degree3_vanishes_on_three_cycles():
     om = central_characters(table)
     i = table.degrees.index(3)
     j = next(j for j, c in enumerate(table.classes) if c.element_order == 3)
-    assert om[i][j] == Cyclo.zero()
+    assert not om[i, j].any()
 
 
 # -- block distribution
@@ -150,9 +152,11 @@ def test_principal_defect_group_is_sylow():
         assert b.defect_group.order == sylow_subgroup(g, 2).order
 
 
-def galois_twist(w, a):
-    """sigma_a(w) for the automorphism zeta_m -> zeta_m^a of Q(zeta_m)."""
-    return Cyclo.from_exponents(w.m, {a * k % w.m: c for k, c in enumerate(w.coeffs) if c})
+def galois_twist(coords, e, a):
+    """sigma_a on power-basis coordinates of Z[zeta_e] (last axis), for the
+    automorphism zeta_e -> zeta_e^a: basis element k goes to zeta_e^(a k)."""
+    rows = _power_basis_rows(e)
+    return coords @ np.array([rows[a * k % e] for k in range(coords.shape[-1])])
 
 
 def test_partition_is_ideal_choice_independent():
@@ -164,8 +168,8 @@ def test_partition_is_ideal_choice_independent():
     ctx = mod_p_context(table.exponent, 2)
     parts, signatures = set(), set()
     for a in (a for a in range(1, 42) if math.gcd(a, 42) == 1):
-        keys = [tuple(ctx.reduce(galois_twist(w, a)) for w in om[i])
-                for i in range(table.n_classes)]
+        twisted = ctx.reduce(galois_twist(om, table.exponent, a), table.exponent)
+        keys = [tuple(map(tuple, row)) for row in twisted.tolist()]
         sig = {}
         for i, key in enumerate(keys):
             sig.setdefault(key, set()).add(i)
@@ -233,7 +237,7 @@ def _induce_elementwise(table_h, chi, group, p):
         totals[j] = totals[j] + table_h.values[chi][hj]
     quotients = [total.exact_div(table_h.degrees[chi]) for total in totals]
     assert None not in quotients         # sums of central characters of h
-    sig = tuple(ctx.reduce(w) for w in quotients)
+    sig = tuple(tuple(ctx.reduce(w.coeffs, w.m).tolist()) for w in quotients)
     return next((b for b in block_distribution(table_g, p) if b.signature == sig), None)
 
 
@@ -468,3 +472,118 @@ def test_a_prime_past_int64_products_stays_exact():
     assert all(report["invariant_suite"].values())
     vectors, ctx = block_idempotent_vectors(character_table(g), p)
     assert vectors.dtype == object and ctx.f == 2
+
+
+# -- the coordinate arrays against the former per-value Cyclo arithmetic
+
+
+def _oracle_group(name):
+    recipes = {"A5xZ7": direct(alternating(5), cyclic(7)), "Z47": cyclic(47)}
+    return construct_group(recipes[name]) if name in recipes else group(name)
+
+
+def _images_by_value(ctx):
+    """The image of zeta_m^k for k < m': y^k mod the context's modulus, by
+    polynomial powers, not by the context's own table."""
+    out = []
+    for k in range(ctx.m_prime):
+        v = _poly_powmod([0, 1], k, list(ctx.modulus), ctx.p)
+        out.append(v + [0] * (ctx.f - len(v)))
+    return out
+
+
+def _reduce_by_value(ctx, images, x):
+    """One cyclotomic integer (or int) reduced coordinate by coordinate."""
+    if isinstance(x, int):
+        x = Cyclo.integer(x)
+    step = ctx.m // x.m
+    out = [0] * ctx.f
+    for k, c in enumerate(x.coeffs):
+        if c % ctx.p:
+            for i, y in enumerate(images[k * step % ctx.m_prime]):
+                out[i] += c * y
+    return tuple(c % ctx.p for c in out)
+
+
+def _central_characters_by_value(table):
+    return [[(table.values[i][j] * cls.size).exact_div(table.degrees[i])
+             for j, cls in enumerate(table.classes)] for i in range(table.n_classes)]
+
+
+def _idempotent_vectors_by_value(table, p, images):
+    ctx = mod_p_context(table.exponent, p)
+    n_p = p_part(table.group.order, p)
+    inverse = pow(table.group.order // n_p, -1, p)
+    out = []
+    for blk in block_distribution(table, p):
+        vec = []
+        for j in range(table.n_classes):
+            total = Cyclo.zero()
+            for i in blk.char_indices:
+                total = total + table.values[i][table.inverse_class[j]] * table.degrees[i]
+            w = total.exact_div(n_p)
+            assert w is not None
+            vec.append([c * inverse % p for c in _reduce_by_value(ctx, images, w)])
+        out.append(vec)
+    return out
+
+
+def _induced_block_by_value(group, p, classes, terms, images):
+    table = character_table(group)
+    totals = [0] * table.n_classes
+    for j, w in zip(classes, terms):
+        totals[j] = totals[j] + w
+    ctx = mod_p_context(table.exponent, p)
+    sig = tuple(_reduce_by_value(ctx, images, w) for w in totals)
+    return next((b for b in block_distribution(table, p) if b.signature == sig), None)
+
+
+@pytest.mark.parametrize("name, p", [("S4", 2), ("S5", 2), ("L48", 2), ("G96", 2),
+                                     ("A5xZ7", 2), ("Z47", 2), ("K192", 3), ("S5", 3),
+                                     ("A5", 5)])
+def test_coordinate_arrays_match_the_per_value_arithmetic(name, p):
+    g = _oracle_group(name)
+    table = character_table(g)
+    e = table.exponent
+    ctx = mod_p_context(e, p)
+    images = _images_by_value(ctx)
+    omegas = _central_characters_by_value(table)
+    assert central_characters(table).tolist() == [[list(w._lift(e)) for w in row]
+                                                  for row in omegas]
+    for blk in block_distribution(table, p):
+        for i in blk.char_indices:
+            assert blk.signature == tuple(_reduce_by_value(ctx, images, w) for w in omegas[i])
+    assert (block_idempotent_vectors(table, p)[0].tolist()
+            == _idempotent_vectors_by_value(table, p, images))
+    for r in p_subgroup_classes(g, p):
+        n = normalizer(g, r)
+        table_n = character_table(n)
+        fusion = g.classes_of([c.representative for c in table_n.classes]).tolist()
+        omegas_n = _central_characters_by_value(table_n)
+        for chi in range(table_n.n_classes):
+            assert brauer_induce(table_n, chi, g, p) is _induced_block_by_value(
+                g, p, fusion, omegas_n[chi], images)
+        assert induce_principal_block(n, g, p) is _induced_block_by_value(
+            g, p, g.classes_of(n.elements()).tolist(), [1] * n.order, images)
+
+
+@pytest.mark.parametrize("name, p", [("S5", 2), ("L48", 2), ("S5", 3)])
+def test_the_block_layer_does_no_cyclo_arithmetic(name, p, monkeypatch):
+    from blockscope.classify import count_weights
+    calls = []
+    for attr in ("__add__", "__mul__", "exact_div"):
+        original = getattr(Cyclo, attr)
+        monkeypatch.setattr(Cyclo, attr, lambda self, *args, _f=original, _name=attr:
+                            calls.append(_name) or _f(self, *args))
+    g = _fresh(name)
+    table = character_table(g)
+    found = block_distribution(table, p)
+    block_idempotent_vectors(table, p)
+    for blk in found:
+        lower_defect_multiplicities(blk)
+        count_weights(g, p, blk)
+    for r in p_subgroup_classes(g, p):
+        table_n = character_table(normalizer(g, r))
+        for chi in range(table_n.n_classes):
+            brauer_induce(table_n, chi, g, p)
+    assert found and not calls

@@ -446,7 +446,7 @@ def _assert_pair_counts(g, mats):
     every pair with a class lookup built here, not by the element index."""
     classes = g.conjugacy_classes()
     r = len(classes)
-    class_of = {x: i for i, c in enumerate(classes) for x in c.elements}
+    class_of = {c.representative ** y: i for i, c in enumerate(classes) for y in g.elements()}
     reps = {c.representative: k for k, c in enumerate(classes)}
     want = np.zeros((r, r, r), dtype=np.int64)
     for x in g.elements():

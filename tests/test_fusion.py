@@ -2,7 +2,7 @@ import pytest
 
 from conftest import derived_subgroup, group
 from blockscope.blocks import p_subgroup_classes
-from blockscope.errors import InputError, NotAbelian
+from blockscope.errors import InputError, MethodDisagreement, NotAbelian
 from blockscope.fusion import FusionSystem, _automizer_info, _strongly_p_embedded, omega1
 from blockscope.groups import (abelian_invariants, normal_closure, normalizer,
                                same_subgroup, sylow_subgroup)
@@ -126,13 +126,21 @@ def test_strongly_p_embedded_witness_order(recipe, p, order):
     ("S3xS3", 1, ()),
 ])
 def test_hyperfocal_two_methods(name, order, invariants):
-    rep = fs_of(name).hyperfocal()
+    fs = fs_of(name)
+    rep = fs.hyperfocal()
     assert rep.subgroup.order == order
-    assert rep.commutator_order == rep.residual_order == order
+    assert same_subgroup(fs._hyperfocal_commutator(), rep.subgroup)
     assert rep.invariants == invariants
     # the residual keeps an element of P meet O^p(G) only when it is new to
     # the subgroup grown so far, so each generator at least doubles it
     assert 2 ** len(rep.subgroup.generators) <= order
+
+
+def test_hyperfocal_methods_that_disagree_are_refused(monkeypatch):
+    fs = fs_of("S4")
+    monkeypatch.setattr(fs, "_hyperfocal_commutator", lambda: fs.sylow)
+    with pytest.raises(MethodDisagreement, match="hyperfocal methods disagree"):
+        fs.hyperfocal()
 
 
 def _hyperfocal_over_all_classes(fs):

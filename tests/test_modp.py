@@ -15,6 +15,13 @@ def mul(ctx, a, b):
     return tuple(int(c) for c in np.array(b) @ ctx.regular(np.array(a)) % ctx.p)
 
 
+def red(ctx, x):
+    """The image of a Cyclo or an int, from its coordinates at its own conductor."""
+    if isinstance(x, int):
+        x = Cyclo.integer(x)
+    return tuple(ctx.reduce(x.coeffs, x.m).tolist())
+
+
 def power(ctx, a, n):
     out = (1,) + (0,) * (ctx.f - 1)
     for _ in range(n):
@@ -38,28 +45,28 @@ def sympy_factors(poly, p):
 def test_gf4_context():
     ctx = mod_p_context(3, 2)
     assert ctx.f == 2
-    assert order(ctx, ctx.reduce(zeta(3))) == 3
+    assert order(ctx, red(ctx, zeta(3))) == 3
 
 
 def test_p_power_part_collapses():
     ctx = mod_p_context(4, 2)
     assert ctx.f == 1
-    assert ctx.reduce(zeta(4)) == (1,)
+    assert red(ctx, zeta(4)) == (1,)
 
 
 def test_conductor_12_factors_through_3():
     ctx = mod_p_context(12, 2)
     assert ctx.f == 2
-    z3, z4, z12 = ctx.reduce(zeta(3)), ctx.reduce(zeta(4)), ctx.reduce(zeta(12))
+    z3, z4, z12 = red(ctx, zeta(3)), red(ctx, zeta(4)), red(ctx, zeta(12))
     assert z4 == (1, 0)
     assert z12 == mul(ctx, z3, z4) == z3
 
 
 def test_rational_reduction():
     ctx = mod_p_context(4, 2)
-    assert ctx.reduce(Cyclo.integer(7)) == (1,)
-    assert ctx.reduce(zeta(4) + zeta(4, 3)) == (0,)
-    assert ctx.reduce(-3) == (1,)
+    assert red(ctx, Cyclo.integer(7)) == (1,)
+    assert red(ctx, zeta(4) + zeta(4, 3)) == (0,)
+    assert red(ctx, -3) == (1,)
 
 
 @pytest.mark.parametrize("p,f", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
@@ -118,11 +125,24 @@ def test_reduction_is_ring_homomorphism():
                      for _ in range(2)), Cyclo.zero())
             b = sum((zeta(m, rng.randrange(m)) * rng.randrange(-3, 4)
                      for _ in range(2)), Cyclo.zero())
-            assert ctx.reduce(a + b) == tuple(
-                (x + y) % p for x, y in zip(ctx.reduce(a), ctx.reduce(b)))
-            assert ctx.reduce(a * b) == mul(ctx, ctx.reduce(a), ctx.reduce(b))
-        assert ctx.reduce(Cyclo.one()) == (1,) + (0,) * (ctx.f - 1)
-        assert ctx.reduce(Cyclo.integer(p)) == (0,) * ctx.f
+            values = (a, b, a + b, a * b)
+            # each value at its own (normalized) conductor and lifted to m,
+            # the second all four in one contraction
+            lifted = ctx.reduce([v._lift(m) for v in values], m).tolist()
+            assert [red(ctx, v) for v in values] == list(map(tuple, lifted))
+            assert red(ctx, a + b) == tuple(
+                (x + y) % p for x, y in zip(red(ctx, a), red(ctx, b)))
+            assert red(ctx, a * b) == mul(ctx, red(ctx, a), red(ctx, b))
+        assert red(ctx, Cyclo.one()) == (1,) + (0,) * (ctx.f - 1)
+        assert red(ctx, Cyclo.integer(p)) == (0,) * ctx.f
+
+
+def test_reduce_refuses_a_foreign_conductor_or_a_wrong_length():
+    ctx = mod_p_context(12, 2)
+    with pytest.raises(ValueError, match="does not divide"):
+        ctx.reduce([1] * 4, 5)
+    with pytest.raises(ValueError):
+        ctx.reduce([1, 0, 0], 12)
 
 
 def test_factor_choice_is_pinned_and_enumerable():
@@ -131,14 +151,14 @@ def test_factor_choice_is_pinned_and_enumerable():
     assert factors[0] < factors[1]
     ctx = mod_p_context(15, 2)
     assert ctx.modulus == factors[0] and ctx.f == 4
-    assert ctx.reduce(zeta(15)) == (0, 1, 0, 0)
+    assert red(ctx, zeta(15)) == (0, 1, 0, 0)
 
 
 def test_zeta_image_power_table_consistency():
     ctx = mod_p_context(15, 2)
-    y = ctx.reduce(zeta(15))
+    y = red(ctx, zeta(15))
     for k in range(15):
-        assert ctx.reduce(zeta(15, k)) == power(ctx, y, k)
+        assert red(ctx, zeta(15, k)) == power(ctx, y, k)
 
 
 def test_zeta_image_order_is_checked(monkeypatch):
