@@ -12,11 +12,12 @@ groups.sylow_subgroup_classes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InputError, MethodDisagreement, NoComplementFound, NotAbelian
 from .exact import is_prime, p_part, prime_factors
-from .groups import (PermGroup, abelian_invariants, centralizer,
+from .groups import (PermGroup, _cayley_table, abelian_invariants, centralizer,
                      conjugation_image, normalizer, normal_closure,
                      o_p_residual, quotient_by_normal, same_subgroup, sylow_subgroup,
                      sylow_subgroup_classes)
@@ -142,12 +143,19 @@ class FusionSystem:
             return cached
         out = []
         classes = sylow_subgroup_classes(self.group, self.p)
-        for u, members in zip(classes.reps, classes.members):
+        orbit_sizes = Counter(classes.class_of.values())
+        for i, (u, members) in enumerate(zip(classes.reps, classes.members)):
             # P is Sylow in N_G(P), so Out_F(P) is a p'-group and P is never
             # essential: no automizer of P is built
             if u.order in (1, self.sylow.order):
                 continue
             if not all(self._centric_local(uset, gens) for uset, gens in members):
+                continue
+            # |N_G(u)| = |G| / |orbit of u|, each member labelled in class_of;
+            # when that is a power of p, Out_F(u) is a p-group and has no
+            # strongly p-embedded subgroup
+            n_order = self.group.order // orbit_sizes[i]
+            if p_part(n_order, self.p) == n_order:
                 continue
             quo = self.automizer_group(u)
             if not _strongly_p_embedded(quo, self.p):
@@ -159,11 +167,12 @@ class FusionSystem:
 
     def _centric_local(self, uset, gens) -> bool:
         """No y in P outside u commutes with u's generators `gens`, that is
-        C_P(u) = Z(u)."""
-        for y in self.sylow.elements():
-            if y not in uset and all(y * x == x * y for x in gens):
-                return False
-        return True
+        C_P(u) = Z(u).  Read from P's Cayley table: y commutes with x exactly
+        when mult[y, x] == mult[x, y]."""
+        mult, position = _cayley_table(self.sylow)
+        at = [position[x] for x in gens]
+        commuting = (mult[:, at] == mult[at, :].T).all(axis=1).tolist()
+        return all(y in uset for y, c in zip(self.sylow.elements(), commuting) if c)
 
     def _fully_normalized_rep(self, members) -> PermGroup:
         """Of a class's members (element set, generators) inside P, the one

@@ -3,11 +3,14 @@
 Groups carry a base and strong generating set built by a deterministic
 Schreier-Sims procedure, which gives exact orders, membership tests and
 element enumeration.  Centralizers and normalizers are computed by
-orbit-stabilizer searches on the conjugation action; their correctness is
-anchored by brute-force oracles in the test suite for every group below
-the oracle cap.  A Sylow subgroup is grown from a given p-subgroup through
-nested normalizers, so its orbit walks run in ever smaller groups; each
-group memoises one Sylow subgroup per prime.
+orbit-stabilizer searches on the conjugation action: walks over the
+generators on element keys, which need the acting group's elements (order
+at most ORDER_CAP) and sift Schreier generators only until the stabilizer
+has order |G| / |orbit|.  Their correctness is anchored by brute-force
+oracles in the test suite for every group below the oracle cap.  A Sylow
+subgroup is grown from a given p-subgroup through nested normalizers, so
+its orbit walks run in ever smaller groups; each group memoises one Sylow
+subgroup per prime.
 
 The G-classes of p-subgroups are one record per group and prime
 (:func:`sylow_subgroup_classes`), made in the pass that enumerates the
@@ -16,16 +19,17 @@ blocks and fusion read it and walk no orbit of their own.
 
 All objects are immutable after construction and safe for concurrent
 reads.  Derived data (classes, element lists, local subgroups) is memoised
-on the instance.  Array kernels (the conjugacy-class walk, the class-sum
-structure constants) name elements by the exact integer keys of
-:class:`_ElementIndex`, read from their images of the base.
+on the instance.  Array kernels (the class walk and the orbit walks, which
+share one conjugation map per generator; the class-sum structure constants;
+the Cayley table of a p-group, on which its subgroups are enumerated) name
+elements by the exact integer keys of :class:`_ElementIndex`, read from
+their images of the base.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -317,33 +321,18 @@ class PermGroup:
     def _conjugacy_classes(self) -> tuple[tuple, np.ndarray]:
         """The classes, and the class index of each element key.
 
-        Elements are ranked in Perm order and named by their
-        :class:`_ElementIndex` keys.  Conjugating every element by a
-        generator is one array operation on base images, which gives one
-        successor map of ranks per generator.  Each orbit is labelled by its
-        least rank: every element takes the least label over its successors
-        until nothing changes.  A class's representative is its least
-        enumerated member in Perm order.  Keys are found from codes
-        below |G| * degree, so the int64 arithmetic cannot overflow.
+        Elements are ranked in Perm order; the conjugation maps of
+        :func:`_conjugation_maps` give one successor map of ranks per
+        generator.  Each orbit is labelled by its least rank: every element
+        takes the least label over its successors until nothing changes.  A
+        class's representative is its least enumerated member in Perm order.
         """
-        if self.order > ORDER_CAP:
-            raise CapExceeded(f"order {self.order} exceeds cap {ORDER_CAP}")
-        elems = sorted(self.elements(), key=attrgetter("images"))
+        elems = _element_index(self).elements
         n = len(elems)
-        index = _element_index(self)
-        m = len(index.base)
-        # base images of each element, then of its conjugate by each generator
-        inverses = [g.inverse().images for g in self.generators]
-        images = _images_at(elems, index.base + [inv[b] for inv in inverses
-                                                 for b in index.base], index.images.dtype)
-        keys = index.keys(images[:, :m])
+        keys = np.array(sorted(range(n), key=lambda k: elems[k].images))   # by rank
         rank_of_key = np.empty(n, dtype=np.intp)
         rank_of_key[keys] = np.arange(n)
-        successors = []
-        for t, g in enumerate(self.generators, start=1):
-            # (x^g)(b) = g(x(g^-1(b)))
-            conj = np.array(g.images, dtype=images.dtype)[images[:, t * m:(t + 1) * m]]
-            successors.append(rank_of_key[index.keys(conj)])
+        successors = [rank_of_key[c[keys]] for c in _conjugation_maps(self)]
         label = np.arange(n)
         while True:
             new = label
@@ -358,7 +347,7 @@ class PermGroup:
         by_label = np.argsort(label, kind="stable")   # ranks ascending within a class
         found = []
         for ranks in np.split(by_label, np.flatnonzero(np.diff(label[by_label])) + 1):
-            rep = elems[ranks[0]]
+            rep = elems[keys[ranks[0]]]
             found.append((ConjClass(
                 representative=rep,
                 size=len(ranks),
@@ -402,10 +391,11 @@ class _ElementIndex:
     have base length 11, and 64^11 = 2^66.)
 
     `images[k]` holds the base images of the element with key k, in the
-    smallest integer dtype that holds a point.
+    smallest integer dtype that holds a point, and `elements[k]` the
+    element itself, one of `group.elements()`.
     """
 
-    __slots__ = ("degree", "base", "levels", "images")
+    __slots__ = ("degree", "base", "levels", "images", "elements")
 
     def __init__(self, group: "PermGroup"):
         self.degree = group.degree
@@ -419,6 +409,7 @@ class _ElementIndex:
             self.levels.append(level)
         self.images = np.empty_like(images)
         self.images[rank] = images
+        self.elements = tuple(map(group.elements().__getitem__, np.argsort(rank).tolist()))
 
     def keys(self, images: np.ndarray) -> np.ndarray:
         """Keys of the members whose base images are the rows of `images`."""
@@ -430,6 +421,23 @@ class _ElementIndex:
 
 def _element_index(group: "PermGroup") -> _ElementIndex:
     return group._memo("element_index", lambda: _ElementIndex(group))
+
+
+def _conjugation_maps(group: "PermGroup") -> np.ndarray:
+    """c[t, k]: the key of x_k ** g_t, with x_k the element of key k and g_t
+    the t-th generator, in the least dtype that holds a key; memoised.  One
+    array gather per generator on base images: (x^g)(b) = g(x(g^-1(b)))."""
+    def compute():
+        index = _element_index(group)
+        dtype = index.images.dtype
+        maps = np.empty((len(group.generators), len(index.elements)),
+                        dtype=np.min_scalar_type(len(index.elements) - 1))
+        for t, g in enumerate(group.generators):
+            inv = g.inverse().images
+            moved = _images_at(index.elements, [inv[b] for b in index.base], dtype)
+            maps[t] = index.keys(np.array(g.images, dtype=dtype)[moved])
+        return maps
+    return group._memo("conjugation_maps", compute)
 
 
 def _images_at(elements, points, dtype) -> np.ndarray:
@@ -456,43 +464,60 @@ def _stabilizer_of_action(group: PermGroup, seed) -> tuple[dict, PermGroup]:
     """Conjugation orbit of `seed`, a permutation or a frozenset of them,
     under `group`, and the stabilizer of `seed`.
 
-    One breadth-first walk, starting at seed.  The orbit maps each member t
-    to a witness w_t with seed^(w_t) = t.  Each Schreier generator that is
-    not yet a member extends the stabilizer's BSGS, which the returned
-    handle keeps.
+    The walk runs on element keys (:class:`_ElementIndex`) of `group`, or
+    of <group, seed> for a seed outside it: a seed is its sorted key array,
+    and a step under generator t a sorted gather through row t of
+    :func:`_conjugation_maps`.  The whole orbit is walked breadth-first,
+    then each member y, a permutation or a frozenset of element objects, is
+    given a witness w_y with seed^(w_y) = y, one product per tree step.  In
+    step order, the Schreier generator w_x g w_y^-1 of each other step
+    x -> y then extends the stabilizer's BSGS, which the returned handle
+    keeps, until its order is |group| / |orbit|.  It is then the whole
+    stabilizer, so each later Schreier generator, which fixes the seed, is
+    a member, and `_BSGS.add` of a member returns False and changes
+    nothing: the result is the one sifting them all gives.
 
     A seed fixed by every generator returns `group` itself, memos shared.
     The walk would build the same BSGS (base, transversals, element order):
     its Schreier generators 1·g·1⁻¹ = g come in generator order, the `add`
     sequence of `group.bsgs`; its handle only dropped redundant generators.
     """
-    if isinstance(seed, frozenset):
-        # the memo keeps every member, so members share one object per element
-        canon = {x: x for x in seed}
-        actions = [(g, lambda s, c=g.conjugator(): frozenset(
-                        canon.setdefault(y, y) for y in map(c, s)))
-                   for g in group.generators]
-    else:
-        actions = [(g, g.conjugator()) for g in group.generators]
-    if all(act(seed) == seed for _, act in actions):
+    single = isinstance(seed, Perm)
+    points = [seed] if single else seed
+    members = group.element_set()
+    outside = tuple(x for x in points if x not in members)
+    space = PermGroup(group.degree, group.generators + outside) if outside else group
+    index = _element_index(space)
+    maps = _conjugation_maps(space)[:len(group.generators)]
+    start = np.sort(index.keys(_images_at(points, index.base, index.images.dtype)))
+    found = [start.astype(maps.dtype)]
+    place = {found[0].tobytes(): 0}
+    steps = []   # (member, generator, image member), in walk order
+    for i, keys in enumerate(found):
+        for t, c in enumerate(maps):
+            image = np.sort(c[keys])
+            j = place.setdefault(image.tobytes(), len(found))
+            if j == len(found):
+                found.append(image)
+            steps.append((i, t, j))
+    if len(found) == 1:
         return {seed: group.identity}, group
-    orbit = {seed: group.identity}
-    queue = deque([seed])
-    gens: list[Perm] = []
+    witness = [group.identity]
+    target = group.order // len(found)
     bsgs = _BSGS(group.degree, [])
-    while queue:
-        x = queue.popleft()
-        wit = orbit[x]
-        for g, act in actions:
-            y = act(x)
-            w = orbit.get(y)
-            if w is None:
-                orbit[y] = wit * g
-                queue.append(y)
-            else:
-                s = wit * g * w.inverse()
-                if bsgs.add(s):
-                    gens.append(s)
+    gens: list[Perm] = []
+    for i, t, j in steps:
+        g = group.generators[t]
+        if j == len(witness):
+            witness.append(witness[i] * g)
+        elif bsgs.order() < target:
+            s = witness[i] * g * witness[j].inverse()
+            if bsgs.add(s):
+                gens.append(s)
+    elems = index.elements
+    orbit = {seed: group.identity}
+    for keys, w in zip(found[1:], witness[1:]):
+        orbit[elems[keys[0]] if single else frozenset(map(elems.__getitem__, keys.tolist()))] = w
     return orbit, _with_bsgs(group, gens, bsgs)
 
 
@@ -675,37 +700,61 @@ def _grow_sylow(g: PermGroup, p: int, s: PermGroup) -> PermGroup:
 # subgroup enumeration and fusion
 
 
+def _cayley_table(pgrp: PermGroup) -> tuple[np.ndarray, dict]:
+    """(mult, position): mult[i, j] is the position of e_i * e_j in
+    `pgrp.elements()`, and position maps each element to its own; memoised.
+    The base images (e_i e_j)(b) = e_j(e_i(b)) are one gather, keyed at once."""
+    def compute():
+        elems = pgrp.elements()
+        index = _element_index(pgrp)
+        n, m = len(elems), len(index.base)
+        position = {x: i for i, x in enumerate(elems)}
+        at_key = np.array([position[x] for x in index.elements], dtype=np.min_scalar_type(n - 1))
+        full = np.array([x.images for x in elems], dtype=index.images.dtype)
+        products = full[np.arange(n)[None, :, None], full[:, index.base][:, None, :]]
+        return at_key[index.keys(products.reshape(n * n, m))].reshape(n, n), position
+    return pgrp._memo("cayley_table", compute)
+
+
 def _subgroups_of_p_group(pgrp: PermGroup, p: int) -> dict[frozenset, tuple]:
     """All subgroups of a p-group, each element set mapped to generators of
     it, by maximal extension; sorted by (order, sorted element images).
 
     Each subgroup of order p^(k+1) is <h, x> for some h of order p^k and x
     in N_P(h) with x^p in h; x normalizes h when it conjugates h's
-    generators into h's element set.
+    generators into h's element set.  The search runs on positions in
+    `pgrp.elements()`, with products read from :func:`_cayley_table`.
     """
     if pgrp.order > SUBGROUP_ENUM_CAP:
         raise CapExceeded(f"|P| = {pgrp.order} exceeds enumeration cap {SUBGROUP_ENUM_CAP}")
-    elements = [(x, x.inverse(), x ** p) for x in pgrp.elements()]
-    trivial = frozenset([pgrp.identity])
-    gens_of = {trivial: ()}   # element set -> generators
+    elements = pgrp.elements()
+    table, position = _cayley_table(pgrp)
+    mult = table.tolist()
+    n = len(elements)
+    e = position[pgrp.identity]
+    inverse = [row.index(e) for row in mult]
+    power = [position[x ** p] for x in elements]   # binary powering: p may be huge
+    trivial = frozenset([e])
+    gens_of = {trivial: ()}   # set of positions -> positions of generators
     layer = [trivial]
     size = 1
-    while size < pgrp.order:
+    while size < n:
         nxt = []
-        for hset in layer:
-            gens = gens_of[hset]
-            covered = set(hset)   # elements of the extensions of h found so far
-            for x, x_inv, x_p in elements:
-                if x in covered or x_p not in hset:
+        for h in layer:
+            gens = gens_of[h]
+            covered = set(h)   # elements of the extensions of h found so far
+            for x in range(n):
+                if x in covered or power[x] not in h:
                     continue
-                if any(x_inv * y * x not in hset for y in gens):
+                x_inv = mult[inverse[x]]   # x_inv[y] is the position of x^-1 y
+                if any(mult[x_inv[y]][x] not in h for y in gens):
                     continue
                 # <h, x> = union of cosets h x^i since x normalizes h
-                new = set(hset)
+                new = set(h)
                 y = x
                 while y not in new:
-                    new.update(c * y for c in hset)
-                    y = y * x
+                    new.update([mult[c][y] for c in h])
+                    y = mult[y][x]
                 covered |= new
                 fz = frozenset(new)
                 if fz not in gens_of:
@@ -715,8 +764,9 @@ def _subgroups_of_p_group(pgrp: PermGroup, p: int) -> dict[frozenset, tuple]:
             break
         layer = nxt
         size *= p
-    return {s: gens_of[s] for s in
-            sorted(gens_of, key=lambda s: (len(s), sorted(x.images for x in s)))}
+    rank = dict(zip(sorted(range(n), key=lambda i: elements[i].images), range(n)))
+    return {frozenset(map(elements.__getitem__, s)): tuple(map(elements.__getitem__, gens_of[s]))
+            for s in sorted(gens_of, key=lambda s: (len(s), sorted(map(rank.__getitem__, s))))}
 
 
 @dataclass(frozen=True)

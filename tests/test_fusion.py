@@ -1,11 +1,11 @@
 import pytest
 
-from conftest import derived_subgroup, group
+from conftest import RECIPES, derived_subgroup, group
 from blockscope.blocks import p_subgroup_classes
 from blockscope.errors import InputError, MethodDisagreement, NotAbelian
 from blockscope.fusion import FusionSystem, _automizer_info, _strongly_p_embedded, omega1
 from blockscope.groups import (abelian_invariants, normal_closure, normalizer,
-                               same_subgroup, sylow_subgroup)
+                               same_subgroup, sylow_subgroup, sylow_subgroup_classes)
 from blockscope.perms import Perm
 from blockscope.recipes import (alternating, construct_group, cyclic, direct,
                                 semidirect, symmetric)
@@ -261,6 +261,51 @@ def test_essential_search_builds_no_automizer_of_the_sylow(name, monkeypatch):
                         lambda u: orders.append(u.order) or automizer_group(u))
     assert fs.essential_classes()
     assert orders and fs.sylow.order not in orders
+
+
+def _essentials_by_every_automizer(fs):
+    """Oracle: the essential search without the p-group prefilter, with the
+    centric check on Perm products."""
+    out = []
+    classes = sylow_subgroup_classes(fs.group, fs.p)
+    for u, members in zip(classes.reps, classes.members):
+        if u.order in (1, fs.sylow.order):
+            continue
+        if not all(_perm_centric(fs, uset, gens) for uset, gens in members):
+            continue
+        quo = fs.automizer_group(u)
+        if _strongly_p_embedded(quo, fs.p):
+            out.append((u.element_set(), _automizer_info(quo)))
+    return out
+
+
+def _perm_centric(fs, uset, gens):
+    return not any(y not in uset and all(y * x == x * y for x in gens)
+                   for y in fs.sylow.elements())
+
+
+@pytest.mark.parametrize("name", ["S4", "G96", "K192"])
+def test_essential_search_builds_automizers_only_for_normalizers_that_are_not_p_groups(
+        name, monkeypatch):
+    fs = FusionSystem(construct_group(RECIPES[name]), p=2)
+    built = []
+    automizer_group = fs.automizer_group
+    monkeypatch.setattr(fs, "automizer_group",
+                        lambda u: built.append(u) or automizer_group(u))
+    got = fs.essential_classes()
+    assert built
+    assert not [u for u in built if normalizer(fs.group, u).is_p_group(2)]
+    classes = sylow_subgroup_classes(fs.group, 2)
+    assert [(classes.members[classes.index_of(e.representative)][0][0], e.automizer)
+            for e in got] == _essentials_by_every_automizer(fs)
+
+
+@pytest.mark.parametrize("name", ["S4", "G96", "K192", "W384"])
+def test_the_table_centric_check_matches_perm_products(name):
+    fs = fs_of(name)
+    for members in sylow_subgroup_classes(fs.group, 2).members:
+        for uset, gens in members:
+            assert fs._centric_local(uset, gens) == _perm_centric(fs, uset, gens)
 
 
 def test_l96_z6_controlled_but_not_central():

@@ -6,10 +6,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (ORACLE_CAP, RECIPES, brute_centralizer_order, brute_class_count,
                       brute_conjugator, brute_normalizer_order, derived_subgroup, group)
-from blockscope.errors import InternalInconsistency, NotAbelian, NotNormalized
+from blockscope.errors import CapExceeded, InternalInconsistency, NotAbelian, NotNormalized
 from blockscope.exact import p_part
 from blockscope.groups import (PermGroup, _BSGS, _element_index, _images_at,
-                               _subgroups_of_p_group, abelian_invariants, center,
+                               _stabilizer_of_action, _subgroups_of_p_group, abelian_invariants, center,
                                centralizer, normal_closure, normalizer,
                                o_p_core, o_p_residual, quotient_by_normal,
                                subgroup_fingerprint, sylow_subgroup, sylow_subgroup_classes,
@@ -425,6 +425,110 @@ def test_element_keys_stay_exact_past_a_radix_of_the_base():
     assert index.keys(at_base).tolist() == [key_of[x * y] for x, y in zip(xs, ys)]
 
 
+# -- the key walk against the Perm walk
+
+
+def _perm_walk(group, seed):
+    """Oracle: the orbit-stabilizer walk on Perm objects, conjugating a
+    frozenset seed member by member and sifting every Schreier generator."""
+    if isinstance(seed, frozenset):
+        canon = {x: x for x in seed}
+        actions = [(g, lambda s, c=g.conjugator(): frozenset(
+                        canon.setdefault(y, y) for y in map(c, s)))
+                   for g in group.generators]
+    else:
+        actions = [(g, g.conjugator()) for g in group.generators]
+    if all(act(seed) == seed for _, act in actions):
+        return {seed: group.identity}, group
+    orbit = {seed: group.identity}
+    queue = [seed]
+    gens = []
+    bsgs = _BSGS(group.degree, [])
+    for x in queue:
+        wit = orbit[x]
+        for g, act in actions:
+            y = act(x)
+            w = orbit.get(y)
+            if w is None:
+                orbit[y] = wit * g
+                queue.append(y)
+            else:
+                s = wit * g * w.inverse()
+                if bsgs.add(s):
+                    gens.append(s)
+    return orbit, PermGroup(group.degree, gens), bsgs
+
+
+def _assert_same_walk(g, seed):
+    orbit, stab = _stabilizer_of_action(g, seed)
+    want = _perm_walk(g, seed)
+    assert list(orbit.items()) == list(want[0].items())
+    if len(want) == 2:
+        assert stab is g
+        return
+    bsgs = want[2]
+    assert stab.generators == want[1].generators
+    assert stab.bsgs.base == bsgs.base
+    assert stab.bsgs.level_gens == bsgs.level_gens
+    assert stab.elements() == tuple(bsgs.iter_elements())
+
+
+@pytest.mark.parametrize("name", ["S4", "S5", "L48", "G96", "K192"])
+def test_the_key_walk_matches_the_perm_walk(name):
+    """Same orbit keys, order and witnesses, same stabilizer base, strong
+    generators and element order, for every subgroup of the Sylow
+    2-subgroup and every class representative as the seed."""
+    g = construct_group(RECIPES[name])
+    for s in _subgroups_of_p_group(sylow_subgroup(g, 2), 2):
+        _assert_same_walk(g, s)
+    for c in g.conjugacy_classes():
+        _assert_same_walk(g, c.representative)
+
+
+def test_the_key_walk_matches_the_perm_walk_on_seeds_outside_the_group():
+    """A seed outside g walks in <g, seed>: a transposition's subgroup
+    under A4, and the generators of E = <C_G(u), Sylow_3(N_G(u))> acting
+    on u = V4 in S4, as odd_complement_fixed_points walks them."""
+    from blockscope.fusion import FusionSystem
+    a4 = construct_group(alternating(4))
+    _assert_same_walk(a4, PermGroup(4, [cyc(4, (0, 1))]).element_set())
+    s4 = construct_group(symmetric(4))
+    v4 = s4.subgroup([cyc(4, (0, 1), (2, 3)), cyc(4, (0, 2), (1, 3))])
+    e, _ = FusionSystem(s4, 2).odd_complement_fixed_points(v4)
+    current = v4
+    outside = 0
+    for t in e.generators:
+        outside += t not in current
+        _assert_same_walk(current, t)
+        current = _stabilizer_of_action(current, t)[1]
+    assert outside
+
+
+def test_the_class_pass_sifts_no_schreier_generator_once_the_stabilizer_is_complete(
+        monkeypatch):
+    import blockscope.groups
+    sifted = []   # (BSGS, its order when a Schreier generator was added)
+    add = _BSGS.add
+    monkeypatch.setattr(_BSGS, "add", lambda self, x: sifted.append((self, self.order()))
+                        or add(self, x))
+    walks = []
+    walk = blockscope.groups._stabilizer_of_action
+    monkeypatch.setattr(blockscope.groups, "_stabilizer_of_action",
+                        lambda g, seed: walks.append((g, walk(g, seed))) or walks[-1][1])
+    sylow_subgroup_classes(construct_group(RECIPES["K192"]), 2)
+    complete = {id(stab.bsgs): g.order // len(orbit)
+                for g, (orbit, stab) in walks if stab is not g}
+    assert complete
+    assert not [order for bsgs, order in sifted
+                if order >= complete.get(id(bsgs), order + 1)]
+
+
+def test_a_walk_in_a_group_over_the_order_cap_is_refused():
+    s10 = construct_group(symmetric(10))
+    with pytest.raises(CapExceeded, match="exceeds cap"):
+        sylow_subgroup(s10, 2)
+
+
 # -- Sylow subgroups
 
 
@@ -714,6 +818,49 @@ def test_subgroup_enumeration_counts(name, build, count):
     assert len(subgroups) == len(set(subgroups)) == count
     for s in subgroups:
         assert all(x * y in s for x in s for y in s)
+
+
+def _perm_subgroups(pgrp, p):
+    """Oracle: the maximal-extension enumeration on Perm objects."""
+    elements = [(x, x.inverse(), x ** p) for x in pgrp.elements()]
+    trivial = frozenset([pgrp.identity])
+    gens_of = {trivial: ()}
+    layer = [trivial]
+    size = 1
+    while size < pgrp.order:
+        nxt = []
+        for hset in layer:
+            gens = gens_of[hset]
+            covered = set(hset)
+            for x, x_inv, x_p in elements:
+                if x in covered or x_p not in hset:
+                    continue
+                if any(x_inv * y * x not in hset for y in gens):
+                    continue
+                new = set(hset)
+                y = x
+                while y not in new:
+                    new.update(c * y for c in hset)
+                    y = y * x
+                covered |= new
+                fz = frozenset(new)
+                if fz not in gens_of:
+                    gens_of[fz] = gens + (x,)
+                    nxt.append(fz)
+        if not nxt:
+            break
+        layer = nxt
+        size *= p
+    return {s: gens_of[s] for s in
+            sorted(gens_of, key=lambda s: (len(s), sorted(x.images for x in s)))}
+
+
+@pytest.mark.parametrize("name", ["S4", "G96", "K192", "W384", "L48xZ2"])
+def test_the_table_enumeration_matches_the_perm_enumeration(name):
+    """Same subgroups, in the same order, with the same generator tuples."""
+    pgrp = sylow_subgroup(construct_group(RECIPES[name]), 2)
+    got = _subgroups_of_p_group(pgrp, 2)
+    assert list(got.items()) == list(_perm_subgroups(pgrp, 2).items())
 
 
 def test_bsgs_stores_inverse_transversals():
