@@ -20,9 +20,9 @@ subgroup.  Lower defect multiplicities m(b, R) come from the defect
 filtration of the p-regular class sums in Z(kG), k the residue field
 GF(p^f) of modp: dimension jumps of e_b * span{class sums with defect
 group below R}, read as ranks over GF(p) on the sum of the e_a over b's
-Frobenius orbit.  The classes R and their containment order come from
-groups.sylow_subgroup_classes.  The sum over all R must equal l(b), a hard
-runtime assertion.
+Frobenius orbit, and computed only at the classes R of
+groups.sylow_subgroup_classes that hold a p-regular class's defect group.
+The sum over all R must equal l(b), a hard runtime assertion.
 """
 
 from __future__ import annotations
@@ -335,14 +335,19 @@ def lower_defect_multiplicities(blk: Block) -> LowerDefectTable:
     has GF(p) coefficients (hard assertion), E V is the direct sum of the
     e_a V, all of one dimension, and its dimension is the GF(p)-rank of
     the E K_j: each jump of those ranks is |O| m(b, R) (Linckelmann, *The
-    Block Theory of Finite Group Algebras* I, 2018, for Z(OG)e_b).  Hard
-    assertions: |O| divides each jump, the multiplicities sum to l(b), the
-    defect group carries multiplicity at least 1, and classes not below the
-    defect group carry 0.
+    Block Theory of Finite Group Algebras* I, 2018, for Z(OG)e_b).
+
+    Jumps are computed only at the defect classes D, those holding the
+    defect group of some p-regular class.  For R outside D, V_R and V_<R
+    are spanned by the same class sums, so the jump is 0.  Every class sum
+    has its defect class in D, so the containments read are c <= R for c
+    and R in D, and R <= the block's defect class, which is in D as the
+    block's defect group is that of a p-regular class.  Hard assertions:
+    |O| divides each jump, the multiplicities sum to l(b), the defect group
+    carries multiplicity at least 1, and classes not below it carry 0.
     """
     table, p = blk.table, blk.p
     classes = sylow_subgroup_classes(table.group, p)
-    leq = classes.leq   # the containment partial order on the classes
     idempotents, ctx = block_idempotent_vectors(table, p)
     blocks = block_distribution(table, p)
     orbit = _frobenius_orbit(blk)
@@ -353,19 +358,20 @@ def lower_defect_multiplicities(blk: Block) -> LowerDefectTable:
     # the class of each p-regular class's defect group in the class list
     class_rep_of = [classes.index_of(_class_defect_group(table, p, j))
                     for j in table.p_regular_indices(p)]
+    defect_classes = set(class_rep_of)
     vectors = _times_class_sums(table, ctx, e[:, 0])[list(table.p_regular_indices(p))]
 
-    def span_rank(pred):
-        picked = [k for k, cls in enumerate(class_rep_of) if pred(cls)]
-        return len(_rref_mod(vectors[picked], p)[1])
+    def span_rank(picked):
+        return len(_rref_mod(vectors[[c in picked for c in class_rep_of]], p)[1])
 
-    mult = []
-    for ri in range(len(classes.reps)):
-        jump = span_rank(lambda c: leq[c][ri]) - span_rank(lambda c: leq[c][ri] and c != ri)
+    mult = [0] * len(classes.reps)
+    for ri in defect_classes:
+        below = {c for c in defect_classes if classes.below(c, ri)}
+        jump = span_rank(below) - span_rank(below - {ri})
         if jump % len(orbit):
             raise InternalInconsistency(
                 f"a Frobenius orbit of {len(orbit)} blocks has a dimension jump of {jump}")
-        mult.append(jump // len(orbit))
+        mult[ri] = jump // len(orbit)
 
     if sum(mult) != blk.l:
         raise InternalInconsistency(
@@ -374,8 +380,7 @@ def lower_defect_multiplicities(blk: Block) -> LowerDefectTable:
     if mult[dclass] < 1:
         raise InternalInconsistency("defect group multiplicity is zero")
     for ri, m in enumerate(mult):
-        if m and not leq[ri][dclass]:
+        if m and not classes.below(ri, dclass):
             raise InternalInconsistency(
                 "nonzero multiplicity outside the defect group's subgroups")
     return LowerDefectTable(subgroup_classes=classes.reps, multiplicities=tuple(mult))
-

@@ -147,7 +147,7 @@ class FusionSystem:
         for i, (u, members) in enumerate(zip(classes.reps, classes.members)):
             # P is Sylow in N_G(P), so Out_F(P) is a p'-group and P is never
             # essential: no automizer of P is built
-            if u.order in (1, self.sylow.order):
+            if len(members[0][0]) in (1, self.sylow.order):
                 continue
             if not all(self._centric_local(uset, gens) for uset, gens in members):
                 continue

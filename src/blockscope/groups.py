@@ -776,15 +776,18 @@ class SubgroupClasses:
     class).  `reps[i]`: the least member of class i inside P, with the
     generators the enumeration found.  `class_of`: the element set of every
     p-subgroup of G -> its class.  `members[i]`: (element set, generators)
-    of each member of class i inside P, in enumeration order.  `leq[a][b]`:
-    some member of class a inside P, so some conjugate of reps[a], lies in
-    reps[b].
+    of each member of class i inside P, in enumeration order.  Containment
+    between classes is computed on call, by :meth:`below`.
     """
 
     reps: tuple
     class_of: dict
     members: tuple
-    leq: tuple
+
+    def below(self, a: int, b: int) -> bool:
+        """Some member of class a inside P, so some conjugate of reps[a],
+        lies in reps[b]."""
+        return any(s <= self.members[b][0][0] for s, _ in self.members[a])
 
     def index_of(self, h: PermGroup) -> int:
         """The class index of the p-subgroup h."""
@@ -817,12 +820,10 @@ def _sylow_subgroup_classes(group: PermGroup, p: int) -> SubgroupClasses:
     order = sorted(range(len(found)), key=lambda i: found[i][0])
     index = {at: i for i, at in enumerate(order)}
     members = tuple(tuple(found[at][1]) for at in order)
-    sets = [m[0][0] for m in members]
     return SubgroupClasses(
         reps=tuple(group.subgroup(m[0][1]) for m in members),
         class_of={t: index[at] for t, at in position.items()},
-        members=members,
-        leq=tuple(tuple(any(s <= b for s, _ in m) for b in sets) for m in members))
+        members=members)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from blockscope.chartable import character_table
 from blockscope.cyclotomic import Cyclo, _power_basis_rows
 from blockscope.errors import InputError, InternalInconsistency, NotPIntegral
 from blockscope.exact import p_part
-from blockscope.groups import normalizer, quotient_by_normal, sylow_subgroup
+from blockscope.groups import (normalizer, quotient_by_normal, sylow_subgroup,
+                               sylow_subgroup_classes)
 from blockscope.modp import _poly_powmod, mod_p_context
 from blockscope.perms import Perm
 from blockscope.recipes import alternating, construct_group, cyclic, direct, symmetric
@@ -409,6 +410,59 @@ def test_lower_defect_finds_each_class_defect_group_once(name, monkeypatch):
     # one centralizer per p-regular class, not one per class and block: the
     # blocks' defect groups and the lower defect labels share them
     assert len(calls) == len(table.p_regular_indices(2))
+
+
+def _all_classes_multiplicities(blk):
+    """Oracle: the rank jump at every p-subgroup class, with containment read
+    from a full class x class matrix built from the members inside P."""
+    from blockscope.blocks import (_class_defect_group, _frobenius_orbit,
+                                   _times_class_sums)
+    from blockscope.exact import _rref_mod
+    table, p = blk.table, blk.p
+    classes = sylow_subgroup_classes(table.group, p)
+    sets = [m[0][0] for m in classes.members]
+    leq = [[any(s <= b for s, _ in m) for b in sets] for m in classes.members]
+    idempotents, ctx = block_idempotent_vectors(table, p)
+    blocks = block_distribution(table, p)
+    orbit = _frobenius_orbit(blk)
+    e = idempotents[[blocks.index(b) for b in orbit]].sum(axis=0) % p
+    regular = list(table.p_regular_indices(p))
+    class_rep_of = [classes.index_of(_class_defect_group(table, p, j)) for j in regular]
+    vectors = _times_class_sums(table, ctx, e[:, 0])[regular]
+
+    def span_rank(pred):
+        picked = [k for k, c in enumerate(class_rep_of) if pred(c)]
+        return len(_rref_mod(vectors[picked], p)[1])
+
+    jumps = [span_rank(lambda c: leq[c][r]) - span_rank(lambda c: leq[c][r] and c != r)
+             for r in range(len(sets))]
+    assert all(j % len(orbit) == 0 for j in jumps)
+    return tuple(j // len(orbit) for j in jumps)
+
+
+@pytest.mark.parametrize("name, p", [
+    ("S4", 2), ("S5", 2), ("G96", 2), ("K192", 2), ("W384", 2), ("L48xZ2", 2),
+    ("S3xS3", 2), ("Z3wrZ2", 2), ("A5xZ7", 2), ("Z47", 2), ("S4", 3), ("S3xS3", 3)])
+def test_ranks_at_the_defect_classes_match_ranks_at_every_class(name, p):
+    g = {"A5xZ7": lambda: construct_group(direct(alternating(5), cyclic(7))),
+         "Z47": lambda: construct_group(cyclic(47))}.get(name, lambda: group(name))()
+    for b in block_distribution(character_table(g), p):
+        assert lower_defect_multiplicities(b).multiplicities == _all_classes_multiplicities(b)
+
+
+def test_lower_defect_ranks_only_at_the_defect_classes(monkeypatch):
+    from blockscope import blocks
+    from conftest import RECIPES
+    g = construct_group(RECIPES["K192"])   # a fresh group: no memo
+    blk = block_distribution(character_table(g), 2)[0]
+    calls = []
+    rref = blocks._rref_mod
+    monkeypatch.setattr(blocks, "_rref_mod", lambda a, ell: calls.append(a) or rref(a, ell))
+    lower_defect_multiplicities(blk)
+    classes = sylow_subgroup_classes(g, 2)
+    defect_classes = {classes.index_of(blocks._class_defect_group(blk.table, 2, j))
+                      for j in blk.table.p_regular_indices(2)}
+    assert len(defect_classes) == 2 and len(calls) <= 2 * len(defect_classes)
 
 
 @pytest.mark.parametrize("name, sizes", [

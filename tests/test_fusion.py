@@ -300,6 +300,21 @@ def test_essential_search_builds_automizers_only_for_normalizers_that_are_not_p_
             for e in got] == _essentials_by_every_automizer(fs)
 
 
+@pytest.mark.parametrize("name", ["K192", "G96"])
+def test_essential_search_reads_the_order_of_a_skipped_class_from_the_record(
+        name, monkeypatch):
+    """A class skipped before the automizer step builds no BSGS for its
+    representative: its order is the size of its first member's element set."""
+    fs = FusionSystem(construct_group(RECIPES[name]), p=2)
+    built = []
+    automizer_group = fs.automizer_group
+    monkeypatch.setattr(fs, "automizer_group",
+                        lambda u: built.append(id(u)) or automizer_group(u))
+    fs.essential_classes()
+    skipped = [u for u in sylow_subgroup_classes(fs.group, 2).reps if id(u) not in built]
+    assert skipped and all(u._bsgs is None for u in skipped)
+
+
 @pytest.mark.parametrize("name", ["S4", "G96", "K192", "W384"])
 def test_the_table_centric_check_matches_perm_products(name):
     fs = fs_of(name)

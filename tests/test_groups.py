@@ -745,13 +745,15 @@ def test_class_of_labels_every_conjugate_of_every_subgroup_of_the_sylow(name, p)
 
 @pytest.mark.parametrize("name,p", _RECORD_CASES)
 def test_leq_is_containment_of_some_conjugate(name, p):
-    """The former definition: some conjugate of reps[a] lies in reps[b]."""
+    """`below(a, b)` is containment of some conjugate: some conjugate of
+    reps[a] lies in reps[b]."""
     g = group(name)
     classes = sylow_subgroup_classes(g, p)
     sets = [r.element_set() for r in classes.reps]
     for a, sa in enumerate(sets):
         orbit = _conjugation_orbit(g, sa)
-        assert list(classes.leq[a]) == [any(t <= sb for t in orbit) for sb in sets]
+        assert [classes.below(a, b) for b in range(len(sets))] == [
+            any(t <= sb for t in orbit) for sb in sets]
 
 
 @pytest.mark.parametrize("name,p", _RECORD_CASES)
