@@ -11,7 +11,7 @@ p-regular classes, ell the table's prime (see _l_by_rank for why that rank
 is exact, and the certificate that the ranks sum to the number of
 p-regular classes).  Central characters, idempotent coefficients and
 induced central characters are integer array products on the table's
-coordinates (CharacterTable.coordinates), a quotient that is not integral
+coordinates (CharacterTable.coords), a quotient that is not integral
 raises, and each array reduces mod p in one contraction.  A block's defect
 group is found on its first read, from one Sylow p-subgroup per p-regular
 class (that of the class's centralizer, shared with the lower defect
@@ -104,7 +104,7 @@ def central_characters(table: CharacterTable) -> np.ndarray:
 
 
 def _central_characters(table: CharacterTable) -> np.ndarray:
-    a = table.coordinates()
+    a = table.coords
     dtype = dtype_for(int(np.abs(a).max()) * table.group.order)
     scaled = a.astype(dtype) * np.array([c.size for c in table.classes], dtype=dtype)[:, None]
     degrees = np.array(table.degrees, dtype=dtype)[:, None, None]
@@ -269,7 +269,7 @@ def _idempotent_vectors(table: CharacterTable, p: int):
     ctx = mod_p_context(table.exponent, p)
     n = table.group.order
     n_p = p_part(n, p)
-    a = table.coordinates()
+    a = table.coords
     dtype = dtype_for(int(np.abs(a).max()) * sum(table.degrees))
     weights = np.array([[d if i in b.char_indices else 0 for i, d in enumerate(table.degrees)]
                         for b in block_distribution(table, p)], dtype=dtype)

@@ -18,16 +18,17 @@ character values, integer vectors in the power basis of Z[zeta_e], are
 reconstructed by discrete Fourier inversion over the power maps, using the
 root-of-unity correspondence zeta_e <-> w^((ell-1)/e) for a fixed
 primitive root w: all rows at once, one matrix product mod ell per class.
-The table keeps ell and the values mod ell (the prime above ell that this
-correspondence fixes), from which blocks takes l(b) as a rank over GF(ell).
+Those coordinates, CharacterTable.coords, are the table's one exact form
+of its values, which blocks and classify compute on too; canonical
+(minimal-conductor) forms are derived from them for the row order and the
+JSON only.  The table also keeps ell and the values mod ell (the prime
+above ell that the correspondence fixes), for l(b) as a rank over GF(ell).
 
 Every emitted table is verified against both orthogonality relations, in
-full and exactly on the values' power-basis coordinates, the one array
-that blocks computes on too (CharacterTable.coordinates; int64 products
-under an explicit bound, Python integers above it); a failure aborts with
-InternalInconsistency rather than emitting a wrong table.  Row order is
-deterministic: the trivial character first, then by (degree, value
-fingerprint).
+full and exactly on the coordinates (int64 products under an explicit
+bound, Python integers above it); a failure raises InternalInconsistency
+rather than emitting a wrong table.  Row order is deterministic: the
+trivial character first, then by (degree, value fingerprint).
 """
 
 from __future__ import annotations
@@ -57,10 +58,12 @@ class CharacterTable:
     group: PermGroup
     classes: tuple
     degrees: tuple[int, ...]
-    values: tuple          # values[i][j]: Cyclo, character i at class j
     exponent: int
     inverse_class: tuple[int, ...]
     ell: int                  # the prime of the eigenvector method, ell = 1 (mod exponent)
+    # coords[i, j, t]: coordinate t of character i at class j in the power
+    # basis of Q(zeta_exponent), int64 r x r x phi(exponent)
+    coords: np.ndarray = field(compare=False, repr=False)
     residues: np.ndarray = field(compare=False, repr=False)  # values mod ell, int64 r x r
 
     @property
@@ -69,14 +72,6 @@ class CharacterTable:
 
     def p_regular_indices(self, p: int) -> tuple[int, ...]:
         return tuple(j for j, c in enumerate(self.classes) if c.is_p_regular(p))
-
-    def coordinates(self) -> np.ndarray:
-        """a[i, j, t], coordinate t of values[i][j] in the power basis of the
-        exponent field, lifted from `values` on every call; dtype_for(B), B
-        the largest coordinate in absolute value."""
-        lifted = [[v._lift(self.exponent) for v in row] for row in self.values]
-        return np.array(lifted, dtype=dtype_for(max(abs(c) for row in lifted
-                                                    for v in row for c in v)))
 
     def verify_orthogonality(self):
         """Both orthogonality relations, exactly and in full.
@@ -91,12 +86,11 @@ class CharacterTable:
         e = self.exponent
         phi = _phi(e)
         fold = [_power_basis_rows(e)[s % e] for s in range(2 * phi - 1)]
-        values = self.coordinates()                     # values[i, j, t]
-        big = int(np.abs(values).max())
+        big = int(np.abs(self.coords).max())
         reach = max(abs(c) for row in fold for c in row)
         bound = n * big * big * phi * (2 * phi - 1) * reach
         dtype = dtype_for(bound)
-        values = values.astype(dtype)
+        values = self.coords.astype(dtype)
         conj = values[:, list(self.inverse_class)]      # values at inverse classes
         fold = np.array(fold, dtype=dtype)
         sizes = np.array([c.size for c in self.classes], dtype=dtype)
@@ -120,8 +114,19 @@ class CharacterTable:
                 for c in self.classes
             ],
             "degrees": list(self.degrees),
-            "characters": [[v.to_json() for v in row] for row in self.values],
+            "characters": [[v.to_json() for v in row]
+                           for row in _canonical(self.exponent, self.coords)],
         }
+
+
+def _canonical(exponent: int, coords: np.ndarray) -> list[list[Cyclo]]:
+    """The canonical (minimal-conductor) form of every value, from its
+    coordinates in the exponent field; each distinct value is normalized
+    once."""
+    r, c, phi = coords.shape
+    distinct, at = np.unique(coords.reshape(r * c, phi), axis=0, return_inverse=True)
+    forms = [Cyclo(exponent, v) for v in distinct.tolist()]
+    return [[forms[k] for k in row] for row in at.reshape(r, c).tolist()]
 
 
 def _gram(a, b, fold):
@@ -228,16 +233,15 @@ def _build_table(group: PermGroup) -> CharacterTable:
     powers = iter(group.classes_of([c.representative ** s for c in classes
                                     for s in range(c.element_order)]).tolist())
     power_classes = [list(islice(powers, c.element_order)) for c in classes]
-    columns = _lift_columns(chi_mod, degrees, power_classes, z_e, exponent, ell)
-    order = _row_order(degrees.tolist(), columns)
+    coords = _lift_columns(chi_mod, degrees, power_classes, z_e, exponent, ell)
+    order = _row_order(degrees.tolist(), coords, exponent)
     degrees = tuple(degrees[order].tolist())
-    values = tuple(tuple(col[i] for col in columns) for i in order)
 
     if sum(d * d for d in degrees) != n:
         raise InternalInconsistency("degree squares do not sum to the group order")
     table = CharacterTable(group=group, classes=classes, degrees=degrees,
-                           values=values, exponent=exponent,
-                           inverse_class=inverse_class, ell=ell, residues=chi_mod[order])
+                           exponent=exponent, inverse_class=inverse_class, ell=ell,
+                           coords=coords[order], residues=chi_mod[order])
     table.verify_orthogonality()
     return table
 
@@ -351,22 +355,21 @@ def _sqrt_small(d2s, ell: int, n: int) -> np.ndarray:
 
 
 def _lift_columns(chi_mod, degrees, power_classes, z_e, exponent, ell):
-    """Exact values from mod-ell data, one class (column) at a time.
+    """Exact values from mod-ell data, one class (column) at a time, as
+    coordinates c[i, j, t] in the power basis of the exponent field.
 
     The values of the characters at class j are sums of e_j-th roots of
     unity; their multiplicities mod ell are chi_mod at the powers of z_j,
     times the powers of the matching root w_j = z_e^(exponent / e_j), over
-    e_j: one (rows x e_j) @ (e_j x e_j) product per class.  Each distinct
-    multiplicity pattern of a conductor is lifted to a Cyclo once per table.
+    e_j: one (rows x e_j) @ (e_j x e_j) product per class.  The root
+    zeta_(e_j)^t is zeta_exponent^(t exponent / e_j), so the coordinates
+    are the multiplicities times those power-basis rows: one more product.
     """
-    lifted: dict = {}   # (e_j, multiplicities) -> Cyclo, shared by the classes
+    basis = np.array(_power_basis_rows(exponent), dtype=np.int64)
+    coords = np.empty((len(degrees), len(power_classes), _phi(exponent)), dtype=np.int64)
     fourier: dict = {}  # e_j -> f[s, t] = w_j^(-s t) / e_j
-    columns = []
-    for pows in power_classes:
+    for j, pows in enumerate(power_classes):
         e_j = len(pows)
-        if e_j == 1:
-            columns.append([Cyclo.integer(d) for d in degrees.tolist()])
-            continue
         f = fourier.get(e_j)
         if f is None:
             root = pow(z_e, -(exponent // e_j), ell)
@@ -378,27 +381,19 @@ def _lift_columns(chi_mod, degrees, power_classes, z_e, exponent, ell):
             raise InternalInconsistency("eigenvalue multiplicity exceeds the degree")
         if (mult.sum(axis=1) != degrees).any():
             raise InternalInconsistency("multiplicities do not sum to the degree")
-        patterns, at = np.unique(mult, axis=0, return_inverse=True)
-        cyclos = []
-        for pattern in patterns.tolist():
-            key = (e_j, tuple(pattern))
-            value = lifted.get(key)
-            if value is None:
-                value = lifted[key] = Cyclo.from_exponents(
-                    e_j, {t: mu for t, mu in enumerate(pattern) if mu})
-            cyclos.append(value)
-        columns.append([cyclos[k] for k in at.ravel().tolist()])
-    return columns
+        coords[:, j] = mult @ basis[::exponent // e_j]
+    return coords
 
 
-def _row_order(degrees, columns):
-    """The trivial character first, then by (degree, value fingerprint)."""
-    one = Cyclo.one()
+def _row_order(degrees, coords, exponent):
+    """The trivial character first, then by (degree, value fingerprint): the
+    degree, then the canonical forms of the row's values."""
     rows = range(len(degrees))
-    trivial = next((i for i in rows if degrees[i] == 1 and all(col[i] == one for col in columns)),
+    trivial = next((i for i in rows if (coords[i, :, 0] == 1).all() and not coords[i, :, 1:].any()),
                    None)
     if trivial is None:
         raise InternalInconsistency("trivial character missing from the table")
+    forms = _canonical(exponent, coords)
     rest = sorted((i for i in rows if i != trivial),
-                  key=lambda i: (degrees[i], tuple(col[i].key() for col in columns)))
+                  key=lambda i: (degrees[i], tuple(v.key() for v in forms[i])))
     return [trivial] + rest

@@ -242,10 +242,11 @@ def count_weights(group: PermGroup, p: int, blk: Block) -> int:
         tab_n = character_table(n)
         quotient_order = n.order // r.order
         target_nu = nu(quotient_order, p)
-        r_classes = [n.class_of(x) for x in r.generators]
+        at_r = tab_n.coords[:, [n.class_of(x) for x in r.generators]]
         for i in range(tab_n.n_classes):
-            # inflation from N/R: R inside the kernel
-            if any(tab_n.values[i][j] != tab_n.degrees[i] for j in r_classes):
+            # inflation from N/R: R inside the kernel, chi(x) = chi(1) at R's
+            # generators x, the coordinates (chi(1), 0, ..., 0)
+            if (at_r[i, :, 0] != tab_n.degrees[i]).any() or at_r[i, :, 1:].any():
                 continue
             if nu(tab_n.degrees[i], p) != target_nu:
                 continue

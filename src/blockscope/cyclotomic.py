@@ -8,8 +8,8 @@ constructed value is normalized: reduced modulo the cyclotomic polynomial
 and rebased into the smallest cyclotomic field that contains it (with m
 never congruent to 2 mod 4, and m = 1 for integers).  Equality and hashing
 therefore work on the canonical form.  Division is only by an integer and
-only when it is exact (Cyclo.exact_div).  Cyclo is the character tables'
-value type (row order, JSON); they compute on coordinate arrays instead.
+only when it is exact (Cyclo.exact_div).  Character tables keep coordinate
+arrays and build a Cyclo only for a canonical form (row order, JSON).
 
 Arithmetic is exact throughout; there is no floating point anywhere.
 """

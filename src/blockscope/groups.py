@@ -593,37 +593,20 @@ def center(g: PermGroup) -> PermGroup:
     return centralizer(g, g)
 
 
-def _pprime_part_of_perm(x: Perm, p: int) -> Perm:
-    n = x.order()
-    a = p_part(n, p)
-    m = n // a
-    if m == 1:
-        return Perm.identity(x.degree)
-    # x^(a*t) with a*t = 1 mod m has order m and generates the p'-part of <x>
-    t = pow(a, -1, m)
-    return x ** (a * t)
-
-
 def o_p_residual(g: PermGroup, p: int) -> PermGroup:
     """O^p(g): the smallest normal subgroup with p-group quotient.
 
-    Equals the normal closure of all p'-elements; we close over p'-parts of
-    generators and then scan for missed p'-parts until the quotient index
-    is a p-power (at which point minimality is automatic).
+    A normal subgroup N has a p-group quotient exactly when it holds every
+    p'-element: the image of a p'-element in a p-group is trivial, and a
+    quotient of order divisible by a prime q != p has an element of order
+    q, whose preimage's p'-part lies outside N.  So O^p(g) is the normal
+    closure of the p'-elements.  A normal subgroup holding one element
+    holds its whole class, and every p'-element is conjugate to the
+    representative of a p-regular class, so the closure of those
+    representatives is O^p(g).
     """
-    seeds = [_pprime_part_of_perm(x, p) for x in g.generators]
-    n = normal_closure(g, seeds)
-    while p_part(g.order // n.order, p) != g.order // n.order:
-        grew = False
-        for x in g.bsgs.iter_elements():
-            xp = _pprime_part_of_perm(x, p)
-            if not xp.is_identity() and xp not in n:
-                n = normal_closure(g, list(n.generators) + [xp])
-                grew = True
-                break
-        if not grew:  # pragma: no cover - cannot happen: some p'-part is missing
-            raise InternalInconsistency("o_p_residual failed to close")
-    return n
+    return normal_closure(g, [c.representative for c in g.conjugacy_classes()
+                              if c.is_p_regular(p)])
 
 
 def o_p_core(g: PermGroup, p: int, start: PermGroup | None = None) -> frozenset:

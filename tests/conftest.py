@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from blockscope.cyclotomic import Cyclo
 from blockscope.groups import normal_closure
 from blockscope.recipes import (alternating, construct_group, cyclic, direct,
                                 semidirect, symmetric, wreath)
@@ -100,6 +101,12 @@ def brute_class_count(g) -> int:
         seen |= orbit
         count += 1
     return count
+
+
+def table_value(table, i, j) -> Cyclo:
+    """Character i of the table at class j in canonical form, built from the
+    table's coordinates: the per-value oracle for the array computations."""
+    return Cyclo(table.exponent, tuple(table.coords[i, j].tolist()))
 
 
 def sympy_rref(a, ell):

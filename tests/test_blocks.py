@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import group
+from conftest import group, table_value
 from blockscope.blocks import (_block_distribution, _idempotent_vectors,
                                block_distribution, block_idempotent_vectors,
                                brauer_induce, central_characters, induce_principal_block,
@@ -235,7 +235,7 @@ def _induce_elementwise(table_h, chi, group, p):
     totals = [Cyclo.zero()] * table_g.n_classes
     elements = h.elements()
     for j, hj in zip(group.classes_of(elements).tolist(), h.classes_of(elements).tolist()):
-        totals[j] = totals[j] + table_h.values[chi][hj]
+        totals[j] = totals[j] + table_value(table_h, chi, hj)
     quotients = [total.exact_div(table_h.degrees[chi]) for total in totals]
     assert None not in quotients         # sums of central characters of h
     sig = tuple(tuple(ctx.reduce(w.coeffs, w.m).tolist()) for w in quotients)
@@ -293,11 +293,12 @@ def test_idempotents_orthogonal_and_sum_to_one():
 def test_idempotent_division_not_p_integral():
     table = character_table(group("Z6"))
     block_distribution(table, 2)               # blocks of the true table
-    values = list(table.values)
+    coords = table.coords.copy()
     # the principal block's coefficient at 1 becomes (2 + 1) / 6, not 2-integral
-    values[0] = (Cyclo.integer(2),) + values[0][1:]
+    coords[0, 0] = 0
+    coords[0, 0, 0] = 2
     with pytest.raises(NotPIntegral):
-        _idempotent_vectors(dataclasses.replace(table, values=tuple(values)), 2)
+        _idempotent_vectors(dataclasses.replace(table, coords=coords), 2)
 
 
 def test_idempotents_swapped_within_a_frobenius_orbit_fail_the_check(monkeypatch):
@@ -560,7 +561,7 @@ def _reduce_by_value(ctx, images, x):
 
 
 def _central_characters_by_value(table):
-    return [[(table.values[i][j] * cls.size).exact_div(table.degrees[i])
+    return [[(table_value(table, i, j) * cls.size).exact_div(table.degrees[i])
              for j, cls in enumerate(table.classes)] for i in range(table.n_classes)]
 
 
@@ -574,7 +575,7 @@ def _idempotent_vectors_by_value(table, p, images):
         for j in range(table.n_classes):
             total = Cyclo.zero()
             for i in blk.char_indices:
-                total = total + table.values[i][table.inverse_class[j]] * table.degrees[i]
+                total = total + table_value(table, i, table.inverse_class[j]) * table.degrees[i]
             w = total.exact_div(n_p)
             assert w is not None
             vec.append([c * inverse % p for c in _reduce_by_value(ctx, images, w)])

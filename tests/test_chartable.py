@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import RECIPES, derived_subgroup, group, sympy_rref
+from conftest import RECIPES, derived_subgroup, group, sympy_rref, table_value
 from blockscope import chartable, exact
 from blockscope.chartable import (_charpoly_mod, _choose_prime, _class_matrices,
                                   _class_matrix, _common_eigenvectors, character_table)
-from blockscope.cyclotomic import Cyclo, zeta
+from blockscope.cyclotomic import Cyclo, _phi, zeta
 from blockscope.errors import CapExceeded, InternalInconsistency
 from blockscope.exact import _nullspace_mod, _rref_mod
 from blockscope.recipes import (alternating, construct_group, cyclic, direct, symmetric,
@@ -119,7 +119,7 @@ def _match_frozen(name):
         for i in range(table.n_classes):
             row = [None] * len(keys)
             for j in range(table.n_classes):
-                row[mapping[j]] = table.values[i][j]
+                row[mapping[j]] = table_value(table, i, j)
             got_rows.add(tuple(row))
         if got_rows == want_rows:
             return
@@ -149,7 +149,7 @@ def test_trivial_character_first():
     for name in ("S4", "A5", "G96"):
         table = character_table(group(name))
         assert table.degrees[0] == 1
-        assert all(v == Cyclo.one() for v in table.values[0])
+        assert all(table_value(table, 0, j) == Cyclo.one() for j in range(table.n_classes))
 
 
 def _conjugate(v):
@@ -162,14 +162,16 @@ def test_inverse_class_values_are_conjugate():
         table = character_table(group(name))
         for i in range(table.n_classes):
             for j in range(table.n_classes):
-                assert table.values[i][table.inverse_class[j]] == \
-                    _conjugate(table.values[i][j])
+                assert table_value(table, i, table.inverse_class[j]) == \
+                    _conjugate(table_value(table, i, j))
 
 
 def test_values_are_algebraic_integers():
     for name in ("S5", "L48", "Z4wrZ2"):
         table = character_table(group(name))
-        assert all(type(c) is int for row in table.values for v in row for c in v.coeffs)
+        # integer coordinates in the power basis, an integral basis
+        assert table.coords.dtype == np.int64
+        assert table.coords.shape == (table.n_classes, table.n_classes, _phi(table.exponent))
 
 
 def _row_inner(table, i1, i2):
@@ -177,7 +179,8 @@ def _row_inner(table, i1, i2):
     the row relation that verify_orthogonality checks in array form."""
     total = Cyclo.zero()
     for j, cls in enumerate(table.classes):
-        total = total + table.values[i1][j] * table.values[i2][table.inverse_class[j]] * cls.size
+        total = total + (table_value(table, i1, j) * table_value(table, i2, table.inverse_class[j])
+                         * cls.size)
     return total
 
 
@@ -194,8 +197,8 @@ def test_determinism():
     t1 = character_table(construct_group(symmetric(4)))
     t2 = character_table(construct_group(symmetric(4)))
     assert t1.degrees == t2.degrees
-    assert [[v.key() for v in row] for row in t1.values] == \
-        [[v.key() for v in row] for row in t2.values]
+    assert np.array_equal(t1.coords, t2.coords)
+    assert t1.to_json() == t2.to_json()
 
 
 def test_class_cap():
@@ -388,10 +391,11 @@ def _flipped_sign_table():
     table = character_table(group("S4"))
     sign = next(i for i in range(table.n_classes)
                 if table.degrees[i] == 1 and i != 0)
-    j = next(j for j, v in enumerate(table.values[sign]) if v == Cyclo.integer(-1))
-    values = [list(row) for row in table.values]
-    values[sign][j] = -values[sign][j]
-    return dataclasses.replace(table, values=tuple(tuple(row) for row in values)), sign
+    j = next(j for j in range(table.n_classes)
+             if table_value(table, sign, j) == Cyclo.integer(-1))
+    coords = table.coords.copy()
+    coords[sign, j] = -coords[sign, j]
+    return dataclasses.replace(table, coords=coords), sign
 
 
 def test_a_flipped_value_fails_row_orthogonality():
@@ -399,6 +403,8 @@ def test_a_flipped_value_fails_row_orthogonality():
     with pytest.raises(InternalInconsistency,
                        match=f"row orthogonality failed at characters 0, {sign}"):
         table.verify_orthogonality()
+    # the JSON is derived from the same coordinates, so it shows the flip
+    assert table.to_json() != character_table(group("S4")).to_json()
 
 
 def test_a_missing_character_fails_column_orthogonality():
@@ -407,7 +413,7 @@ def test_a_missing_character_fails_column_orthogonality():
     # lacks a character keeps its rows orthonormal and fails only the columns
     table = character_table(group("A5"))
     short = dataclasses.replace(table, degrees=table.degrees[:-1],
-                                values=table.values[:-1])
+                                coords=table.coords[:-1])
     with pytest.raises(InternalInconsistency,
                        match="column orthogonality failed at classes 0, 0"):
         short.verify_orthogonality()
@@ -492,3 +498,30 @@ def test_class_matrices_match_pair_counts_on_drawn_groups(recipe):
     g = construct_group(recipe)
     assume(g.order <= 96)
     _assert_pair_counts(g, _class_matrices(g))
+
+
+# -- one exact form: the coordinates
+
+
+def _refuse_lift(self, m):
+    raise AssertionError(f"a value of conductor {self.m} was lifted to {m}")
+
+
+@pytest.mark.parametrize("recipe, p", [(symmetric(4), 2), (RECIPES["L48"], 2),
+                                       (direct(alternating(5), cyclic(7)), 2),
+                                       (RECIPES["K192"], 3)],
+                         ids=["S4", "L48", "A5xZ7", "K192"])
+def test_analysis_computes_on_the_coordinates_alone(recipe, p, monkeypatch):
+    # tables, blocks, weights and lower defect multiplicities of a fresh
+    # group, with no per-value lift between conductors anywhere
+    from blockscope.catalog import analyze_group
+    monkeypatch.setattr(Cyclo, "_lift", _refuse_lift)
+    assert analyze_group(construct_group(recipe), p)["invariant_suite"]
+
+
+def test_table_json_is_derived_from_the_coordinates(monkeypatch):
+    monkeypatch.setattr(Cyclo, "_lift", _refuse_lift)
+    table = character_table(construct_group(alternating(8)))
+    characters = table.to_json()["characters"]
+    assert [[v["conductor"] for v in row] for row in characters][0] == [1] * table.n_classes
+    assert {v["conductor"] for row in characters for v in row} == {1, 7, 15}

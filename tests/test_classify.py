@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import group
+from conftest import group, table_value
 from blockscope.blocks import (block_distribution, brauer_induce, p_subgroup_classes,
                                principal_block)
 from blockscope.chartable import character_table
@@ -108,7 +108,7 @@ def _weights_over_every_subgroup(group, p, blk):
         blocks_n = block_distribution(tab_n, p)
         target_nu = nu(n.order // r.order, p)
         for i in range(tab_n.n_classes):
-            if any(tab_n.values[i][n.class_of(x)] != tab_n.degrees[i]
+            if any(table_value(tab_n, i, n.class_of(x)) != tab_n.degrees[i]
                    for x in r.generators):
                 continue
             if nu(tab_n.degrees[i], p) != target_nu:

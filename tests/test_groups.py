@@ -681,6 +681,34 @@ def test_o_p_residual_properties():
                     assert x in n
 
 
+def _pprime_part(x, p):
+    """x^(a t), a the p-part of x's order m a and a t = 1 mod m: the generator
+    of the p'-part of <x>."""
+    n = x.order()
+    a = p_part(n, p)
+    if n == a:
+        return Perm.identity(x.degree)
+    return x ** (a * pow(a, -1, n // a))
+
+
+def _o_p_residual_by_scan(g, p):
+    """O^p(g) by an element scan: the normal closure of the p'-parts of the
+    generators, grown by a p'-part found outside it until the index is a
+    power of p."""
+    n = normal_closure(g, [_pprime_part(x, p) for x in g.generators])
+    while p_part(g.order // n.order, p) != g.order // n.order:
+        missed = next(y for y in (_pprime_part(x, p) for x in g.elements()) if y not in n)
+        n = normal_closure(g, list(n.generators) + [missed])
+    return n
+
+
+@pytest.mark.parametrize("name, p", [("S4", 2), ("S5", 2), ("L48", 2), ("G96", 2),
+                                     ("K192", 2), ("F56", 2), ("S4", 3), ("A5", 5)])
+def test_o_p_residual_matches_the_element_scan(name, p):
+    g = group(name)
+    assert o_p_residual(g, p).element_set() == _o_p_residual_by_scan(g, p).element_set()
+
+
 # -- subgroup conjugacy
 
 
