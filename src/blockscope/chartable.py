@@ -24,24 +24,27 @@ of its values, which blocks and classify compute on too; canonical
 JSON only.  The table also keeps ell and the values mod ell (the prime
 above ell that the correspondence fixes), for l(b) as a rank over GF(ell).
 
-Every emitted table is verified against both orthogonality relations, in
-full and exactly on the coordinates (int64 products under an explicit
-bound, Python integers above it); a failure raises InternalInconsistency
-rather than emitting a wrong table.  Row order is deterministic: the
-trivial character first, then by (degree, value fingerprint).
+Every emitted table is verified against both orthogonality relations,
+exactly and in full: an integer check that Gal(Q(zeta_e)/Q) maps rows to
+rows, then r x r int64 products mod a few primes ell = 1 (mod e), one
+embedding each (proof at verify_orthogonality).  A failure raises
+InternalInconsistency rather than emitting a wrong table; the arrays are
+read-only.  Row order is deterministic: the trivial character first,
+then by (degree, value fingerprint).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
 
 from .cyclotomic import Cyclo, _phi, _power_basis_rows
 from .errors import CapExceeded, InternalInconsistency
-from .exact import _nullspace_mod, _rref_mod, dtype_for, is_prime, prime_factors
+from .exact import _nullspace_mod, _rref_mod, is_prime, nu, prime_factors
 from .groups import PermGroup, _element_index
 
 __all__ = ["CharacterTable", "character_table", "CLASS_COUNT_CAP"]
@@ -74,36 +77,49 @@ class CharacterTable:
         return tuple(j for j, c in enumerate(self.classes) if c.is_p_regular(p))
 
     def verify_orthogonality(self):
-        """Both orthogonality relations, exactly and in full.
+        """Both orthogonality relations, exactly and in full, one embedding per prime.
 
-        Character values are algebraic integers: integer vectors in the
-        power basis of the exponent field.  With B the largest coordinate
-        and R the largest power-basis row entry, no partial sum exceeds
-        n B^2 phi (2 phi - 1) R, so below 2^62 the products run in int64
-        and otherwise on Python integers.
+        An exact check first: each generator sigma_k of Gal(Q(zeta_e)/Q) maps
+        every row to a row.  Then both Grams are r x r int64 products mod primes
+        ell = 1 (mod e), under iota: zeta_e -> omega into GF(ell).  Proof: let
+        x = R[a, b] - n delta, R the row Gram.  Equal rows would give
+        R[a, b] = R[a, a], so a passing row check makes the rows distinct and
+        sigma_k a permutation pi of them: sigma_k(x) = R[pi a, pi b] - n delta,
+        so iota sigma(x) = 0 for all sigma.  As ell splits completely in
+        Z[zeta_e] (Washington, Thm 2.13), these are all phi embeddings into
+        GF(ell), so ell divides each coordinate of x, which is at most
+        n B^2 phi (2 phi - 1) R + n (B the largest coordinate, R the largest
+        power-basis row entry); the primes multiply past twice that: x = 0.
+        A column Gram entry is fixed by every pi, a rational integer settled
+        by the same primes.
         """
-        n = self.group.order
-        e = self.exponent
-        phi = _phi(e)
-        fold = [_power_basis_rows(e)[s % e] for s in range(2 * phi - 1)]
-        big = int(np.abs(self.coords).max())
-        reach = max(abs(c) for row in fold for c in row)
-        bound = n * big * big * phi * (2 * phi - 1) * reach
-        dtype = dtype_for(bound)
-        values = self.coords.astype(dtype)
-        conj = values[:, list(self.inverse_class)]      # values at inverse classes
-        fold = np.array(fold, dtype=dtype)
-        sizes = np.array([c.size for c in self.classes], dtype=dtype)
-        for what, gram, diag in (
-                ("row orthogonality failed at characters",
-                 _gram(values * sizes[:, None], conj, fold), [n] * len(values)),
+        n, e, coords = self.group.order, self.exponent, self.coords
+        rows, r, phi = coords.shape
+        conjugations, reach = _conjugations(e)
+        big = max(int(coords.max()), -int(coords.min()))
+        bound = 2 * (n * big * big * phi * (2 * phi - 1) * reach + n)
+        bits = max(CLASS_COUNT_CAP, rows, r, phi).bit_length()
+        embeddings = []
+        while math.prod(ell for ell, _ in embeddings) <= bound:
+            embeddings.append(_embedding(e, bits, len(embeddings)))
+        seen = {row.tobytes() for row in coords}
+        for s in conjugations:
+            for a, row in enumerate(coords @ s):
+                if row.tobytes() not in seen:
+                    raise InternalInconsistency(f"no row is a Galois conjugate of character {a}")
+        values = [coords % ell @ np.array([pow(w, t, ell) for t in range(phi)]) % ell
+                  for ell, w in embeddings]
+        sizes, inv = np.array([c.size for c in self.classes]), list(self.inverse_class)
+        for what, diag, gram in (
+                ("row orthogonality failed at characters", [n] * rows,
+                 lambda x, ell: x * (sizes % ell) % ell @ x[:, inv].T % ell),
                 ("column orthogonality failed at classes",
-                 _gram(values.transpose(1, 0, 2), conj.transpose(1, 0, 2), fold),
-                 [c.centralizer_order for c in self.classes])):
-            gram[range(len(diag)), range(len(diag)), 0] -= diag
-            bad = np.argwhere(gram.any(axis=2))
-            if bad.size:
-                raise InternalInconsistency(f"{what} {bad[0][0]}, {bad[0][1]}")
+                 [c.centralizer_order for c in self.classes],
+                 lambda x, ell: x.T @ x[:, inv] % ell)):
+            bad = np.logical_or.reduce([gram(x, ell) != np.diag(diag) % ell
+                                        for x, (ell, _) in zip(values, embeddings)])
+            for a, b in np.argwhere(bad)[:1]:
+                raise InternalInconsistency(f"{what} {a}, {b}")
 
     def to_json(self):
         return {
@@ -129,16 +145,35 @@ def _canonical(exponent: int, coords: np.ndarray) -> list[list[Cyclo]]:
     return [[forms[k] for k in row] for row in at.reshape(r, c).tolist()]
 
 
-def _gram(a, b, fold):
-    """g[x, y] = sum_j a[x, j] * b[y, j] for power-basis coordinates a[x, j, t]:
-    convolutions in the coordinate index, folded back by the rows of fold."""
-    nx, m, phi = a.shape
-    ny = b.shape[0]
-    conv = np.zeros((nx, ny, 2 * phi - 1), dtype=a.dtype)
-    right = b.transpose(1, 0, 2).reshape(m, ny * phi)
-    for t in np.flatnonzero(a.any(axis=(0, 1))):
-        conv[:, :, t:t + phi] += (a[:, :, t] @ right).reshape(nx, ny, phi)
-    return conv @ fold
+@lru_cache(maxsize=None)
+def _conjugations(e: int):
+    """The matrices S_k (row t: basis[k t mod e]) by which sigma_k acts on
+    coordinates, for generators k of (Z/e)^x: lifts, 1 mod e / q, of a
+    primitive root mod each odd prime power q || e and of -1 and 5 mod
+    q = 2^a; and the largest entry of basis rows below 2 phi - 1."""
+    basis = np.array(_power_basis_rows(e), dtype=np.int64)
+    phi, mats = basis.shape[1], []
+    for p in prime_factors(e):
+        q, rest = p ** nu(e, p), e // p ** nu(e, p)
+        if p == 2:
+            local = [-1, 5][:nu(e, 2) - 1]
+        else:   # g + p is a primitive root mod p^2 when g is not
+            g = _primitive_root(p)
+            local = [g + p if pow(g, p - 1, p * p) == 1 else g]
+        mats += [basis[(1 + rest * ((g - 1) * pow(rest, -1, q) % q)) * np.arange(phi) % e]
+                 for g in local]
+    return mats, int(np.abs(basis[:2 * phi - 1]).max())
+
+
+@lru_cache(maxsize=None)
+def _embedding(e: int, bits: int, i: int):
+    """The i-th largest prime ell = 1 (mod e) with 2^bits ell^2 <= 2^62 and
+    an omega of order e in GF(ell): omega = g^((ell - 1) / e) unless
+    omega^(e / q) = 1 for a prime q of e, so ell - 1 is never factored."""
+    top = _embedding(e, bits, i - 1)[0] - e if i else (math.isqrt(2**(62 - bits)) - 1) // e * e + 1
+    ell = next(x for x in range(top, 1, -e) if is_prime(x))
+    return ell, next(w for w in (pow(g, (ell - 1) // e, ell) for g in range(2, ell))
+                     if all(pow(w, e // q, ell) != 1 for q in prime_factors(e)))
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +274,11 @@ def _build_table(group: PermGroup) -> CharacterTable:
 
     if sum(d * d for d in degrees) != n:
         raise InternalInconsistency("degree squares do not sum to the group order")
+    coords, residues = coords[order], chi_mod[order]
+    coords.flags.writeable = residues.flags.writeable = False
     table = CharacterTable(group=group, classes=classes, degrees=degrees,
                            exponent=exponent, inverse_class=inverse_class, ell=ell,
-                           coords=coords[order], residues=chi_mod[order])
+                           coords=coords, residues=residues)
     table.verify_orthogonality()
     return table
 

@@ -28,14 +28,16 @@ __all__ = ["Cyclo", "zeta", "cyclotomic_polynomial"]
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Coefficients of Phi_m, ascending degree, computed by exact division."""
+    """Coefficients of Phi_m, ascending degree: Phi_1 = x - 1, and for a
+    prime p and m = p n, Phi_m(x) = Phi_n(x^p) if p | n, else
+    Phi_n(x^p) / Phi_n(x): one exact division per distinct prime of m."""
     if m == 1:
         return (-1, 1)
-    num = [-1] + [0] * (m - 1) + [1]  # x^m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            num = _poly_divide_exact(num, cyclotomic_polynomial(d))
-    return tuple(num)
+    p = prime_factors(m)[0]
+    low = cyclotomic_polynomial(m // p)
+    high = [0] * ((len(low) - 1) * p + 1)
+    high[::p] = low
+    return tuple(high if m // p % p == 0 else _poly_divide_exact(high, low))
 
 
 def _poly_divide_exact(num, den):

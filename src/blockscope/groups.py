@@ -28,6 +28,7 @@ their images of the base.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -907,9 +908,7 @@ def _fingerprint(h: PermGroup) -> str:
     if h.order <= SUBGROUP_ENUM_CAP * 16 and h.is_abelian():
         inv = abelian_invariants(h)
         return f"{h.order}:ab[{','.join(map(str, inv))}]"
-    hist: dict[int, int] = {}
-    for x in h.elements():
-        hist[x.order()] = hist.get(x.order(), 0) + 1
+    hist = Counter(x.order() for x in h.elements())
     body = ",".join(f"{k}^{v}" for k, v in sorted(hist.items()))
     return f"{h.order}:ord{{{body}}}"
 

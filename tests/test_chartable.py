@@ -9,6 +9,7 @@ conjugate ones) are resolved by trying both assignments.
 
 import dataclasses
 import itertools
+import math
 import random
 
 import numpy as np
@@ -19,7 +20,7 @@ from conftest import RECIPES, derived_subgroup, group, sympy_rref, table_value
 from blockscope import chartable, exact
 from blockscope.chartable import (_charpoly_mod, _choose_prime, _class_matrices,
                                   _class_matrix, _common_eigenvectors, character_table)
-from blockscope.cyclotomic import Cyclo, _phi, zeta
+from blockscope.cyclotomic import Cyclo, _phi, _power_basis_rows, zeta
 from blockscope.errors import CapExceeded, InternalInconsistency
 from blockscope.exact import _nullspace_mod, _rref_mod
 from blockscope.recipes import (alternating, construct_group, cyclic, direct, symmetric,
@@ -419,29 +420,150 @@ def test_a_missing_character_fails_column_orthogonality():
         short.verify_orthogonality()
 
 
-def test_object_fallback_gives_the_same_verdicts(monkeypatch):
-    good = [character_table(group(name)) for name in ("S4", "A5", "Z4wrZ2", "L48")]
-    bad, sign = _flipped_sign_table()
-    dtypes = []
-    gram = chartable._gram
+def _gram(a, b, fold):
+    """g[x, y] = sum_j a[x, j] * b[y, j] for power-basis coordinates a[x, j, t]:
+    convolutions in the coordinate index, folded back by the rows of fold."""
+    nx, m, phi = a.shape
+    ny = b.shape[0]
+    conv = np.zeros((nx, ny, 2 * phi - 1), dtype=a.dtype)
+    right = b.transpose(1, 0, 2).reshape(m, ny * phi)
+    for t in np.flatnonzero(a.any(axis=(0, 1))):
+        conv[:, :, t:t + phi] += (a[:, :, t] @ right).reshape(nx, ny, phi)
+    return conv @ fold
 
-    def spy(a, b, fold):
-        dtypes.append(a.dtype)
-        return gram(a, b, fold)
 
-    monkeypatch.setattr(chartable, "_gram", spy)
-    for table in good:
+def _coordinate_gram_verdict(table, dtype):
+    """The oracle: both relations as exact products of coordinate vectors,
+    in dtype (np.int64 or Python integers), every Gram entry compared
+    coordinate by coordinate; the first failing pair's message, or None."""
+    n = table.group.order
+    e = table.exponent
+    phi = _phi(e)
+    fold = np.array([_power_basis_rows(e)[s % e] for s in range(2 * phi - 1)], dtype=dtype)
+    values = table.coords.astype(dtype)
+    conj = values[:, list(table.inverse_class)]
+    sizes = np.array([c.size for c in table.classes], dtype=dtype)
+    for what, gram, diag in (
+            ("row orthogonality failed at characters",
+             _gram(values * sizes[:, None], conj, fold), [n] * len(values)),
+            ("column orthogonality failed at classes",
+             _gram(values.transpose(1, 0, 2), conj.transpose(1, 0, 2), fold),
+             [c.centralizer_order for c in table.classes])):
+        gram[range(len(diag)), range(len(diag)), 0] -= diag
+        bad = np.argwhere(gram.any(axis=2))
+        if bad.size:
+            return f"{what} {bad[0][0]}, {bad[0][1]}"
+    return None
+
+
+def _verdict(table):
+    try:
         table.verify_orthogonality()
-    assert dtypes and all(d == np.int64 for d in dtypes)
-    # a limit no product can meet sends every check through Python integers
-    monkeypatch.setattr(exact, "INT64_PRODUCT_LIMIT", 0)
-    dtypes.clear()
-    for table in good:
+    except InternalInconsistency as err:
+        return str(err)
+    return None
+
+
+ORACLE_TABLES = {"S7": symmetric(7), "A8": alternating(8),
+                 "A5xA5": direct(alternating(5), alternating(5)),
+                 "Z4wrZ4": wreath(cyclic(4), cyclic(4)), "Z8wrZ2": wreath(cyclic(8), cyclic(2))}
+
+
+def _oracle_table(name):
+    return character_table(construct_group(ORACLE_TABLES[name]) if name in ORACLE_TABLES
+                           else group(name))
+
+
+@pytest.mark.parametrize("name", sorted(RECIPES) + sorted(ORACLE_TABLES))
+def test_embedding_check_agrees_with_the_coordinate_gram(name, monkeypatch):
+    table = _oracle_table(name)
+    chosen = {}
+    embedding = chartable._embedding
+
+    def spy(e, bits, i):
+        chosen[e, bits, i] = embedding(e, bits, i)
+        return chosen[e, bits, i]
+
+    monkeypatch.setattr(chartable, "_embedding", spy)
+    assert _verdict(table) is None
+    for dtype in (np.int64, object):
+        assert _coordinate_gram_verdict(table, dtype) is None
+    # the primes and roots the check chose, against the bound as stated
+    n, e, phi = table.group.order, table.exponent, _phi(table.exponent)
+    rows, r = table.coords.shape[:2]
+    reach = max(abs(c) for row in _power_basis_rows(e)[:2 * phi - 1] for c in row)
+    bound = n * int(np.abs(table.coords).max()) ** 2 * phi * (2 * phi - 1) * reach + n
+    assert bound < 2**62      # so the oracle's int64 mode is exact too
+    bits = max(chartable.CLASS_COUNT_CAP, rows, r, phi).bit_length()
+    assert {key[:2] for key in chosen} == {(e, bits)}
+    found = [chosen[key] for key in sorted(chosen)]
+    assert sorted(key[2] for key in chosen) == list(range(len(found))) and found
+    assert math.prod(ell for ell, _ in found) > 2 * bound
+    for ell, omega in found:
+        assert ell % e == 1 and exact.is_prime(ell)
+        assert max(rows, r, phi) * ell * ell < 2**63
+        assert pow(omega, e, ell) == 1
+        assert all(pow(omega, d, ell) != 1 for d in range(1, e) if e % d == 0)
+
+
+def test_conjugations_generate_the_galois_group():
+    # sigma_k sends zeta to zeta^k, so row 1 of S_k is basis row k; the
+    # closure check needs the k to generate all of (Z/e)^x
+    for e in range(3, 301):
+        basis = _power_basis_rows(e)
+        ks = [basis.index(tuple(s[1].tolist())) for s in chartable._conjugations(e)[0]]
+        span = {1}
+        while not {s * k % e for s in span for k in ks} <= span:
+            span |= {s * k % e for s in span for k in ks}
+        assert span == {k for k in range(e) if math.gcd(k, e) == 1}, e
+        assert len(ks) <= len(exact.prime_factors(e)) + 1, e
+
+
+def _a5_with_a_repeated_row():
+    """A5's table with its second degree-3 row overwritten by the first: the
+    rows are no longer closed under the sigma_k that swaps sqrt 5 and -sqrt 5."""
+    table = character_table(group("A5"))
+    first, second = [i for i, d in enumerate(table.degrees) if d == 3]
+    coords = table.coords.copy()
+    coords[second] = coords[first]
+    return dataclasses.replace(table, coords=coords)
+
+
+def _missing_character_table():
+    table = character_table(group("A5"))
+    return dataclasses.replace(table, degrees=table.degrees[:-1], coords=table.coords[:-1])
+
+
+@pytest.mark.parametrize("tamper", [lambda: _flipped_sign_table()[0], _missing_character_table],
+                         ids=["flipped_sign", "missing_character"])
+def test_tampered_tables_fail_as_the_coordinate_gram_does(tamper):
+    table = tamper()
+    want = _coordinate_gram_verdict(table, np.int64)
+    assert want is not None
+    assert _coordinate_gram_verdict(table, object) == want
+    assert _verdict(table) == want
+
+
+def test_a_row_without_its_galois_conjugate_fails_the_closure_check():
+    table = _a5_with_a_repeated_row()
+    want = "row orthogonality failed at characters 1, 2"
+    assert [_coordinate_gram_verdict(table, dtype) for dtype in (np.int64, object)] == [want] * 2
+    with pytest.raises(InternalInconsistency, match="no row is a Galois conjugate of character 1"):
         table.verify_orthogonality()
-    with pytest.raises(InternalInconsistency,
-                       match=f"row orthogonality failed at characters 0, {sign}"):
-        bad.verify_orthogonality()
-    assert dtypes and all(d == object for d in dtypes)
+
+
+def test_table_arrays_are_read_only():
+    g = group("S4")
+    table = character_table(g)
+    coords, residues, json_before = table.coords.copy(), table.residues.copy(), table.to_json()
+    with pytest.raises(ValueError):
+        character_table(g).coords[1, 1, 0] = 7
+    with pytest.raises(ValueError):
+        character_table(g).residues[1, 1] = 7
+    again = character_table(g)
+    assert again is table
+    assert np.array_equal(again.coords, coords) and np.array_equal(again.residues, residues)
+    assert again.to_json() == json_before
 
 
 # -- class matrices on demand

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockscope.cyclotomic import Cyclo, cyclotomic_polynomial, zeta
+from blockscope.cyclotomic import Cyclo, _poly_divide_exact, cyclotomic_polynomial, zeta
 
 
 def cyclos():
@@ -28,6 +28,22 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def _cyclotomic_by_divisors(m, known):
+    """The oracle: x^m - 1 divided by Phi_d for every proper divisor d of m."""
+    num = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            num = _poly_divide_exact(num, known[d])
+    return tuple(num)
+
+
+def test_prime_recurrence_matches_the_divisor_quotient():
+    known = {}
+    for m in range(1, 501):
+        known[m] = _cyclotomic_by_divisors(m, known)
+        assert cyclotomic_polynomial(m) == known[m], m
 
 
 def test_roots_of_unity_relations():
