@@ -6,7 +6,7 @@ The layers, bottom up:
 * :mod:`blockscope.perms`, :mod:`blockscope.groups`: exact permutation-group
   engine (orders, classes, centralizers, normalizers, Sylow subgroups,
   residuals, subgroup enumeration).
-* :mod:`blockscope.recipes`: group construction from recipe trees.
+* :mod:`blockscope.recipes`: group construction from JSON recipes.
 * :mod:`blockscope.cyclotomic`, :mod:`blockscope.modp`: exact cyclotomic
   arithmetic and reduction modulo a maximal ideal above p.
 * :mod:`blockscope.chartable`: exact ordinary character tables.
@@ -32,12 +32,11 @@ from .errors import (BlockscopeError, CapExceeded, DegreeOverflow,
                      NotAbelian, NotNormalized, NotPIntegral, ParseError)
 from .fusion import EssentialClass, FusionSystem, HyperfocalReport, omega1
 from .groups import (ConjClass, PermGroup, SubgroupClasses, abelian_invariants,
-                     centralizer, center, normalizer, o_p_residual,
+                     centralizer, normalizer, o_p_residual,
                      sylow_subgroup, sylow_subgroup_classes)
 from .modp import ModPContext, mod_p_context
 from .perms import Perm, parse_perm
-from .recipes import (GroupRecipe, alternating, construct_group, cyclic, direct,
-                      recipe_from_json, recipe_to_json, semidirect, symmetric,
-                      wreath)
+from .recipes import (alternating, construct_group, cyclic, direct, recipe_from_json,
+                      semidirect, symmetric, wreath)
 
 __version__ = "0.1.0"

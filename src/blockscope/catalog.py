@@ -4,11 +4,14 @@ Each catalog entry names a group recipe, a prime, an expected case label
 and optional expected invariants with provenance notes.  ``run_catalog``
 evaluates every entry (classify, verify counts, weights, local structure,
 lower defect tables, block suites), compares against the expectations,
-and assembles a deterministic machine-readable report.  An entry that
-raises any exception is marked errored and the run continues.
+and assembles a deterministic machine-readable report, in which each
+entry's recipe is the dict :func:`recipe_from_json` returned.  An entry
+that raises any exception is marked errored and the run continues.
 
-Exit status: 0 all pass, 1 any verdict failed or entry errored,
-2 an internal consistency assertion tripped, 3 unusable input.
+Exit status: 0 all pass, 1 any verdict failed or other error,
+2 an internal consistency assertion tripped, 3 unusable input.  An error
+gives its code by :func:`exit_code`, the one rule for a run and for each
+entry; a run exits with the first of 2, 3, 1 that any entry gave.
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ from .errors import (BlockscopeError, CapExceeded, InputError, InternalInconsist
                      ParseError)
 from .exact import is_prime, p_part
 from .groups import SUBGROUP_ENUM_CAP, PermGroup, normalizer
-from .recipes import construct_group, recipe_from_json, recipe_to_json
+from .recipes import construct_group, recipe_from_json
 
 __all__ = ["CatalogEntry", "load_catalog", "builtin_catalog_path", "run_catalog",
-           "analyze_group", "checks_pass", "EXIT_PASS", "EXIT_VERDICT_FAIL",
+           "analyze_group", "checks_pass", "exit_code", "EXIT_PASS", "EXIT_VERDICT_FAIL",
            "EXIT_INTERNAL", "EXIT_INPUT"]
 
 EXIT_PASS = 0
@@ -42,6 +45,15 @@ EXIT_INTERNAL = 2
 EXIT_INPUT = 3
 
 SCHEMA_VERSION = 1
+
+
+def exit_code(exc: BaseException) -> int:
+    """The exit code of an error: 2 internal, 3 input, 1 any other."""
+    if isinstance(exc, InternalInconsistency):
+        return EXIT_INTERNAL
+    if isinstance(exc, (InputError, FileNotFoundError)):
+        return EXIT_INPUT
+    return EXIT_VERDICT_FAIL
 
 
 @dataclass(frozen=True)
@@ -279,12 +291,12 @@ def run_catalog(path: str, filters: list[str] | None = None,
         "entries": [],
         "summary": {"total": len(entries), "passed": 0, "failed": 0, "errored": 0},
     }
-    exit_code = EXIT_PASS
+    codes = set()
     for entry in entries:
         item = {
             "name": entry.name,
             "prime": entry.prime,
-            "recipe": recipe_to_json(entry.recipe),
+            "recipe": entry.recipe,
             "provenance": entry.provenance,
         }
         try:
@@ -301,19 +313,17 @@ def run_catalog(path: str, filters: list[str] | None = None,
                 traceback.print_exc()
             item["status"] = "errored"
             item["error"] = f"{type(exc).__name__}: {exc}"
-            if isinstance(exc, InternalInconsistency):
-                exit_code = EXIT_INTERNAL
+            codes.add(exit_code(exc))
         report["entries"].append(item)
         if item["status"] == "pass":
             report["summary"]["passed"] += 1
         elif item["status"] == "fail":
             report["summary"]["failed"] += 1
+            codes.add(EXIT_VERDICT_FAIL)
         else:
             report["summary"]["errored"] += 1
-    if exit_code == EXIT_PASS and (report["summary"]["failed"]
-                                   or report["summary"]["errored"]):
-        exit_code = EXIT_VERDICT_FAIL
-    return report, exit_code
+    return report, next((c for c in (EXIT_INTERNAL, EXIT_INPUT, EXIT_VERDICT_FAIL)
+                         if c in codes), EXIT_PASS)
 
 
 def summarize(report: dict) -> str:

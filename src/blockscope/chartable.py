@@ -158,7 +158,7 @@ def _conjugations(e: int):
         if p == 2:
             local = [-1, 5][:nu(e, 2) - 1]
         else:   # g + p is a primitive root mod p^2 when g is not
-            g = _primitive_root(p)
+            g = _root_of_order(p - 1, p)
             local = [g + p if pow(g, p - 1, p * p) == 1 else g]
         mats += [basis[(1 + rest * ((g - 1) * pow(rest, -1, q) % q)) * np.arange(phi) % e]
                  for g in local]
@@ -168,12 +168,10 @@ def _conjugations(e: int):
 @lru_cache(maxsize=None)
 def _embedding(e: int, bits: int, i: int):
     """The i-th largest prime ell = 1 (mod e) with 2^bits ell^2 <= 2^62 and
-    an omega of order e in GF(ell): omega = g^((ell - 1) / e) unless
-    omega^(e / q) = 1 for a prime q of e, so ell - 1 is never factored."""
+    an omega of order e in GF(ell), found without factoring ell - 1."""
     top = _embedding(e, bits, i - 1)[0] - e if i else (math.isqrt(2**(62 - bits)) - 1) // e * e + 1
     ell = next(x for x in range(top, 1, -e) if is_prime(x))
-    return ell, next(w for w in (pow(g, (ell - 1) // e, ell) for g in range(2, ell))
-                     if all(pow(w, e // q, ell) != 1 for q in prime_factors(e)))
+    return ell, _root_of_order(e, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +260,9 @@ def _build_table(group: PermGroup) -> CharacterTable:
     degrees = _sqrt_small([n * pow(int(x), -1, ell) % ell for x in norms], ell, n)
     chi_mod = degrees[:, None] * v % ell * size_inv % ell
 
-    w = _primitive_root(ell)
-    z_e = pow(w, (ell - 1) // exponent, ell)
+    # z_e from the least primitive root: an omega of order e found directly
+    # could be another power of it, and would Galois-conjugate the table
+    z_e = pow(_root_of_order(ell - 1, ell), (ell - 1) // exponent, ell)
     # power_classes[j][s] = class of z_j^s
     powers = iter(group.classes_of([c.representative ** s for c in classes
                                     for s in range(c.element_order)]).tolist())
@@ -291,12 +290,13 @@ def _choose_prime(exponent: int, n: int) -> int:
         ell += exponent
 
 
-def _primitive_root(ell: int) -> int:
-    factors = prime_factors(ell - 1)
-    for w in range(2, ell):
-        if all(pow(w, (ell - 1) // q, ell) != 1 for q in factors):
-            return w
-    raise InternalInconsistency("no primitive root found")  # pragma: no cover
+def _root_of_order(k: int, ell: int) -> int:
+    """omega = g^((ell - 1) / k) of order exactly k in GF(ell), k | ell - 1,
+    for the least g >= 2 that gives one; k = ell - 1 gives the least
+    primitive root."""
+    factors = prime_factors(k)
+    return next(w for w in (pow(g, (ell - 1) // k, ell) for g in range(2, ell))
+                if all(pow(w, k // q, ell) != 1 for q in factors))
 
 
 def _common_eigenvectors(class_matrix, r: int, ell: int):

@@ -5,7 +5,8 @@
     blockscope table --group <recipe.json|preset>
 
 Presets are the names of shipped catalog entries.  Exit codes: 0 pass,
-1 verdict failure, 2 internal inconsistency, 3 input error.
+1 verdict failure, 2 internal inconsistency, 3 input error, by
+:func:`blockscope.catalog.exit_code`.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ import os
 import sys
 
 from .catalog import (EXIT_INPUT, EXIT_INTERNAL, EXIT_PASS, EXIT_VERDICT_FAIL,
-                      analyze_group, builtin_catalog_path, checks_pass, load_catalog,
-                      run_catalog, summarize)
+                      analyze_group, builtin_catalog_path, checks_pass, exit_code,
+                      load_catalog, run_catalog, summarize)
 from .chartable import character_table
-from .errors import InputError, InternalInconsistency, BlockscopeError
-from .recipes import construct_group, recipe_from_json, recipe_to_json
+from .errors import BlockscopeError, InputError
+from .recipes import construct_group, recipe_from_json
 
 __all__ = ["main"]
 
@@ -65,7 +66,7 @@ def _cmd_analyze(args) -> int:
     payload = {
         "schema": 1,
         "seed": args.seed,
-        "recipe": recipe_to_json(recipe),
+        "recipe": recipe,
         "prime": args.prime,
         **result,
     }
@@ -87,7 +88,7 @@ def _cmd_table(args) -> int:
     recipe = _load_recipe(args.group)
     group = construct_group(recipe)
     table = character_table(group)
-    _emit({"schema": 1, "recipe": recipe_to_json(recipe), **table.to_json()}, args.out)
+    _emit({"schema": 1, "recipe": recipe, **table.to_json()}, args.out)
     return EXIT_PASS
 
 
@@ -132,15 +133,11 @@ def main(argv=None) -> int:
     try:
         _check_writable(args.out)
         return args.func(args)
-    except InternalInconsistency as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (InputError, FileNotFoundError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except BlockscopeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERDICT_FAIL
+    except (BlockscopeError, FileNotFoundError) as exc:
+        code = exit_code(exc)
+        kind = {EXIT_INTERNAL: "internal inconsistency", EXIT_INPUT: "input error"}
+        print(f"{kind.get(code, 'error')}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -133,7 +133,7 @@ class FusionSystem:
         """
         image = conjugation_image(normalizer(self.group, u), u)
         inner_image = conjugation_image(u, u)
-        return quotient_by_normal(image, inner_image)[0]
+        return quotient_by_normal(image, inner_image)
 
     # -- essential subgroups
 

@@ -49,7 +49,6 @@ __all__ = [
     "SubgroupClasses",
     "sylow_subgroup_classes",
     "normal_closure",
-    "center",
     "quotient_by_normal",
     "conjugation_image",
     "abelian_invariants",
@@ -590,10 +589,6 @@ def normal_closure(g: PermGroup, seeds) -> PermGroup:
     return _with_bsgs(g, gens, bsgs)
 
 
-def center(g: PermGroup) -> PermGroup:
-    return centralizer(g, g)
-
-
 def o_p_residual(g: PermGroup, p: int) -> PermGroup:
     """O^p(g): the smallest normal subgroup with p-group quotient.
 
@@ -829,11 +824,7 @@ def conjugation_image(group: PermGroup, normalized: PermGroup) -> PermGroup:
 
 
 def quotient_by_normal(g: PermGroup, n: PermGroup):
-    """g / n as a permutation group on the cosets of a normal subgroup n.
-
-    Returns (quotient, project, section) where project maps an element of
-    g to its coset permutation and section lists one preimage per coset.
-    """
+    """g / n as a permutation group on the cosets of a normal subgroup n."""
     for x in n.generators:
         for gg in g.generators:
             if x ** gg not in n:
@@ -857,11 +848,8 @@ def quotient_by_normal(g: PermGroup, n: PermGroup):
                 reps.append(cand)
         i += 1
 
-    def project(x: Perm) -> Perm:
-        return Perm._raw(tuple(keys[coset_key(reps[j] * x)] for j in range(len(reps))))
-
-    q = PermGroup(len(reps), [project(gg) for gg in g.generators])
-    return q, project, reps
+    return PermGroup(len(reps), [
+        Perm._raw(tuple(keys[coset_key(rep * gg)] for rep in reps)) for gg in g.generators])
 
 
 # ---------------------------------------------------------------------------

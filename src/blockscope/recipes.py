@@ -1,13 +1,16 @@
-"""Group construction from recipe expression trees.
+"""Group construction from JSON recipes.
 
-A recipe is a nested description built from six constructors:
+A recipe is a plain JSON object, nested through six kinds:
 
     symmetric(n), alternating(n), cyclic(n),
     direct(a, b), semidirect(base, acting, action), wreath(base, top)
 
-Evaluation is deterministic: the same recipe always yields the identical
-generator list.  The JSON form uses ``{"kind": ..., ...}`` objects with
-permutations written in 1-based disjoint-cycle text.
+Each is written ``{"kind": ..., ...}``, with permutations in 1-based
+disjoint-cycle text.  The constructors of the same names build these
+dicts, and :func:`recipe_from_json` validates one and returns it in
+canonical form, the known keys only; that dict goes unchanged from the
+file into every report.  Evaluation is deterministic: the same recipe
+always yields the identical generator list.
 
 Semidirect products are realized on the disjoint union of the base
 group's element set (right translation, twisted by the action) and the
@@ -27,7 +30,7 @@ from .errors import DegreeOverflow, InvalidAction, ParseError
 from .groups import PermGroup
 from .perms import Perm, parse_perm
 
-__all__ = ["GroupRecipe", "construct_group", "recipe_from_json", "recipe_to_json",
+__all__ = ["construct_group", "recipe_from_json",
            "symmetric", "alternating", "cyclic", "direct", "semidirect", "wreath",
            "DEGREE_CAP"]
 
@@ -36,62 +39,54 @@ DEGREE_CAP = 2**14
 SEMIDIRECT_BASE_CAP = 2**12
 
 
-class GroupRecipe:
-    """Immutable recipe node; use the module-level constructor helpers."""
-
-    def __init__(self, kind: str, **args):
-        self.kind = kind
-        self.args = args
-
-    def __repr__(self):
-        return f"GroupRecipe({self.kind}, {self.args})"
+def symmetric(n: int) -> dict:
+    return {"kind": "symmetric", "n": n}
 
 
-def symmetric(n: int) -> GroupRecipe:
-    return GroupRecipe("symmetric", n=n)
+def alternating(n: int) -> dict:
+    return {"kind": "alternating", "n": n}
 
 
-def alternating(n: int) -> GroupRecipe:
-    return GroupRecipe("alternating", n=n)
+def cyclic(n: int) -> dict:
+    return {"kind": "cyclic", "n": n}
 
 
-def cyclic(n: int) -> GroupRecipe:
-    return GroupRecipe("cyclic", n=n)
+def direct(a: dict, b: dict) -> dict:
+    return {"kind": "direct", "a": a, "b": b}
 
 
-def direct(a: GroupRecipe, b: GroupRecipe) -> GroupRecipe:
-    return GroupRecipe("direct", a=a, b=b)
-
-
-def semidirect(base: GroupRecipe, acting: GroupRecipe, action) -> GroupRecipe:
+def semidirect(base: dict, acting: dict, action) -> dict:
     """action[i][j]: image of base generator j under acting generator i.
 
     Entries are permutations of the base group's points (Perm objects or
-    1-based cycle strings).
+    1-based cycle strings); a Perm is written as its cycle string.
     """
-    return GroupRecipe("semidirect", base=base, acting=acting, action=action)
+    return {"kind": "semidirect", "base": base, "acting": acting,
+            "action": [[e.cycle_string() if isinstance(e, Perm) else e for e in row]
+                       for row in action]}
 
 
-def wreath(base: GroupRecipe, top: GroupRecipe) -> GroupRecipe:
-    return GroupRecipe("wreath", base=base, top=top)
+def wreath(base: dict, top: dict) -> dict:
+    return {"kind": "wreath", "base": base, "top": top}
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
 
-def construct_group(recipe: GroupRecipe) -> PermGroup:
-    group, order = _eval(recipe)
+def construct_group(recipe) -> PermGroup:
+    """The group of a recipe, validated first by :func:`recipe_from_json`."""
+    group, order = _eval(recipe_from_json(recipe))
     if group.order != order:
         raise InvalidAction(
             f"recipe-theoretic order {order} != constructed order {group.order}")
     return group
 
 
-def _eval(recipe: GroupRecipe):
-    kind = recipe.kind
+def _eval(recipe: dict):
+    kind = recipe["kind"]
     if kind == "symmetric":
-        n = _check_n(recipe.args["n"])
+        n = _check_n(recipe["n"])
         gens = []
         if n >= 2:
             gens.append(Perm.from_cycles(n, [[0, 1]]))
@@ -100,7 +95,7 @@ def _eval(recipe: GroupRecipe):
         from math import factorial
         return PermGroup(n, gens, name=f"S{n}"), factorial(n)
     if kind == "alternating":
-        n = _check_n(recipe.args["n"])
+        n = _check_n(recipe["n"])
         gens = []
         if n >= 3:
             gens.append(Perm.from_cycles(n, [[0, 1, 2]]))
@@ -110,12 +105,12 @@ def _eval(recipe: GroupRecipe):
         from math import factorial
         return PermGroup(n, gens, name=f"A{n}"), factorial(n) // 2 if n >= 2 else 1
     if kind == "cyclic":
-        n = _check_n(recipe.args["n"])
+        n = _check_n(recipe["n"])
         gens = [Perm.from_cycles(n, [list(range(n))])] if n > 1 else []
         return PermGroup(n, gens, name=f"Z{n}"), n
     if kind == "direct":
-        ga, na = _eval(recipe.args["a"])
-        gb, nb = _eval(recipe.args["b"])
+        ga, na = _eval(recipe["a"])
+        gb, nb = _eval(recipe["b"])
         deg = ga.degree + gb.degree
         if deg > DEGREE_CAP:
             raise DegreeOverflow(f"direct product degree {deg} exceeds cap {DEGREE_CAP}")
@@ -124,9 +119,7 @@ def _eval(recipe: GroupRecipe):
         return PermGroup(deg, gens), na * nb
     if kind == "semidirect":
         return _eval_semidirect(recipe)
-    if kind == "wreath":
-        return _eval_wreath(recipe)
-    raise ParseError(f"unknown recipe kind: {kind!r}")
+    return _eval_wreath(recipe)
 
 
 def _check_n(n) -> int:
@@ -137,10 +130,10 @@ def _check_n(n) -> int:
     return n
 
 
-def _eval_semidirect(recipe: GroupRecipe):
-    base, base_order = _eval(recipe.args["base"])
-    acting, acting_order = _eval(recipe.args["acting"])
-    action = recipe.args["action"]
+def _eval_semidirect(recipe: dict):
+    base, base_order = _eval(recipe["base"])
+    acting, acting_order = _eval(recipe["acting"])
+    action = recipe["action"]
     if base_order > SEMIDIRECT_BASE_CAP:
         raise DegreeOverflow(
             f"semidirect base order {base_order} exceeds cap {SEMIDIRECT_BASE_CAP}")
@@ -208,9 +201,9 @@ def _automorphism_map(base: PermGroup, base_elems, index, gen_images):
     return [index[phi[x]] for x in base_elems]
 
 
-def _eval_wreath(recipe: GroupRecipe):
-    base, base_order = _eval(recipe.args["base"])
-    top, top_order = _eval(recipe.args["top"])
+def _eval_wreath(recipe: dict):
+    base, base_order = _eval(recipe["base"])
+    top, top_order = _eval(recipe["top"])
     support = sorted({p for g in top.generators for p in g.moved_points()})
     m = len(support)
     pos = {pt: i for i, pt in enumerate(support)}
@@ -232,8 +225,6 @@ def _eval_wreath(recipe: GroupRecipe):
 
 
 def _as_perm(entry, degree: int) -> Perm:
-    if isinstance(entry, Perm):
-        return entry
     if isinstance(entry, str):
         return parse_perm(entry, degree)
     raise ParseError(f"cannot interpret {entry!r} as a permutation")
@@ -243,7 +234,9 @@ def _as_perm(entry, degree: int) -> Perm:
 # JSON surface
 
 
-def recipe_from_json(obj) -> GroupRecipe:
+def recipe_from_json(obj) -> dict:
+    """The canonical recipe dict of obj, its known keys only; a malformed
+    recipe is a ParseError."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError("recipe JSON must be an object with a 'kind' field")
     kind = obj["kind"]
@@ -258,35 +251,16 @@ def recipe_from_json(obj) -> GroupRecipe:
         return obj[name]
 
     if kind in ("symmetric", "alternating", "cyclic"):
-        return GroupRecipe(kind, n=field("n", (int,)))
+        return {"kind": kind, "n": field("n", (int,))}
     sub = lambda name: recipe_from_json(field(name))
     if kind == "direct":
-        return GroupRecipe(kind, a=sub("a"), b=sub("b"))
+        return {"kind": kind, "a": sub("a"), "b": sub("b")}
     if kind == "semidirect":
         action = field("action", (list,))
         if not all(isinstance(row, list) for row in action):
             raise ParseError("'semidirect' recipe action must be a list of rows")
-        return GroupRecipe(kind, base=sub("base"), acting=sub("acting"),
-                           action=[list(row) for row in action])
+        return {"kind": kind, "base": sub("base"), "acting": sub("acting"),
+                "action": [list(row) for row in action]}
     if kind == "wreath":
-        return GroupRecipe(kind, base=sub("base"), top=sub("top"))
-    raise ParseError(f"unknown recipe kind: {kind!r}")
-
-
-def recipe_to_json(recipe: GroupRecipe):
-    kind = recipe.kind
-    if kind in ("symmetric", "alternating", "cyclic"):
-        return {"kind": kind, "n": recipe.args["n"]}
-    if kind == "direct":
-        return {"kind": kind, "a": recipe_to_json(recipe.args["a"]),
-                "b": recipe_to_json(recipe.args["b"])}
-    if kind == "semidirect":
-        rows = []
-        for row in recipe.args["action"]:
-            rows.append([e.cycle_string() if isinstance(e, Perm) else e for e in row])
-        return {"kind": kind, "base": recipe_to_json(recipe.args["base"]),
-                "acting": recipe_to_json(recipe.args["acting"]), "action": rows}
-    if kind == "wreath":
-        return {"kind": kind, "base": recipe_to_json(recipe.args["base"]),
-                "top": recipe_to_json(recipe.args["top"])}
+        return {"kind": kind, "base": sub("base"), "top": sub("top")}
     raise ParseError(f"unknown recipe kind: {kind!r}")

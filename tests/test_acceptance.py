@@ -11,7 +11,7 @@ from blockscope.chartable import character_table
 from blockscope.classify import (IN_SCOPE, check_local_structure, classify_case,
                                  count_weights, verify_counts)
 from blockscope.fusion import FusionSystem
-from blockscope.groups import (abelian_invariants, center, same_subgroup,
+from blockscope.groups import (abelian_invariants, centralizer, same_subgroup,
                                subgroup_fingerprint, sylow_subgroup)
 
 
@@ -60,7 +60,7 @@ def test_criterion_3_order96_boundary():
     w = sylow_subgroup(group("Z4wrZ2"), 2)
     shape_ok = (p.order == 32
                 and subgroup_fingerprint(p) == subgroup_fingerprint(w)
-                and abelian_invariants(center(p)) == (4,))
+                and abelian_invariants(centralizer(p, p)) == (4,))
     ok = (rep.case_label == "case_ii" and q.order == 16 and shape_ok
           and len(ess) == 1 and same_subgroup(ess[0].representative, q)
           and ess[0].automizer.is_symmetric_3
@@ -95,7 +95,7 @@ def test_criterion_6_case_i_96():
     rep = check_local_structure(verify_counts(classify_case(g, 2)))
     m = rep.measured
     ls = rep.local_structure
-    zp = center(rep.fusion.sylow)
+    zp = centralizer(rep.fusion.sylow, rep.fusion.sylow)
     q = rep.fusion.hyperfocal().subgroup
     ok = (rep.case_label == "case_i"
           and all(x in zp for x in q.generators)

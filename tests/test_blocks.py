@@ -357,7 +357,7 @@ def test_lower_defect_quotient_compatibility():
     b = principal_block(g, 2)
     t = lower_defect_multiplicities(b)
     m_at_z2 = t.by_order().get(2, 0)
-    quo, _, _ = quotient_by_normal(g, z2)
+    quo = quotient_by_normal(g, z2)
     bq = principal_block(quo, 2)
     tq = lower_defect_multiplicities(bq)
     assert m_at_z2 == tq.by_order().get(1, 0) == 2

@@ -9,7 +9,7 @@ from blockscope.catalog import (EXIT_INPUT, EXIT_INTERNAL, EXIT_PASS, EXIT_VERDI
                                 builtin_catalog_path, load_catalog, run_catalog,
                                 summarize)
 from blockscope.cli import main
-from blockscope.errors import InternalInconsistency, ParseError
+from blockscope.errors import InternalInconsistency, InvalidAction, ParseError
 
 
 def test_builtin_catalog_loads():
@@ -245,7 +245,8 @@ def test_sylow_over_the_enumeration_cap_is_refused_before_any_work(monkeypatch):
 
 
 @pytest.mark.parametrize("error, exit_code", [
-    (RuntimeError, EXIT_VERDICT_FAIL), (InternalInconsistency, EXIT_INTERNAL)])
+    (RuntimeError, EXIT_VERDICT_FAIL), (InternalInconsistency, EXIT_INTERNAL),
+    (InvalidAction, EXIT_INPUT)])
 def test_an_entry_raising_any_exception_does_not_abort_the_run(error, exit_code, tmp_path,
                                                                monkeypatch):
     from blockscope import catalog
@@ -268,6 +269,51 @@ def test_an_entry_raising_any_exception_does_not_abort_the_run(error, exit_code,
     statuses = {i["name"]: i["status"] for i in report["entries"]}
     assert statuses == {"Z6": "errored", "A4": "pass"}
     assert report["entries"][0]["error"] == f"{error.__name__}: boom"
+
+
+INVALID_ACTION = {"kind": "semidirect",
+                  "base": {"kind": "direct", "a": {"kind": "cyclic", "n": 4},
+                           "b": {"kind": "cyclic", "n": 4}},
+                  "acting": {"kind": "cyclic", "n": 3},
+                  "action": [["(5,6,7,8)", "(1,2,3,4)"]]}
+
+
+def test_an_invalid_action_exits_3_through_analyze_and_catalog(tmp_path, capsys):
+    recipe = tmp_path / "bad.json"
+    recipe.write_text(json.dumps(INVALID_ACTION))
+    assert main(["analyze", "--group", str(recipe)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error")
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"entries": [
+        {"name": "bad", "recipe": INVALID_ACTION},
+        {"name": "S3", "recipe": {"kind": "symmetric", "n": 3}}]}))
+    out = tmp_path / "report.json"
+    assert main(["catalog", "--file", str(path), "--out", str(out)]) == EXIT_INPUT
+    report = json.loads(out.read_text())
+    assert [i["status"] for i in report["entries"]] == ["errored", "pass"]
+    assert report["entries"][0]["error"] == (
+        "InvalidAction: recipe-theoretic order 48 != constructed order 96")
+    assert report["entries"][0]["recipe"] == INVALID_ACTION
+
+
+def test_a_run_exits_with_the_first_of_2_3_1_any_entry_gave(tmp_path, monkeypatch):
+    from blockscope import catalog
+
+    errors = {2: RuntimeError, 3: InvalidAction, 4: InternalInconsistency}
+    real = catalog.analyze_group
+
+    def flaky(group, p, **kwargs):
+        if group.order in errors:
+            raise errors[group.order]("boom")
+        return real(group, p, **kwargs)
+
+    monkeypatch.setattr(catalog, "analyze_group", flaky)
+    path = tmp_path / "mixed.json"
+    for orders, code in [((2, 3, 4), EXIT_INTERNAL), ((2, 3), EXIT_INPUT),
+                         ((3, 2), EXIT_INPUT), ((2, 1), EXIT_VERDICT_FAIL), ((1,), EXIT_PASS)]:
+        path.write_text(json.dumps({"entries": [
+            {"name": f"Z{n}", "recipe": {"kind": "cyclic", "n": n}} for n in orders]}))
+        assert run_catalog(str(path))[1] == code, orders
 
 
 @pytest.mark.parametrize("prime", ["x", "2", 2.5, None, True])

@@ -230,14 +230,14 @@ def test_g96_unique_essential_is_hyperfocal():
 
 
 def test_k192_essential_has_noncentral_hyperfocal():
-    from blockscope.groups import center
+    from blockscope.groups import centralizer
     fs = fs_of("K192")
     ess = fs.essential_classes()
     assert len(ess) == 1
     s = ess[0].representative
     assert s.order == 32
     q = fs.hyperfocal().subgroup
-    zs = center(s)
+    zs = centralizer(s, s)
     assert not all(x in zs for x in q.generators)
 
 
@@ -324,11 +324,11 @@ def test_the_table_centric_check_matches_perm_products(name):
 
 
 def test_l96_z6_controlled_but_not_central():
-    from blockscope.groups import center
+    from blockscope.groups import centralizer
     fs = fs_of("L96_Z6")
     assert not fs.essential_classes()
     q = fs.hyperfocal().subgroup
-    zp = center(fs.sylow)
+    zp = centralizer(fs.sylow, fs.sylow)
     assert not all(x in zp for x in q.generators)
     assert zp.order == 4
 

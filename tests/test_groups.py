@@ -9,7 +9,7 @@ from conftest import (ORACLE_CAP, RECIPES, brute_centralizer_order, brute_class_
 from blockscope.errors import CapExceeded, InternalInconsistency, NotAbelian, NotNormalized
 from blockscope.exact import p_part
 from blockscope.groups import (PermGroup, _BSGS, _element_index, _images_at,
-                               _stabilizer_of_action, _subgroups_of_p_group, abelian_invariants, center,
+                               _stabilizer_of_action, _subgroups_of_p_group, abelian_invariants,
                                centralizer, normal_closure, normalizer,
                                o_p_core, o_p_residual, quotient_by_normal,
                                subgroup_fingerprint, sylow_subgroup, sylow_subgroup_classes,
@@ -1059,7 +1059,7 @@ def test_fixed_points_identity_actors():
 
 def test_center_and_derived():
     d8 = group("D8")
-    assert center(d8).order == 2
+    assert centralizer(d8, d8).order == 2
     assert derived_subgroup(group("S4")).order == 12
     assert derived_subgroup(group("A4")).order == 4
 
@@ -1076,10 +1076,9 @@ def test_abelian_invariants():
 def test_quotient_by_normal():
     s4 = group("S4")
     v4 = s4.subgroup([cyc(4, (0, 1), (2, 3)), cyc(4, (0, 2), (1, 3))])
-    q, project, reps = quotient_by_normal(s4, v4)
+    q = quotient_by_normal(s4, v4)
     assert q.order == 6 and not q.is_abelian()
-    for x in (cyc(4, (0, 1)), cyc(4, (0, 1, 2))):
-        assert project(x) in q
+    assert q.degree == 6          # one point per coset
     with pytest.raises(NotNormalized):
         quotient_by_normal(s4, s4.subgroup([cyc(4, (0, 1))]))
 

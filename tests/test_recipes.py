@@ -2,12 +2,12 @@ import json
 
 import pytest
 
-from conftest import group
+from conftest import RECIPES, group
 from blockscope.errors import DegreeOverflow, InvalidAction, ParseError
 from blockscope.groups import abelian_invariants, sylow_subgroup
+from blockscope.perms import parse_perm
 from blockscope.recipes import (alternating, construct_group, cyclic, direct,
-                                recipe_from_json, recipe_to_json, semidirect,
-                                symmetric, wreath)
+                                recipe_from_json, semidirect, symmetric, wreath)
 
 Q44 = direct(cyclic(4), cyclic(4))
 THETA = ["(5,6,7,8)", "(1,4,3,2)(5,8,7,6)"]
@@ -80,10 +80,42 @@ def test_degree_overflow():
 
 def test_json_round_trip():
     r = semidirect(Q44, symmetric(3), [["(5,6,7,8)", "(1,2,3,4)"], THETA])
-    blob = json.dumps(recipe_to_json(r))
+    blob = json.dumps(r)
     r2 = recipe_from_json(json.loads(blob))
     g1, g2 = construct_group(r), construct_group(r2)
     assert g1.generators == g2.generators
+
+
+@pytest.mark.parametrize("name", sorted(RECIPES))
+def test_constructors_return_the_canonical_json(name):
+    r = RECIPES[name]
+    assert r == recipe_from_json(json.loads(json.dumps(r)))
+
+
+def test_semidirect_writes_a_perm_as_its_cycle_string():
+    perms = [[parse_perm(x, 8) for x in THETA]]
+    assert semidirect(Q44, cyclic(3), perms) == semidirect(Q44, cyclic(3), [THETA])
+
+
+def test_canonical_json_keeps_the_known_keys_only():
+    r = recipe_from_json({"kind": "direct", "note": "x", "a": {"kind": "cyclic", "n": 2,
+                                                              "extra": 1},
+                          "b": {"kind": "cyclic", "n": 3}})
+    assert r == direct(cyclic(2), cyclic(3))
+
+
+@pytest.mark.parametrize("recipe", [
+    direct(cyclic(2), None),
+    wreath(cyclic(2), {"n": 2}),
+    semidirect({"kind": "cyclic", "n": "3"}, cyclic(2), [["(1,3,2)"]]),
+    direct(cyclic(2), cyclic(2.0)),
+    "S4",
+    None,
+    [cyclic(2)],
+])
+def test_construct_group_refuses_a_malformed_recipe_with_a_parse_error(recipe):
+    with pytest.raises(ParseError):
+        construct_group(recipe)
 
 
 def test_json_parse_errors():
