@@ -73,7 +73,7 @@ def load_catalog(path: str) -> list[CatalogEntry]:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"cannot read catalog {path}: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
         raise ParseError("catalog must be an object with an 'entries' list")

@@ -35,7 +35,8 @@ def _load_recipe(ref: str):
             return recipe_from_json(json.load(fh))
     except OSError as exc:
         raise InputError(f"no preset or readable file {ref!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # the decoder recurses too: JSON nested past the interpreter's limit
         raise InputError(f"invalid recipe JSON in {ref!r}: {exc}") from exc
 
 

@@ -2,11 +2,14 @@
 
 Groups carry a base and strong generating set built by a deterministic
 Schreier-Sims procedure, which gives exact orders, membership tests and
-element enumeration.  Centralizers and normalizers are computed by
-orbit-stabilizer searches on the conjugation action: walks over the
-generators on element keys, which need the acting group's elements (order
-at most ORDER_CAP) and sift Schreier generators only until the stabilizer
-has order |G| / |orbit|.  Their correctness is anchored by brute-force
+element enumeration.  The BSGS's transversal gather is the one source of
+element data: :meth:`PermGroup.element_images` is an (order x degree)
+array of image rows, and :meth:`PermGroup.elements` wraps those rows in
+Perms only for a caller that needs objects.  Centralizers and normalizers
+are computed by orbit-stabilizer searches on the conjugation action: walks
+over the generators on element keys, which need the acting group's
+elements (order at most ORDER_CAP) and sift Schreier generators only until
+the stabilizer has order |G| / |orbit|.  Their correctness is anchored by brute-force
 oracles in the test suite for every group below the oracle cap.  A Sylow
 subgroup is grown from a given p-subgroup through nested normalizers, so
 its orbit walks run in ever smaller groups; each group memoises one Sylow
@@ -23,7 +26,10 @@ on the instance.  Array kernels (the class walk and the orbit walks, which
 share one conjugation map per generator; the class-sum structure constants;
 the Cayley table of a p-group, on which its subgroups are enumerated) name
 elements by the exact integer keys of :class:`_ElementIndex`, read from
-their images of the base.
+the base columns of the image rows, and gather whatever other columns
+they need from the rows.  The class walk builds one Perm per class, not
+per element; the orbit walks name orbit members by the objects of
+`elements()`, which they share.
 """
 
 from __future__ import annotations
@@ -184,26 +190,32 @@ class _BSGS:
                 self._insert(r)
                 level = len(self.base) - 1
 
-    def iter_elements(self):
-        """Every element once, as the products u_m ... u_2 u_1 of one
-        transversal element per level (each transversal in point order), the
-        first level's element varying slowest.
-
-        The products are image arrays: with `rest` the elements of the
-        stabilizer of the first base point, one row each, u[:, rest] composes
-        rest with every element of a transversal.  One block of Perms is
-        built per element of the first level's transversal, so a caller that
-        stops early builds only the blocks it reads.
-        """
-        if not self.base:
-            yield self.identity
-            return
-        dtype = np.min_scalar_type(self.degree - 1)
-        first, *deeper = (np.array([u.images for _, u in sorted(orb.items())], dtype=dtype)
-                          for orb in self.orbits)
+    def _factored(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first, rest) as image rows: the first level's transversal, in
+        point order, and every element of the stabilizer of the first base
+        point, the deeper levels composed in the same way.  u[rest] composes
+        rest with u, so the group's elements are the rows u[rest] for u in
+        first, the first level's element varying slowest."""
+        dtype = np.min_scalar_type(max(self.degree - 1, 0))
         rest = np.arange(self.degree, dtype=dtype)[None, :]
+        first, *deeper = [np.array([u.images for _, u in sorted(orb.items())], dtype=dtype)
+                          for orb in self.orbits] or [rest]
         for u in reversed(deeper):
             rest = u[:, rest].reshape(-1, self.degree)
+        return first, rest
+
+    def element_images(self) -> np.ndarray:
+        """Every element once, as the products u_m ... u_2 u_1 of one
+        transversal element per level: an (order x degree) array of image
+        rows, in the order of :meth:`iter_elements`."""
+        first, rest = self._factored()
+        return first[:, rest].reshape(-1, self.degree)
+
+    def iter_elements(self):
+        """The rows of :meth:`element_images` as Perms, one block per
+        element of the first level's transversal, so a caller that stops
+        early builds only the blocks it reads."""
+        first, rest = self._factored()
         for u in first:
             yield from map(Perm._raw, map(tuple, u[rest].tolist()))
 
@@ -274,7 +286,7 @@ class PermGroup:
 
     @property
     def order(self) -> int:
-        return self._memo("order", self.bsgs.order)
+        return self._memo("order", lambda: self.bsgs.order())
 
     def __contains__(self, g: Perm) -> bool:
         return g.degree == self.degree and self.bsgs.contains(g)
@@ -290,12 +302,16 @@ class PermGroup:
     def identity(self) -> Perm:
         return Perm.identity(self.degree)
 
+    def element_images(self) -> np.ndarray:
+        """Every element's images, one row each, in the order of
+        :meth:`elements`; gathered from the BSGS afresh on each call."""
+        if self.order > ORDER_CAP:
+            raise CapExceeded(f"order {self.order} exceeds cap {ORDER_CAP}")
+        return self.bsgs.element_images()
+
     def elements(self) -> tuple:
-        def enumerate_elements():
-            if self.order > ORDER_CAP:
-                raise CapExceeded(f"order {self.order} exceeds cap {ORDER_CAP}")
-            return tuple(self.bsgs.iter_elements())
-        return self._memo("elements", enumerate_elements)
+        return self._memo("elements", lambda: tuple(
+            map(Perm._raw, map(tuple, self.element_images().tolist()))))
 
     def element_set(self) -> frozenset:
         return self._memo("element_set", lambda: frozenset(self.elements()))
@@ -321,15 +337,17 @@ class PermGroup:
     def _conjugacy_classes(self) -> tuple[tuple, np.ndarray]:
         """The classes, and the class index of each element key.
 
-        Elements are ranked in Perm order; the conjugation maps of
+        Elements are ranked in Perm order, one lexsort over their image rows
+        (:func:`_rows_by_key`); the conjugation maps of
         :func:`_conjugation_maps` give one successor map of ranks per
         generator.  Each orbit is labelled by its least rank: every element
         takes the least label over its successors until nothing changes.  A
-        class's representative is its least enumerated member in Perm order.
+        class's representative is its least member in Perm order, the one
+        Perm the walk builds per class.
         """
-        elems = _element_index(self).elements
-        n = len(elems)
-        keys = np.array(sorted(range(n), key=lambda k: elems[k].images))   # by rank
+        rows = _rows_by_key(self)
+        n = len(rows)
+        keys = _perm_order(rows)   # by rank
         rank_of_key = np.empty(n, dtype=np.intp)
         rank_of_key[keys] = np.arange(n)
         successors = [rank_of_key[c[keys]] for c in _conjugation_maps(self)]
@@ -347,7 +365,7 @@ class PermGroup:
         by_label = np.argsort(label, kind="stable")   # ranks ascending within a class
         found = []
         for ranks in np.split(by_label, np.flatnonzero(np.diff(label[by_label])) + 1):
-            rep = elems[keys[ranks[0]]]
+            rep = Perm._raw(tuple(rows[keys[ranks[0]]].tolist()))
             found.append((ConjClass(
                 representative=rep,
                 size=len(ranks),
@@ -390,18 +408,19 @@ class _ElementIndex:
     plain degree^m radix would not: 11 disjoint transpositions on 64 points
     have base length 11, and 64^11 = 2^66.)
 
-    `images[k]` holds the base images of the element with key k, in the
-    smallest integer dtype that holds a point, and `elements[k]` the
-    element itself, one of `group.elements()`.
+    Built from the columns at the base of `group.element_images()`, it
+    holds no Perm.  `images[k]` holds the base images of the element with
+    key k, in the smallest integer dtype that holds a point, and `row[k]`
+    that element's row of `group.element_images()`, which is also its
+    position in `group.elements()`.
     """
 
-    __slots__ = ("degree", "base", "levels", "images", "elements")
+    __slots__ = ("degree", "base", "levels", "images", "row")
 
     def __init__(self, group: "PermGroup"):
         self.degree = group.degree
         self.base = list(group.bsgs.base)
-        dtype = np.min_scalar_type(max(group.degree - 1, 0))
-        images = _images_at(group.elements(), self.base, dtype)
+        images = group.element_images()[:, self.base]
         self.levels = []   # per base point: the sorted distinct codes
         rank = np.zeros(len(images), dtype=np.int64)
         for column in images.T:
@@ -409,7 +428,7 @@ class _ElementIndex:
             self.levels.append(level)
         self.images = np.empty_like(images)
         self.images[rank] = images
-        self.elements = tuple(map(group.elements().__getitem__, np.argsort(rank).tolist()))
+        self.row = np.argsort(rank).astype(np.min_scalar_type(len(images) - 1))
 
     def keys(self, images: np.ndarray) -> np.ndarray:
         """Keys of the members whose base images are the rows of `images`."""
@@ -423,19 +442,30 @@ def _element_index(group: "PermGroup") -> _ElementIndex:
     return group._memo("element_index", lambda: _ElementIndex(group))
 
 
+def _rows_by_key(group: "PermGroup") -> np.ndarray:
+    """rows[k]: the images of the element with key k; gathered afresh, not
+    memoised, so no group keeps a full row per element."""
+    return group.element_images()[_element_index(group).row]
+
+
+def _perm_order(rows: np.ndarray) -> np.ndarray:
+    """The row numbers sorted in Perm order, which is lexicographic in the
+    images: one lexsort, first column primary (the rows are distinct)."""
+    return np.lexsort(rows.T[::-1])
+
+
 def _conjugation_maps(group: "PermGroup") -> np.ndarray:
     """c[t, k]: the key of x_k ** g_t, with x_k the element of key k and g_t
     the t-th generator, in the least dtype that holds a key; memoised.  One
-    array gather per generator on base images: (x^g)(b) = g(x(g^-1(b)))."""
+    column gather per generator from the image rows: (x^g)(b) = g(x(g^-1(b)))."""
     def compute():
         index = _element_index(group)
-        dtype = index.images.dtype
-        maps = np.empty((len(group.generators), len(index.elements)),
-                        dtype=np.min_scalar_type(len(index.elements) - 1))
+        rows = _rows_by_key(group)
+        maps = np.empty((len(group.generators), len(rows)), dtype=index.row.dtype)
         for t, g in enumerate(group.generators):
             inv = g.inverse().images
-            moved = _images_at(index.elements, [inv[b] for b in index.base], dtype)
-            maps[t] = index.keys(np.array(g.images, dtype=dtype)[moved])
+            moved = rows[:, [inv[b] for b in index.base]]
+            maps[t] = index.keys(np.array(g.images, dtype=rows.dtype)[moved])
         return maps
     return group._memo("conjugation_maps", compute)
 
@@ -460,19 +490,20 @@ def _with_bsgs(group: PermGroup, gens, bsgs: _BSGS) -> PermGroup:
     return h
 
 
-def _stabilizer_of_action(group: PermGroup, seed) -> tuple[dict, PermGroup]:
+def _stabilizer_of_action(group: PermGroup, seed) -> tuple[dict, PermGroup, np.ndarray]:
     """Conjugation orbit of `seed`, a permutation or a frozenset of them,
-    under `group`, and the stabilizer of `seed`.
+    under `group`, the stabilizer of `seed`, and the orbit as keys: row i
+    holds the sorted element keys of the i-th orbit member.
 
     The walk runs on element keys (:class:`_ElementIndex`) of `group`, or
     of <group, seed> for a seed outside it: a seed is its sorted key array,
     and a step under generator t a sorted gather through row t of
     :func:`_conjugation_maps`.  The whole orbit is walked breadth-first,
-    then each member y, a permutation or a frozenset of element objects, is
-    given a witness w_y with seed^(w_y) = y, one product per tree step.  In
-    step order, the Schreier generator w_x g w_y^-1 of each other step
-    x -> y then extends the stabilizer's BSGS, which the returned handle
-    keeps, until its order is |group| / |orbit|.  It is then the whole
+    then each member y, a permutation or a frozenset of them, shared with
+    `elements()`, is given a witness w_y with seed^(w_y) = y, one product
+    per tree step.  In step order, the Schreier generator w_x g w_y^-1 of
+    each other step x -> y then extends the stabilizer's BSGS, which the
+    returned handle keeps, until its order is |group| / |orbit|.  It is then the whole
     stabilizer, so each later Schreier generator, which fixes the seed, is
     a member, and `_BSGS.add` of a member returns False and changes
     nothing: the result is the one sifting them all gives.
@@ -501,7 +532,7 @@ def _stabilizer_of_action(group: PermGroup, seed) -> tuple[dict, PermGroup]:
                 found.append(image)
             steps.append((i, t, j))
     if len(found) == 1:
-        return {seed: group.identity}, group
+        return {seed: group.identity}, group, found[0][None]
     witness = [group.identity]
     target = group.order // len(found)
     bsgs = _BSGS(group.degree, [])
@@ -514,15 +545,16 @@ def _stabilizer_of_action(group: PermGroup, seed) -> tuple[dict, PermGroup]:
             s = witness[i] * g * witness[j].inverse()
             if bsgs.add(s):
                 gens.append(s)
-    elems = index.elements
+    elems = space.elements()
+    keys = np.stack(found)
     orbit = {seed: group.identity}
-    for keys, w in zip(found[1:], witness[1:]):
-        orbit[elems[keys[0]] if single else frozenset(map(elems.__getitem__, keys.tolist()))] = w
-    return orbit, _with_bsgs(group, gens, bsgs)
+    for rows, w in zip(index.row[keys[1:]].tolist(), witness[1:]):
+        orbit[elems[rows[0]] if single else frozenset(map(elems.__getitem__, rows))] = w
+    return orbit, _with_bsgs(group, gens, bsgs), keys
 
 
-def _orbit_entry(group: PermGroup, sset: frozenset) -> tuple[dict, PermGroup]:
-    """(orbit, stabilizer of its seed) for the conjugation orbit of an
+def _orbit_entry(group: PermGroup, sset: frozenset) -> tuple[dict, PermGroup, np.ndarray]:
+    """(orbit, stabilizer of its seed, keys) for the conjugation orbit of an
     element set, walked once: memoised per orbit on the group, every member
     keying the same entry."""
     memo = group._memo("set_orbits", dict)
@@ -562,7 +594,7 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
     hset = h.element_set()
     memo = g._memo("normalizers", dict)
     if hset not in memo:
-        orbit, stab = _orbit_entry(g, hset)
+        orbit, stab, _ = _orbit_entry(g, hset)
         w = orbit[hset]   # the identity exactly for the seed
         new = stab if w.is_identity() else PermGroup(g.degree, [x ** w for x in stab.generators])
         memo[hset] = next((n for n in memo.values() if n.order == stab.order
@@ -682,16 +714,15 @@ def _grow_sylow(g: PermGroup, p: int, s: PermGroup) -> PermGroup:
 def _cayley_table(pgrp: PermGroup) -> tuple[np.ndarray, dict]:
     """(mult, position): mult[i, j] is the position of e_i * e_j in
     `pgrp.elements()`, and position maps each element to its own; memoised.
-    The base images (e_i e_j)(b) = e_j(e_i(b)) are one gather, keyed at once."""
+    The base images (e_i e_j)(b) = e_j(e_i(b)) are one gather from the image
+    rows, keyed at once; a key's row is its element's position."""
     def compute():
-        elems = pgrp.elements()
         index = _element_index(pgrp)
-        n, m = len(elems), len(index.base)
-        position = {x: i for i, x in enumerate(elems)}
-        at_key = np.array([position[x] for x in index.elements], dtype=np.min_scalar_type(n - 1))
-        full = np.array([x.images for x in elems], dtype=index.images.dtype)
+        full = pgrp.element_images()
+        n, m = len(full), len(index.base)
+        position = {x: i for i, x in enumerate(pgrp.elements())}
         products = full[np.arange(n)[None, :, None], full[:, index.base][:, None, :]]
-        return at_key[index.keys(products.reshape(n * n, m))].reshape(n, n), position
+        return index.row[index.keys(products.reshape(n * n, m))].reshape(n, n), position
     return pgrp._memo("cayley_table", compute)
 
 
@@ -743,7 +774,7 @@ def _subgroups_of_p_group(pgrp: PermGroup, p: int) -> dict[frozenset, tuple]:
             break
         layer = nxt
         size *= p
-    rank = dict(zip(sorted(range(n), key=lambda i: elements[i].images), range(n)))
+    rank = dict(zip(_perm_order(pgrp.element_images()).tolist(), range(n)))
     return {frozenset(map(elements.__getitem__, s)): tuple(map(elements.__getitem__, gens_of[s]))
             for s in sorted(gens_of, key=lambda s: (len(s), sorted(map(rank.__getitem__, s))))}
 
@@ -753,7 +784,8 @@ class SubgroupClasses:
     """The G-conjugacy classes of p-subgroups, from the subgroups of a Sylow
     p-subgroup P, ordered by (order, least sorted element images over the
     class).  `reps[i]`: the least member of class i inside P, with the
-    generators the enumeration found.  `class_of`: the element set of every
+    generators the enumeration found and its order and element set read
+    from `members[i]`.  `class_of`: the element set of every
     p-subgroup of G -> its class.  `members[i]`: (element set, generators)
     of each member of class i inside P, in enumeration order.  Containment
     between classes is computed on call, by :meth:`below`.
@@ -784,25 +816,41 @@ def sylow_subgroup_classes(group: PermGroup, p: int) -> SubgroupClasses:
 
 def _sylow_subgroup_classes(group: PermGroup, p: int) -> SubgroupClasses:
     """One pass over the subgroups of P: the first member of an orbit met
-    walks the orbit, and every later member of it is only labelled."""
+    walks the orbit, and every later member of it is only labelled.
+
+    An orbit's canonical key is its least member's sorted Perm-order ranks,
+    read from the walk's key arrays: ranks preserve Perm order, so this is
+    the order of the members' sorted element images.
+    """
+    rank = np.empty(group.order, dtype=np.intp)
+    rank[_perm_order(_rows_by_key(group))] = np.arange(group.order)
     found = []      # per orbit: [canonical key, members inside P]
     position = {}   # element set of every orbit member -> its orbit's place in found
     # the subgroups come sorted, so a class's first member met is its least in P
     for s, gens in _subgroups_of_p_group(sylow_subgroup(group, p), p).items():
         at = position.get(s)
         if at is None:
-            orbit = _orbit_entry(group, s)[0]
+            orbit, _, keys = _orbit_entry(group, s)
+            ranks = np.sort(rank[keys], axis=1)
             at = len(found)
             position.update(dict.fromkeys(orbit, at))
-            found.append([(len(s), min(tuple(sorted(x.images for x in t)) for t in orbit)), []])
+            found.append([(len(s), ranks[_perm_order(ranks)[0]].tolist()), []])
         found[at][1].append((s, gens))
     order = sorted(range(len(found)), key=lambda i: found[i][0])
     index = {at: i for i, at in enumerate(order)}
     members = tuple(tuple(found[at][1]) for at in order)
     return SubgroupClasses(
-        reps=tuple(group.subgroup(m[0][1]) for m in members),
+        reps=tuple(_with_elements(group, *m[0]) for m in members),
         class_of={t: index[at] for t, at in position.items()},
         members=members)
+
+
+def _with_elements(group: PermGroup, elements: frozenset, gens) -> PermGroup:
+    """Subgroup of `group` generated by `gens`, with `elements` its known
+    element set: its order and element set need no BSGS."""
+    h = PermGroup(group.degree, gens)
+    h._cache.update(order=len(elements), element_set=elements)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -862,14 +910,13 @@ def abelian_invariants(g: PermGroup) -> tuple[int, ...]:
         raise NotAbelian("abelian invariants require an abelian group")
     if g.order == 1:
         return ()
-    orders = [x.order() for x in g.elements()]
+    orders = _element_orders(g)
     out = []
     n = g.order
     for q in prime_factors(n):
         # c_i = #elements whose order divides q^i; c_i / c_{i-1} = q^(number of
         # cyclic q-factors of exponent >= q^i), which recovers the type.
-        counts = [sum(1 for o in orders if q**i % o == 0)
-                  for i in range(nu(n, q) + 1)]
+        counts = [int((q**i % orders == 0).sum()) for i in range(nu(n, q) + 1)]
         lam: list[int] = []
         for i in range(1, len(counts)):
             h = nu(counts[i] // counts[i - 1], q)
@@ -879,6 +926,43 @@ def abelian_invariants(g: PermGroup) -> tuple[int, ...]:
                 lam[j] = i
         out.extend(q**e for e in lam)
     return tuple(sorted(out))
+
+
+def _element_orders(g: PermGroup) -> np.ndarray:
+    """The order of every element of g, in no set order, from its image rows.
+
+    For each prime q with q^a exactly dividing n = |g|, y = x^(n / q^a) has
+    order the q-part of x's: raising y to q until it is the identity counts
+    its exponent.  The rows come from g's element set when that is already
+    known (a p-subgroup class representative's), so no BSGS is built."""
+    known = g._cache.get("element_set")
+    rows = g.element_images() if known is None else np.array([x.images for x in known])
+    identity = np.arange(g.degree)
+    n = g.order
+    orders = np.ones(len(rows), dtype=np.int64)
+    for q in prime_factors(n):
+        a = nu(n, q)
+        power = _row_power(rows, n // q**a)
+        for _ in range(a):
+            moved = (power != identity).any(axis=1)
+            if not moved.any():
+                break
+            orders[moved] *= q
+            power = _row_power(power, q)
+    return orders
+
+
+def _row_power(rows: np.ndarray, e: int) -> np.ndarray:
+    """x^e for every image row x, e >= 1, by binary powering: a product of
+    two powers of x is a gather of one row through the other."""
+    out, square = None, rows
+    while True:
+        if e & 1:
+            out = square if out is None else np.take_along_axis(out, square, axis=1)
+        e >>= 1
+        if not e:
+            return out
+        square = np.take_along_axis(square, square, axis=1)
 
 
 def subgroup_fingerprint(h: PermGroup) -> str:
@@ -896,7 +980,7 @@ def _fingerprint(h: PermGroup) -> str:
     if h.order <= SUBGROUP_ENUM_CAP * 16 and h.is_abelian():
         inv = abelian_invariants(h)
         return f"{h.order}:ab[{','.join(map(str, inv))}]"
-    hist = Counter(x.order() for x in h.elements())
+    hist = Counter(_element_orders(h).tolist())
     body = ",".join(f"{k}^{v}" for k, v in sorted(hist.items()))
     return f"{h.order}:ord{{{body}}}"
 

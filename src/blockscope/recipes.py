@@ -9,7 +9,9 @@ Each is written ``{"kind": ..., ...}``, with permutations in 1-based
 disjoint-cycle text.  The constructors of the same names build these
 dicts, and :func:`recipe_from_json` validates one and returns it in
 canonical form, the known keys only; that dict goes unchanged from the
-file into every report.  Evaluation is deterministic: the same recipe
+file into every report.  A recipe nested deeper than MAX_RECIPE_DEPTH is
+a ParseError, so validation and evaluation, both recursive, stay far
+inside the interpreter's recursion limit.  Evaluation is deterministic: the same recipe
 always yields the identical generator list.
 
 Semidirect products are realized on the disjoint union of the base
@@ -32,11 +34,13 @@ from .perms import Perm, parse_perm
 
 __all__ = ["construct_group", "recipe_from_json",
            "symmetric", "alternating", "cyclic", "direct", "semidirect", "wreath",
-           "DEGREE_CAP"]
+           "DEGREE_CAP", "MAX_RECIPE_DEPTH"]
 
 DEGREE_CAP = 2**14
 # Base groups of semidirect products are realized on their element sets.
 SEMIDIRECT_BASE_CAP = 2**12
+# Deepest accepted nesting of recipes; a leaf has depth 1.
+MAX_RECIPE_DEPTH = 100
 
 
 def symmetric(n: int) -> dict:
@@ -234,9 +238,12 @@ def _as_perm(entry, degree: int) -> Perm:
 # JSON surface
 
 
-def recipe_from_json(obj) -> dict:
+def recipe_from_json(obj, depth: int = 1) -> dict:
     """The canonical recipe dict of obj, its known keys only; a malformed
-    recipe is a ParseError."""
+    recipe, or one nested deeper than MAX_RECIPE_DEPTH, is a ParseError.
+    `depth` is obj's own depth within the recipe being read."""
+    if depth > MAX_RECIPE_DEPTH:
+        raise ParseError(f"recipe nested deeper than {MAX_RECIPE_DEPTH} levels")
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError("recipe JSON must be an object with a 'kind' field")
     kind = obj["kind"]
@@ -252,7 +259,7 @@ def recipe_from_json(obj) -> dict:
 
     if kind in ("symmetric", "alternating", "cyclic"):
         return {"kind": kind, "n": field("n", (int,))}
-    sub = lambda name: recipe_from_json(field(name))
+    sub = lambda name: recipe_from_json(field(name), depth + 1)
     if kind == "direct":
         return {"kind": kind, "a": sub("a"), "b": sub("b")}
     if kind == "semidirect":

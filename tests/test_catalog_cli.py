@@ -231,6 +231,27 @@ def test_cli_malformed_recipe_is_an_input_error(recipe, tmp_path, capsys):
     assert err.startswith("input error") and "Traceback" not in err
 
 
+def _deep_recipe(depth):
+    r = {"kind": "cyclic", "n": 2}
+    for _ in range(depth - 1):
+        r = {"kind": "direct", "a": r, "b": {"kind": "cyclic", "n": 2}}
+    return r
+
+
+@pytest.mark.parametrize("text", [json.dumps(_deep_recipe(600)), "[" * 10**5 + "]" * 10**5],
+                         ids=["600-deep recipe", "JSON past the decoder's depth"])
+def test_a_deep_recipe_exits_3_with_no_traceback(text, tmp_path):
+    recipe = tmp_path / "deep.json"
+    recipe.write_text(text)
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text('{"entries": [{"name": "deep", "recipe": ' + text + "}]}")
+    for command in (["analyze", "--group", str(recipe)], ["catalog", "--file", str(catalog)]):
+        proc = subprocess.run([sys.executable, "-m", "blockscope.cli", *command],
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr.startswith("input error") and "Traceback" not in proc.stderr
+
+
 def test_sylow_over_the_enumeration_cap_is_refused_before_any_work(monkeypatch):
     from blockscope import catalog
     from blockscope.errors import CapExceeded

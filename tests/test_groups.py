@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,9 +8,12 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import (ORACLE_CAP, RECIPES, brute_centralizer_order, brute_class_count,
                       brute_conjugator, brute_normalizer_order, derived_subgroup, group)
 from blockscope.errors import CapExceeded, InternalInconsistency, NotAbelian, NotNormalized
-from blockscope.exact import p_part
-from blockscope.groups import (PermGroup, _BSGS, _element_index, _images_at,
-                               _stabilizer_of_action, _subgroups_of_p_group, abelian_invariants,
+from blockscope.blocks import block_distribution
+from blockscope.chartable import character_table
+from blockscope.exact import nu, p_part, prime_factors
+from blockscope.groups import (PermGroup, _BSGS, _element_index, _element_orders,
+                               _images_at, _stabilizer_of_action, _subgroups_of_p_group,
+                               abelian_invariants,
                                centralizer, normal_closure, normalizer,
                                o_p_core, o_p_residual, quotient_by_normal,
                                subgroup_fingerprint, sylow_subgroup, sylow_subgroup_classes,
@@ -193,7 +197,7 @@ def test_a_moved_seed_gets_the_stabilizer_of_index_its_orbit(name):
     g = construct_group(RECIPES[name])
     x = next(y for y in g.elements() if any(y ** h != y for h in g.generators))
     for seed in (x, g.subgroup([x]).element_set()):
-        orbit, stab = blockscope.groups._stabilizer_of_action(g, seed)
+        orbit, stab, _ = blockscope.groups._stabilizer_of_action(g, seed)
         assert len(orbit) > 1 and stab is not g
         assert stab.order == g.order // len(orbit)
 
@@ -364,16 +368,21 @@ def _classes_by_perm_walk(g):
 
 
 def _assert_classes_match_perm_walk(g):
+    g.bsgs   # its transversals are Perms; count only those the walk builds
+    built = []
+    raw = Perm._raw
+    with mock.patch.object(Perm, "_raw", staticmethod(lambda im: built.append(im) or raw(im))):
+        got = g.conjugacy_classes()
+    # the walk builds no per-element Perm tuple: one Perm per class
+    # representative and one inverse per generator, and no element list
+    assert len(built) <= len(got) + len(g.generators)
+    assert not {"elements", "element_set"} & set(g._cache)
     want = _classes_by_perm_walk(g)
-    got = g.conjugacy_classes()
     at = g.classes_of(g.elements()).tolist()
     members = [tuple(sorted(x for x, k in zip(g.elements(), at) if k == i))
                for i in range(len(got))]
     assert [(c.element_order, c.size, c.representative.images, c.centralizer_order,
              m) for c, m in zip(got, members)] == want
-    enumerated = {id(x) for x in g.elements()}
-    # the representatives are the enumerated objects themselves
-    assert all(id(c.representative) in enumerated for c in got)
 
 
 @pytest.mark.parametrize("name", ["S4", "S5", "G96", "L48xZ2", "K192", "W384", "Z6", "D8"])
@@ -425,6 +434,43 @@ def test_element_keys_stay_exact_past_a_radix_of_the_base():
     assert index.keys(at_base).tolist() == [key_of[x * y] for x, y in zip(xs, ys)]
 
 
+def _index_oracle(g):
+    """Oracle: base, levels, base images by key, and the key of each of
+    g.elements(), by sorting the elements' base image tuples in Python."""
+    base = list(g.bsgs.base)
+    tuples = [tuple(x(b) for b in base) for x in g.elements()]
+    levels = []
+    for t in range(1, len(base) + 1):
+        prefix_rank = {q: i for i, q in enumerate(sorted({u[:t - 1] for u in tuples}))}
+        levels.append(sorted({prefix_rank[u[:t - 1]] * g.degree + u[t - 1] for u in tuples}))
+    ordered = sorted(tuples)
+    key = {u: k for k, u in enumerate(ordered)}
+    return base, levels, [list(u) for u in ordered], [key[u] for u in tuples]
+
+
+@pytest.mark.parametrize("name", [*RECIPES, "trivial"])
+def test_the_array_built_index_matches_one_built_from_the_elements(name):
+    g = PermGroup(3, []) if name == "trivial" else construct_group(RECIPES[name])
+    index = _element_index(g)
+    assert "elements" not in g._cache   # built from the image array alone
+    base, levels, images, keys = _index_oracle(g)
+    assert index.base == base
+    assert [level.tolist() for level in index.levels] == levels
+    assert index.images.tolist() == images
+    assert index.images.dtype == np.min_scalar_type(g.degree - 1)
+    elems = g.elements()
+    assert index.keys(_images_at(elems, index.base, index.images.dtype)).tolist() == keys
+    # a key's row of the image array is its element's position in elements()
+    assert [keys[r] for r in index.row.tolist()] == list(range(g.order))
+    assert g.element_images().tolist() == [list(x.images) for x in elems]
+
+
+def test_a_fresh_table_and_its_blocks_build_no_element_list():
+    g = construct_group(alternating(8))
+    block_distribution(character_table(g), 2)
+    assert not {"elements", "element_set"} & set(g._cache)
+
+
 # -- the key walk against the Perm walk
 
 
@@ -460,9 +506,15 @@ def _perm_walk(group, seed):
 
 
 def _assert_same_walk(g, seed):
-    orbit, stab = _stabilizer_of_action(g, seed)
+    orbit, stab, keys = _stabilizer_of_action(g, seed)
     want = _perm_walk(g, seed)
     assert list(orbit.items()) == list(want[0].items())
+    points = lambda y: [y] if isinstance(y, Perm) else list(y)
+    if all(x in g for x in points(seed)):
+        # row i of the key array: the sorted keys of the i-th orbit member
+        index = _element_index(g)
+        assert [row.tolist() for row in keys] == [sorted(index.keys(_images_at(
+            points(y), index.base, index.images.dtype)).tolist()) for y in orbit]
     if len(want) == 2:
         assert stab is g
         return
@@ -517,7 +569,7 @@ def test_the_class_pass_sifts_no_schreier_generator_once_the_stabilizer_is_compl
                         lambda g, seed: walks.append((g, walk(g, seed))) or walks[-1][1])
     sylow_subgroup_classes(construct_group(RECIPES["K192"]), 2)
     complete = {id(stab.bsgs): g.order // len(orbit)
-                for g, (orbit, stab) in walks if stab is not g}
+                for g, (orbit, stab, _) in walks if stab is not g}
     assert complete
     assert not [order for bsgs, order in sifted
                 if order >= complete.get(id(bsgs), order + 1)]
@@ -798,6 +850,27 @@ def test_members_are_the_conjugates_inside_the_sylow(name, p):
             assert PermGroup(g.degree, gens).element_set() == s
 
 
+@pytest.mark.parametrize("name,p", _RECORD_CASES + [("K192", 2), ("W384", 2)])
+def test_classes_are_ordered_by_the_least_sorted_images_over_the_class(name, p):
+    g = group(name)
+    keys = [(r.order, min(tuple(sorted(x.images for x in t))
+                          for t in _conjugation_orbit(g, r.element_set())))
+            for r in sylow_subgroup_classes(g, p).reps]
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("name,p", _RECORD_CASES)
+def test_representatives_read_their_order_and_elements_from_the_members(name, p):
+    g = construct_group(RECIPES[name])
+    classes = sylow_subgroup_classes(g, p)
+    for r, members in zip(classes.reps, classes.members):
+        s, gens = members[0]
+        assert (r.order, r.generators) == (len(s), gens)
+        assert r.element_set() is s
+        assert r._bsgs is None   # neither read built a BSGS
+        assert PermGroup(g.degree, gens).element_set() == s
+
+
 # -- subgroup enumeration
 
 
@@ -934,6 +1007,7 @@ def test_element_blocks_match_the_recursive_enumeration(name):
     g = ENUMERATED[name]()
     got = list(g.bsgs.iter_elements())
     assert got == _elements_by_recursion(g.bsgs)
+    assert g.bsgs.element_images().tolist() == [list(x.images) for x in got]
     assert len(got) == len(set(got)) == g.order
     assert all(type(x.images) is tuple and type(x.images[0]) is int for x in got)
 
@@ -1062,6 +1136,50 @@ def test_center_and_derived():
     assert centralizer(d8, d8).order == 2
     assert derived_subgroup(group("S4")).order == 12
     assert derived_subgroup(group("A4")).order == 4
+
+
+def _invariants_by_element_orders(g):
+    """Oracle: the elementary divisors from every element's Perm.order()."""
+    orders = [x.order() for x in g.elements()]
+    out = []
+    for q in prime_factors(g.order):
+        counts = [sum(1 for o in orders if q**i % o == 0) for i in range(nu(g.order, q) + 1)]
+        lam = []
+        for i in range(1, len(counts)):
+            h = nu(counts[i] // counts[i - 1], q)
+            lam += [0] * (h - len(lam))
+            lam[:h] = [i] * h
+        out.extend(q**e for e in lam)
+    return tuple(sorted(out))
+
+
+@pytest.mark.parametrize("name", ["W384", "K192", "Z4wrZ2", "F56", "L48xZ2"])
+def test_abelian_invariants_match_the_element_orders(name):
+    """Every abelian subgroup of a Sylow subgroup, at every prime of |G|."""
+    g = group(name)
+    for p in prime_factors(g.order):
+        for s, gens in _subgroups_of_p_group(sylow_subgroup(g, p), p).items():
+            h = PermGroup(g.degree, gens)
+            if len(s) > 1 and h.is_abelian():
+                assert abelian_invariants(h) == _invariants_by_element_orders(h)
+    # the class representatives, whose rows come from their known element sets
+    for r in sylow_subgroup_classes(g, 2).reps:
+        if r.order > 1 and r.is_abelian():
+            assert abelian_invariants(r) == _invariants_by_element_orders(
+                PermGroup(g.degree, r.generators))
+    for n in (1, 2, 12, 30, 64, 81):
+        z = construct_group(cyclic(n))
+        assert abelian_invariants(z) == _invariants_by_element_orders(z)
+
+
+@pytest.mark.parametrize("name", [*RECIPES, "trivial"])
+def test_element_orders_match_perm_order(name):
+    """On the group, read from its image array, and on every 2-subgroup
+    class representative, read from its known element set."""
+    g = PermGroup(3, []) if name == "trivial" else construct_group(RECIPES[name])
+    for h in (g, *sylow_subgroup_classes(g, 2).reps):
+        want = sorted(x.order() for x in PermGroup(g.degree, h.generators).elements())
+        assert sorted(_element_orders(h).tolist()) == want
 
 
 def test_abelian_invariants():

@@ -6,8 +6,8 @@ from conftest import RECIPES, group
 from blockscope.errors import DegreeOverflow, InvalidAction, ParseError
 from blockscope.groups import abelian_invariants, sylow_subgroup
 from blockscope.perms import parse_perm
-from blockscope.recipes import (alternating, construct_group, cyclic, direct,
-                                recipe_from_json, semidirect, symmetric, wreath)
+from blockscope.recipes import (MAX_RECIPE_DEPTH, alternating, construct_group, cyclic,
+                                direct, recipe_from_json, semidirect, symmetric, wreath)
 
 Q44 = direct(cyclic(4), cyclic(4))
 THETA = ["(5,6,7,8)", "(1,4,3,2)(5,8,7,6)"]
@@ -123,6 +123,27 @@ def test_json_parse_errors():
         recipe_from_json({"kind": "frobnicate"})
     with pytest.raises(ParseError):
         recipe_from_json([1, 2, 3])
+
+
+def _chain(depth):
+    """A left-deep chain of `direct` recipes of the given depth over Z2s."""
+    r = cyclic(2)
+    for _ in range(depth - 1):
+        r = direct(r, cyclic(2))
+    return r
+
+
+def test_a_recipe_at_the_depth_bound_is_built():
+    g = construct_group(_chain(MAX_RECIPE_DEPTH))
+    assert (g.degree, g.order) == (2 * MAX_RECIPE_DEPTH, 2**MAX_RECIPE_DEPTH)
+
+
+@pytest.mark.parametrize("depth", [MAX_RECIPE_DEPTH + 1, 600, 5000])
+def test_a_recipe_nested_past_the_depth_bound_is_a_parse_error(depth):
+    with pytest.raises(ParseError, match="nested deeper"):
+        recipe_from_json(_chain(depth))
+    with pytest.raises(ParseError, match="nested deeper"):
+        construct_group(wreath(cyclic(2), _chain(depth)))
 
 
 def test_alternating_small_cases():
