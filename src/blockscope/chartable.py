@@ -7,12 +7,11 @@ ell^2 > 4|G|, are the central characters mod ell.  Class matrices are
 counted only when the splitting reads them.  Each one splits only the
 subspaces on which it does not act as a scalar (Schneider 1990), by the
 kernels at the roots of its restriction's characteristic polynomial, the
-roots found by evaluating it on all of GF(ell) at once; subspaces stay rref
-bases with their pivots, and eliminations are rank-one array updates.
-A class matrix is counted by array operations on base images: products
-are composed at the base points only and named by the exact element keys
-of groups._ElementIndex, whose codes stay below |G| * degree, so int64
-never overflows for a group the order cap admits.
+roots found by evaluating it on all of GF(ell) at once, each kernel from
+one elimination; a subspace is a basis that is the identity on a set of
+columns.  A class matrix is counted on base images: products are composed
+at the base points only and named by the element keys of
+groups._ElementIndex, their coordinates in the BSGS.
 Degrees are recovered from the orthogonality relation, and the exact
 character values, integer vectors in the power basis of Z[zeta_e], are
 reconstructed by discrete Fourier inversion over the power maps, using the
@@ -196,8 +195,6 @@ def _count_class_products(group: PermGroup, i: int) -> np.ndarray:
     the base images of x^-1 z_k; their keys give their classes, and counting
     the classes gives column k.  The classes k are taken a few at a time, at
     most |G| products per block, so a block is never larger than the index.
-    Keys are found from codes below |G| * degree, so the int64 arithmetic
-    cannot overflow.
     """
     classes, class_at = group._class_walk()
     r = len(classes)
@@ -244,17 +241,15 @@ def _build_table(group: PermGroup) -> CharacterTable:
         raise CapExceeded(f"{r} classes of exponent {exponent} mod {ell} "
                           "overflow int64 arithmetic")
 
-    eigvecs = _common_eigenvectors(lambda i: _class_matrix(group, i), r, ell)
-    if len(eigvecs) != r:
-        raise InternalInconsistency(
-            f"expected {r} one-dimensional eigenspaces, found {len(eigvecs)}")
+    # the central characters mod ell: 1 at the identity class, the leading entry
+    v = _common_eigenvectors(lambda i: _class_matrix(group, i), r, ell)
+    if len(v) != r:
+        raise InternalInconsistency(f"expected {r} one-dimensional eigenspaces, found {len(v)}")
 
     inverse_class = tuple(
         group.classes_of([c.representative.inverse() for c in classes]).tolist())
     size_inv = np.array([pow(c.size % ell, -1, ell) for c in classes], dtype=np.int64)
 
-    # normalize so the identity-class entries are 1
-    v = eigvecs * np.array([pow(int(x), -1, ell) for x in eigvecs[:, 0]])[:, None] % ell
     # degrees from the orthogonality relation
     norms = (v * v[:, inverse_class] % ell * size_inv % ell).sum(axis=1) % ell
     degrees = _sqrt_small([n * pow(int(x), -1, ell) % ell for x in norms], ell, n)
@@ -300,18 +295,19 @@ def _root_of_order(k: int, ell: int) -> int:
 
 
 def _common_eigenvectors(class_matrix, r: int, ell: int):
-    """Split GF(ell)^r into common eigenlines of the class matrices.
+    """Split GF(ell)^r into common eigenlines of the class matrices, each
+    returned with leading entry 1.
 
-    Each subspace is an rref row basis b with its pivot columns.
-    class_matrix(i), read for i = 1, 2, ... until every subspace is a line,
-    acts on row vectors by M^T; its restriction A to a subspace, with
-    A b = b M^T, is read off the pivot columns.  A subspace on which M acts
-    as a scalar is kept whole (Schneider, "Dixon's character table algorithm
-    revisited", J. Symbolic Comput. 9, 1990); any other splits into the
-    eigenspaces of A at the roots of its characteristic polynomial, found
-    by Horner's rule at all points of GF(ell) at once.  The eigen-rows c of
-    A (c A = lambda c) form the rref kernel K of A^T - lambda I, with pivots
-    kp, so K b is again in rref, with pivots pivots[kp].
+    Each subspace is a row basis b with b[:, pivots] = I.  class_matrix(i),
+    read for i = 1, 2, ... until every subspace is a line, acts on row
+    vectors by M^T; its restriction A to a subspace, with A b = b M^T, is
+    read off the pivot columns.  A subspace on which M acts as a scalar is
+    kept whole (Schneider, "Dixon's character table algorithm revisited",
+    J. Symbolic Comput. 9, 1990); any other splits into the eigenspaces of A
+    at the roots of its characteristic polynomial, found by Horner's rule at
+    all points of GF(ell) at once.  The eigen-rows c of A (c A = lambda c)
+    form the kernel K of A^T - lambda I, with K[:, f] = I on its free
+    columns f (exact._nullspace_mod), so K b is the identity on pivots[f].
     """
     spaces = [(np.eye(r, dtype=np.int64), list(range(r)))]
     points = np.arange(ell, dtype=np.int64)
@@ -334,15 +330,16 @@ def _common_eigenvectors(class_matrix, r: int, ell: int):
                 value = (value * points + c) % ell
             remaining = d
             for lam in np.flatnonzero(value == 0):
-                ker, kp = _nullspace_mod((at - int(lam) * np.eye(d, dtype=np.int64)) % ell, ell)
+                ker, free = _nullspace_mod((at - int(lam) * np.eye(d, dtype=np.int64)) % ell, ell)
                 if ker.shape[0] == 0:
                     raise InternalInconsistency("an eigenvalue has no eigenvector")
-                new_spaces.append(((ker @ b) % ell, [pivots[k] for k in kp]))
+                new_spaces.append(((ker @ b) % ell, [pivots[k] for k in free]))
                 remaining -= ker.shape[0]
             if remaining != 0:  # pragma: no cover - the algebra splits over GF(ell)
                 raise InternalInconsistency("eigen decomposition did not split")
         spaces = new_spaces
-    return np.array([b[0] for b, _ in spaces])
+    lines = np.array([b[0] for b, _ in spaces])
+    return lines * np.array([pow(int(x[x != 0][0]), -1, ell) for x in lines])[:, None] % ell
 
 
 def _charpoly_mod(a: np.ndarray, ell: int) -> np.ndarray:
@@ -350,7 +347,8 @@ def _charpoly_mod(a: np.ndarray, ell: int) -> np.ndarray:
 
     Reduces a to upper Hessenberg form by similarity, then runs the
     recurrence of Cohen, A Course in Computational Algebraic Number
-    Theory, Algorithm 2.2.9.
+    Theory, Algorithm 2.2.9, with the terms of the earlier polynomials in
+    each step summed by one vector-matrix product.
     """
     h = a % ell
     d = h.shape[0]
@@ -366,17 +364,17 @@ def _charpoly_mod(a: np.ndarray, ell: int) -> np.ndarray:
         # rows k > m lose u_k times row m; column m gains u_k times column k
         h[m + 1:] = (h[m + 1:] - np.outer(u, h[m])) % ell
         h[:, m] = (h[:, m] + h[:, m + 1:] @ u) % ell
-    polys = [np.ones(1, dtype=np.int64)]
+    polys = np.zeros((d + 1, d + 1), dtype=np.int64)   # row m: p_m, constant term first
+    polys[0, 0] = 1
+    sub = np.ones(d, dtype=np.int64)   # sub[i - 1] = h[i, i-1] ... h[m-1, m-2], i < m
     for m in range(1, d + 1):
-        prev = polys[m - 1]
-        p = np.zeros(m + 1, dtype=np.int64)
+        sub[:m - 1] = sub[:m - 1] * h[m - 1, m - 2] % ell
+        p, prev = polys[m, :m + 1], polys[m - 1, :m]
         p[1:] = prev
-        p[:m] -= int(h[m - 1, m - 1]) * prev
-        sub = 1
-        for i in range(m - 1, 0, -1):
-            sub = sub * int(h[i, i - 1]) % ell
-            p[:i] -= (int(h[i - 1, m - 1]) * sub % ell) * polys[i - 1]
-        polys.append(p % ell)
+        p[:m] -= h[m - 1, m - 1] * prev
+        # p_m -= sum over i < m of h[i-1, m-1] sub[i - 1] p_(i-1)
+        p[:m - 1] -= h[:m - 1, m - 1] * sub[:m - 1] % ell @ polys[:m - 1, :m - 1]
+        p %= ell
     return polys[d]
 
 

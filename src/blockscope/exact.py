@@ -117,12 +117,13 @@ def _rref_mod(a: np.ndarray, ell: int):
 
 
 def _nullspace_mod(a: np.ndarray, ell: int):
-    """(kernel {x : a x = 0} mod ell as an rref row basis, its pivot columns)."""
-    rows, cols = a.shape
+    """(basis of the kernel {x : a x = 0} mod ell, the free columns): from
+    the one rref of a, a row per non-pivot column c, 1 at c, 0 at the other
+    free columns and minus rref column c at the pivots."""
     r, pivots = _rref_mod(a.copy(), ell)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=a.dtype)
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), a.shape[1]), dtype=a.dtype)
     basis[np.arange(len(free)), free] = 1
     if pivots:
         basis[:, pivots] = -r[:len(pivots), free].T % ell
-    return _rref_mod(basis, ell)
+    return basis, free

@@ -25,11 +25,10 @@ reads.  Derived data (classes, element lists, local subgroups) is memoised
 on the instance.  Array kernels (the class walk and the orbit walks, which
 share one conjugation map per generator; the class-sum structure constants;
 the Cayley table of a p-group, on which its subgroups are enumerated) name
-elements by the exact integer keys of :class:`_ElementIndex`, read from
-the base columns of the image rows, and gather whatever other columns
-they need from the rows.  The class walk builds one Perm per class, not
-per element; the orbit walks name orbit members by the objects of
-`elements()`, which they share.
+elements by their coordinates in the BSGS (:class:`_ElementIndex`), which
+are their row numbers, and gather whatever columns they need from the
+rows.  The class walk builds one Perm per class, not per element; the
+orbit walks name orbit members by the objects of `elements()`.
 """
 
 from __future__ import annotations
@@ -86,9 +85,9 @@ class _BSGS:
     points under the new generator and from the new points under every
     generator of the level.  Each step that lands on a known point
     queues its Schreier pair (point, generator); :meth:`_close` sifts the
-    queued pairs, deepest level first, until none is left.  A pair that
-    sifts to the identity stays a member for good, because the transversals
-    it sifted through never change, so every pair is sifted exactly once.
+    queued pairs, deepest level first, until none is left or a known order
+    is reached.  A pair that sifts to the identity stays a member for good,
+    as the transversals it sifted through never change: no pair is sifted twice.
     A group grown one element at a time (stabilizers, normal closures)
     extends a single instance with :meth:`add`.
     """
@@ -167,20 +166,25 @@ class _BSGS:
     def contains(self, g: Perm) -> bool:
         return self.sift(g).is_identity()
 
-    def add(self, g: Perm) -> bool:
-        """Extend the group by g; False, and no change, when g is a member."""
+    def add(self, g: Perm, order: int = 0) -> bool:
+        """Extend the group by g; False, and no change, when g is a member.
+        Sifting stops once the orbit lengths multiply to `order`, when given
+        the order of a group that holds every element added: the product
+        reaches it only when the transversals give every element, so each
+        pair still queued would sift to the identity, and is dropped."""
         if self.contains(g):
             return False
         self._insert(g)
-        self._close()
+        self._close(order)
         return True
 
-    def _close(self):
+    def _close(self, order: int = 0):
         # every Schreier generator u_pt g u_(g pt)^-1 must sift to the identity
-        level = len(self.base) - 1
+        done, level = self.order() == order, len(self.base) - 1
         while level >= 0:
             pending = self.pending[level]
-            if not pending:
+            if done or not pending:
+                pending.clear()
                 level -= 1
                 continue
             pt, g = pending.pop()
@@ -188,7 +192,7 @@ class _BSGS:
             r = self.sift(s)
             if not r.is_identity():
                 self._insert(r)
-                level = len(self.base) - 1
+                done, level = self.order() == order, len(self.base) - 1
 
     def _factored(self) -> tuple[np.ndarray, np.ndarray]:
         """(first, rest) as image rows: the first level's transversal, in
@@ -338,14 +342,14 @@ class PermGroup:
         """The classes, and the class index of each element key.
 
         Elements are ranked in Perm order, one lexsort over their image rows
-        (:func:`_rows_by_key`); the conjugation maps of
+        (:meth:`element_images`); the conjugation maps of
         :func:`_conjugation_maps` give one successor map of ranks per
         generator.  Each orbit is labelled by its least rank: every element
         takes the least label over its successors until nothing changes.  A
         class's representative is its least member in Perm order, the one
         Perm the walk builds per class.
         """
-        rows = _rows_by_key(self)
+        rows = self.element_images()
         n = len(rows)
         keys = _perm_order(rows)   # by rank
         rank_of_key = np.empty(n, dtype=np.intp)
@@ -396,56 +400,50 @@ class PermGroup:
 
 
 class _ElementIndex:
-    """Exact integer keys for the elements of a group, read from base images.
+    """Exact integer keys for the elements of a group: their coordinates in
+    its BSGS (Seress, *Permutation Group Algorithms*, 2003, sec. 4.1).
 
-    An element is determined by its images of the base b_1, ..., b_m of the
-    group's BSGS.  Its key is the rank of that image tuple in lexicographic
-    order, found one base point at a time: the code at level t is
-    rank_(t-1) * degree + x(b_t), and rank_t is its position among the
-    distinct codes of the group's elements at that level.  A rank is below
-    |G|, so a code is below |G| * degree <= ORDER_CAP * degree, under 2^34
-    at the recipe cap of 2^14 points: int64 holds every code exactly.  (A
-    plain degree^m radix would not: 11 disjoint transpositions on 64 points
-    have base length 11, and 64^11 = 2^66.)
-
-    Built from the columns at the base of `group.element_images()`, it
-    holds no Perm.  `images[k]` holds the base images of the element with
-    key k, in the smallest integer dtype that holds a point, and `row[k]`
-    that element's row of `group.element_images()`, which is also its
-    position in `group.elements()`.
+    An element is x = u_1 u_2 ... u_m (u_m applied first), u_t the element
+    of level t's transversal that maps b_t into the basic orbit Delta_t.
+    Its key is the places of u_1, ..., u_m in the sorted orbits read in mixed
+    radix, level 1 most significant: x's row of `group.element_images()`,
+    laid out in that order, and its position in `group.elements()`.  A key
+    is below |G|.  :meth:`keys` sifts base images: at level t the image of
+    b_t gives u_t, through `position` (point -> place in Delta_t), and the
+    later base images are mapped through `inverse` (row j: the images of
+    the j-th u_t^-1).  `images[k]` holds the base images of the element of
+    key k, each array in the least integer dtype; the index holds no Perm.
     """
 
-    __slots__ = ("degree", "base", "levels", "images", "row")
+    __slots__ = ("base", "position", "inverse", "images")
 
     def __init__(self, group: "PermGroup"):
-        self.degree = group.degree
         self.base = list(group.bsgs.base)
-        images = group.element_images()[:, self.base]
-        self.levels = []   # per base point: the sorted distinct codes
-        rank = np.zeros(len(images), dtype=np.int64)
-        for column in images.T:
-            level, rank = np.unique(rank * self.degree + column, return_inverse=True)
-            self.levels.append(level)
-        self.images = np.empty_like(images)
-        self.images[rank] = images
-        self.row = np.argsort(rank).astype(np.min_scalar_type(len(images) - 1))
+        point = np.min_scalar_type(max(group.degree - 1, 0))
+        self.position, self.inverse = [], []
+        for inverses in group.bsgs.inverses:
+            orbit = sorted(inverses)
+            position = np.zeros(group.degree, dtype=np.min_scalar_type(len(orbit) - 1))
+            position[orbit] = np.arange(len(orbit))
+            self.position.append(position)
+            self.inverse.append(np.array([inverses[pt].images for pt in orbit], dtype=point))
+        self.images = group.element_images()[:, self.base]
 
     def keys(self, images: np.ndarray) -> np.ndarray:
         """Keys of the members whose base images are the rows of `images`."""
-        rank = np.zeros(len(images), dtype=np.int64)
-        for level, column in zip(self.levels, images.T):
-            rank = np.searchsorted(level, rank * self.degree + column)
-        return rank
+        key = np.zeros(len(images), dtype=np.intp)
+        columns = list(images.T)
+        for t, (position, inverse) in enumerate(zip(self.position, self.inverse)):
+            at = position[columns[t]]
+            key = key * len(inverse) + at
+            # one flat gather per later column: u_t^-1 starts at row * degree
+            start, flat = at.astype(np.intp) * inverse.shape[1], inverse.ravel()
+            columns[t + 1:] = [flat[start + c] for c in columns[t + 1:]]
+        return key
 
 
 def _element_index(group: "PermGroup") -> _ElementIndex:
     return group._memo("element_index", lambda: _ElementIndex(group))
-
-
-def _rows_by_key(group: "PermGroup") -> np.ndarray:
-    """rows[k]: the images of the element with key k; gathered afresh, not
-    memoised, so no group keeps a full row per element."""
-    return group.element_images()[_element_index(group).row]
 
 
 def _perm_order(rows: np.ndarray) -> np.ndarray:
@@ -460,8 +458,9 @@ def _conjugation_maps(group: "PermGroup") -> np.ndarray:
     column gather per generator from the image rows: (x^g)(b) = g(x(g^-1(b)))."""
     def compute():
         index = _element_index(group)
-        rows = _rows_by_key(group)
-        maps = np.empty((len(group.generators), len(rows)), dtype=index.row.dtype)
+        rows = group.element_images()
+        maps = np.empty((len(group.generators), len(rows)),
+                        dtype=np.min_scalar_type(len(rows) - 1))
         for t, g in enumerate(group.generators):
             inv = g.inverse().images
             moved = rows[:, [inv[b] for b in index.base]]
@@ -503,10 +502,10 @@ def _stabilizer_of_action(group: PermGroup, seed) -> tuple[dict, PermGroup, np.n
     `elements()`, is given a witness w_y with seed^(w_y) = y, one product
     per tree step.  In step order, the Schreier generator w_x g w_y^-1 of
     each other step x -> y then extends the stabilizer's BSGS, which the
-    returned handle keeps, until its order is |group| / |orbit|.  It is then the whole
-    stabilizer, so each later Schreier generator, which fixes the seed, is
-    a member, and `_BSGS.add` of a member returns False and changes
-    nothing: the result is the one sifting them all gives.
+    returned handle keeps, until its order is |group| / |orbit|, at which
+    each `add` also stops its closure.  It is then the whole stabilizer, so
+    each later Schreier generator, which fixes the seed, is a member, and
+    `_BSGS.add` of a member changes nothing: the result is the one sifting them all gives.
 
     A seed fixed by every generator returns `group` itself, memos shared.
     The walk would build the same BSGS (base, transversals, element order):
@@ -543,12 +542,12 @@ def _stabilizer_of_action(group: PermGroup, seed) -> tuple[dict, PermGroup, np.n
             witness.append(witness[i] * g)
         elif bsgs.order() < target:
             s = witness[i] * g * witness[j].inverse()
-            if bsgs.add(s):
+            if bsgs.add(s, target):
                 gens.append(s)
     elems = space.elements()
     keys = np.stack(found)
     orbit = {seed: group.identity}
-    for rows, w in zip(index.row[keys[1:]].tolist(), witness[1:]):
+    for rows, w in zip(keys[1:].tolist(), witness[1:]):
         orbit[elems[rows[0]] if single else frozenset(map(elems.__getitem__, rows))] = w
     return orbit, _with_bsgs(group, gens, bsgs), keys
 
@@ -722,7 +721,8 @@ def _cayley_table(pgrp: PermGroup) -> tuple[np.ndarray, dict]:
         n, m = len(full), len(index.base)
         position = {x: i for i, x in enumerate(pgrp.elements())}
         products = full[np.arange(n)[None, :, None], full[:, index.base][:, None, :]]
-        return index.row[index.keys(products.reshape(n * n, m))].reshape(n, n), position
+        keys = index.keys(products.reshape(n * n, m)).astype(np.min_scalar_type(n - 1))
+        return keys.reshape(n, n), position
     return pgrp._memo("cayley_table", compute)
 
 
@@ -823,7 +823,7 @@ def _sylow_subgroup_classes(group: PermGroup, p: int) -> SubgroupClasses:
     the order of the members' sorted element images.
     """
     rank = np.empty(group.order, dtype=np.intp)
-    rank[_perm_order(_rows_by_key(group))] = np.arange(group.order)
+    rank[_perm_order(group.element_images())] = np.arange(group.order)
     found = []      # per orbit: [canonical key, members inside P]
     position = {}   # element set of every orbit member -> its orbit's place in found
     # the subgroups come sorted, so a class's first member met is its least in P

@@ -434,34 +434,18 @@ def test_element_keys_stay_exact_past_a_radix_of_the_base():
     assert index.keys(at_base).tolist() == [key_of[x * y] for x, y in zip(xs, ys)]
 
 
-def _index_oracle(g):
-    """Oracle: base, levels, base images by key, and the key of each of
-    g.elements(), by sorting the elements' base image tuples in Python."""
-    base = list(g.bsgs.base)
-    tuples = [tuple(x(b) for b in base) for x in g.elements()]
-    levels = []
-    for t in range(1, len(base) + 1):
-        prefix_rank = {q: i for i, q in enumerate(sorted({u[:t - 1] for u in tuples}))}
-        levels.append(sorted({prefix_rank[u[:t - 1]] * g.degree + u[t - 1] for u in tuples}))
-    ordered = sorted(tuples)
-    key = {u: k for k, u in enumerate(ordered)}
-    return base, levels, [list(u) for u in ordered], [key[u] for u in tuples]
-
-
 @pytest.mark.parametrize("name", [*RECIPES, "trivial"])
 def test_the_array_built_index_matches_one_built_from_the_elements(name):
     g = PermGroup(3, []) if name == "trivial" else construct_group(RECIPES[name])
     index = _element_index(g)
     assert "elements" not in g._cache   # built from the image array alone
-    base, levels, images, keys = _index_oracle(g)
-    assert index.base == base
-    assert [level.tolist() for level in index.levels] == levels
-    assert index.images.tolist() == images
-    assert index.images.dtype == np.min_scalar_type(g.degree - 1)
+    assert index.base == list(g.bsgs.base)
     elems = g.elements()
-    assert index.keys(_images_at(elems, index.base, index.images.dtype)).tolist() == keys
-    # a key's row of the image array is its element's position in elements()
-    assert [keys[r] for r in index.row.tolist()] == list(range(g.order))
+    # the key of elements()[k] is k, and images[k] holds its base images
+    assert index.images.tolist() == [[x(b) for b in index.base] for x in elems]
+    assert index.images.dtype == np.min_scalar_type(g.degree - 1)
+    assert index.keys(_images_at(elems, index.base, index.images.dtype)).tolist() == \
+        list(range(g.order))
     assert g.element_images().tolist() == [list(x.images) for x in elems]
 
 
@@ -561,8 +545,8 @@ def test_the_class_pass_sifts_no_schreier_generator_once_the_stabilizer_is_compl
     import blockscope.groups
     sifted = []   # (BSGS, its order when a Schreier generator was added)
     add = _BSGS.add
-    monkeypatch.setattr(_BSGS, "add", lambda self, x: sifted.append((self, self.order()))
-                        or add(self, x))
+    monkeypatch.setattr(_BSGS, "add", lambda self, x, *order: sifted.append((self, self.order()))
+                        or add(self, x, *order))
     walks = []
     walk = blockscope.groups._stabilizer_of_action
     monkeypatch.setattr(blockscope.groups, "_stabilizer_of_action",
@@ -573,6 +557,29 @@ def test_the_class_pass_sifts_no_schreier_generator_once_the_stabilizer_is_compl
     assert complete
     assert not [order for bsgs, order in sifted
                 if order >= complete.get(id(bsgs), order + 1)]
+
+
+@pytest.mark.parametrize("name", ["S5", "L48", "G96", "K192"])
+def test_a_closure_stopped_at_the_known_order_builds_the_same_bsgs(name, monkeypatch):
+    g = group(name)
+    *first, last = g.generators
+    h_order = PermGroup(g.degree, first).order
+    sifted = []
+    sift = _BSGS.sift
+    monkeypatch.setattr(_BSGS, "sift", lambda self, x: sifted.append(self) or sift(self, x))
+    stopped = _BSGS(g.degree, [])
+    for x in first:
+        stopped.add(x, h_order)
+    full = _BSGS(g.degree, first)
+    state = lambda b: (b.base, b.level_gens, b.orbits, b.inverses)
+    assert stopped.order() == h_order
+    assert state(stopped) == state(full)
+    assert sifted.count(stopped) < sifted.count(full)   # the stop skipped sifts
+    assert not any(stopped.pending)   # the pairs left are dropped
+    # and the BSGS grows on as a full closure's does
+    stopped.add(last)
+    full.add(last)
+    assert state(stopped) == state(full) == state(_BSGS(g.degree, g.generators))
 
 
 def test_a_walk_in_a_group_over_the_order_cap_is_refused():
