@@ -32,7 +32,8 @@ from .classify import (check_local_structure, classify_case, count_weights,
 from .errors import (BlockscopeError, CapExceeded, InputError, InternalInconsistency,
                      ParseError)
 from .exact import is_prime, p_part
-from .groups import SUBGROUP_ENUM_CAP, PermGroup, normalizer
+from . import groups
+from .groups import PermGroup, normalizer
 from .recipes import construct_group, recipe_from_json
 
 __all__ = ["CatalogEntry", "load_catalog", "builtin_catalog_path", "run_catalog",
@@ -117,10 +118,9 @@ def analyze_group(group: PermGroup, p: int, strict_lt_threshold: bool = False) -
     """
     if not is_prime(p):
         raise InputError(f"p = {p} is not a prime")
-    sylow_order = p_part(group.order, p)
-    if sylow_order > SUBGROUP_ENUM_CAP:
-        raise CapExceeded(
-            f"|P| = {sylow_order} exceeds enumeration cap {SUBGROUP_ENUM_CAP}")
+    sylow_order, cap = p_part(group.order, p), groups.SUBGROUP_ENUM_CAP
+    if sylow_order > cap:
+        raise CapExceeded(f"|P| = {sylow_order} exceeds enumeration cap {cap}")
     report = classify_case(group, p, strict_lt_threshold=strict_lt_threshold)
     out = {
         "case_label": report.case_label,

@@ -246,8 +246,11 @@ def _build_table(group: PermGroup) -> CharacterTable:
     if len(v) != r:
         raise InternalInconsistency(f"expected {r} one-dimensional eigenspaces, found {len(v)}")
 
-    inverse_class = tuple(
-        group.classes_of([c.representative.inverse() for c in classes]).tolist())
+    # power_classes[j][s] = class of z_j^s; z_j^(o - 1) = z_j^-1
+    powers = iter(group.classes_of([c.representative ** s for c in classes
+                                    for s in range(c.element_order)]).tolist())
+    power_classes = [list(islice(powers, c.element_order)) for c in classes]
+    inverse_class = tuple(pows[-1] for pows in power_classes)
     size_inv = np.array([pow(c.size % ell, -1, ell) for c in classes], dtype=np.int64)
 
     # degrees from the orthogonality relation
@@ -258,10 +261,6 @@ def _build_table(group: PermGroup) -> CharacterTable:
     # z_e from the least primitive root: an omega of order e found directly
     # could be another power of it, and would Galois-conjugate the table
     z_e = pow(_root_of_order(ell - 1, ell), (ell - 1) // exponent, ell)
-    # power_classes[j][s] = class of z_j^s
-    powers = iter(group.classes_of([c.representative ** s for c in classes
-                                    for s in range(c.element_order)]).tolist())
-    power_classes = [list(islice(powers, c.element_order)) for c in classes]
     coords = _lift_columns(chi_mod, degrees, power_classes, z_e, exponent, ell)
     order = _row_order(degrees.tolist(), coords, exponent)
     degrees = tuple(degrees[order].tolist())

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .errors import InputError, MethodDisagreement, NoComplementFound, NotAbelian
 from .exact import is_prime, p_part, prime_factors
-from .groups import (PermGroup, _cayley_table, abelian_invariants, centralizer,
-                     conjugation_image, normalizer, normal_closure,
+from .groups import (PermGroup, _BSGS, _cayley_table, _with_bsgs, abelian_invariants,
+                     centralizer, conjugation_image, normalizer, normal_closure,
                      o_p_residual, quotient_by_normal, same_subgroup, sylow_subgroup,
                      sylow_subgroup_classes)
 from .perms import Perm
@@ -86,11 +86,12 @@ class FusionSystem:
         return report
 
     def _hyperfocal_residual(self) -> PermGroup:
-        """P meet O^p(G), the hyperfocal subgroup by the residual characterization."""
+        """P meet O^p(G), the hyperfocal subgroup by the residual characterization;
+        its handle keeps the BSGS that its generators were added to."""
         opg = o_p_residual(self.group, self.p)
-        q = self.group.subgroup([])
-        return self.group.subgroup([x for x in self.sylow.elements()
-                                    if x in opg and q.bsgs.add(x)])
+        bsgs = _BSGS(self.group.degree, [])
+        gens = [x for x in self.sylow.elements() if x in opg and bsgs.add(x)]
+        return _with_bsgs(self.group, gens, bsgs)
 
     def _hyperfocal_commutator(self) -> PermGroup:
         """The hyperfocal subgroup from Alperin's generators of the fusion system.
@@ -144,12 +145,13 @@ class FusionSystem:
         out = []
         classes = sylow_subgroup_classes(self.group, self.p)
         orbit_sizes = Counter(classes.class_of.values())
-        for i, (u, members) in enumerate(zip(classes.reps, classes.members)):
+        for i, members in enumerate(classes.members):
+            u = members[0]
             # P is Sylow in N_G(P), so Out_F(P) is a p'-group and P is never
             # essential: no automizer of P is built
-            if len(members[0][0]) in (1, self.sylow.order):
+            if u.order in (1, self.sylow.order):
                 continue
-            if not all(self._centric_local(uset, gens) for uset, gens in members):
+            if not all(map(self._centric_local, members)):
                 continue
             # |N_G(u)| = |G| / |orbit of u|, each member labelled in class_of;
             # when that is a power of p, Out_F(u) is a p-group and has no
@@ -165,25 +167,20 @@ class FusionSystem:
         self._cache["essentials"] = out
         return out
 
-    def _centric_local(self, uset, gens) -> bool:
-        """No y in P outside u commutes with u's generators `gens`, that is
-        C_P(u) = Z(u).  Read from P's Cayley table: y commutes with x exactly
-        when mult[y, x] == mult[x, y]."""
+    def _centric_local(self, u: PermGroup) -> bool:
+        """No y in P outside u, a member handle of a class record, commutes
+        with u's generators, that is C_P(u) = Z(u).  Read from P's Cayley
+        table: y commutes with x exactly when mult[y, x] == mult[x, y]."""
         mult, position = _cayley_table(self.sylow)
-        at = [position[x] for x in gens]
+        at = [position[x] for x in u.generators]
         commuting = (mult[:, at] == mult[at, :].T).all(axis=1).tolist()
+        uset = u.element_set()
         return all(y in uset for y, c in zip(self.sylow.elements(), commuting) if c)
 
     def _fully_normalized_rep(self, members) -> PermGroup:
-        """Of a class's members (element set, generators) inside P, the one
-        maximizing |N_P(member)|, the first in enumeration order on ties."""
-        best = None
-        for _, gens in members:
-            member = self.group.subgroup(gens)
-            nsize = normalizer(self.sylow, member).order
-            if best is None or nsize > best[0]:
-                best = (nsize, member)
-        return best[1]
+        """Of a class's member handles inside P, the one maximizing
+        |N_P(member)|, the first in enumeration order on ties."""
+        return max(members, key=lambda m: normalizer(self.sylow, m).order)
 
     # -- odd complements and their fixed points
 

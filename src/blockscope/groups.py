@@ -18,7 +18,9 @@ subgroup per prime.
 The G-classes of p-subgroups are one record per group and prime
 (:func:`sylow_subgroup_classes`), made in the pass that enumerates the
 subgroups of a Sylow subgroup and walks each conjugation orbit once;
-blocks and fusion read it and walk no orbit of their own.
+each member inside the Sylow subgroup is one handle that knows its order
+and element set.  Blocks and fusion read the record and walk no orbit of
+their own.
 
 All objects are immutable after construction and safe for concurrent
 reads.  Derived data (classes, element lists, local subgroups) is memoised
@@ -27,8 +29,10 @@ share one conjugation map per generator; the class-sum structure constants;
 the Cayley table of a p-group, on which its subgroups are enumerated) name
 elements by their coordinates in the BSGS (:class:`_ElementIndex`), which
 are their row numbers, and gather whatever columns they need from the
-rows.  The class walk builds one Perm per class, not per element; the
-orbit walks name orbit members by the objects of `elements()`.
+rows.  The class walk builds one Perm per class, not per element; an
+orbit walk's seed is an element set (a centralizer walks one-element
+sets), and it names each orbit member as a frozenset of the objects of
+`elements()`.
 """
 
 from __future__ import annotations
@@ -194,34 +198,18 @@ class _BSGS:
                 self._insert(r)
                 done, level = self.order() == order, len(self.base) - 1
 
-    def _factored(self) -> tuple[np.ndarray, np.ndarray]:
-        """(first, rest) as image rows: the first level's transversal, in
-        point order, and every element of the stabilizer of the first base
-        point, the deeper levels composed in the same way.  u[rest] composes
-        rest with u, so the group's elements are the rows u[rest] for u in
-        first, the first level's element varying slowest."""
-        dtype = np.min_scalar_type(max(self.degree - 1, 0))
-        rest = np.arange(self.degree, dtype=dtype)[None, :]
-        first, *deeper = [np.array([u.images for _, u in sorted(orb.items())], dtype=dtype)
-                          for orb in self.orbits] or [rest]
-        for u in reversed(deeper):
-            rest = u[:, rest].reshape(-1, self.degree)
-        return first, rest
-
     def element_images(self) -> np.ndarray:
         """Every element once, as the products u_m ... u_2 u_1 of one
         transversal element per level: an (order x degree) array of image
-        rows, in the order of :meth:`iter_elements`."""
-        first, rest = self._factored()
-        return first[:, rest].reshape(-1, self.degree)
-
-    def iter_elements(self):
-        """The rows of :meth:`element_images` as Perms, one block per
-        element of the first level's transversal, so a caller that stops
-        early builds only the blocks it reads."""
-        first, rest = self._factored()
-        for u in first:
-            yield from map(Perm._raw, map(tuple, u[rest].tolist()))
+        rows, the first level's element varying slowest.  Each level's
+        transversal, in point order, composes the rows of the levels below
+        it: u[rows] composes rows with u."""
+        dtype = np.min_scalar_type(max(self.degree - 1, 0))
+        rows = np.arange(self.degree, dtype=dtype)[None, :]
+        for orb in reversed(self.orbits):
+            u = np.array([u.images for _, u in sorted(orb.items())], dtype=dtype)
+            rows = u[:, rows].reshape(-1, self.degree)
+        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +282,6 @@ class PermGroup:
 
     def __contains__(self, g: Perm) -> bool:
         return g.degree == self.degree and self.bsgs.contains(g)
-
-    def __len__(self):
-        return self.order
 
     def __repr__(self):
         label = self.name or "PermGroup"
@@ -490,36 +475,35 @@ def _with_bsgs(group: PermGroup, gens, bsgs: _BSGS) -> PermGroup:
 
 
 def _stabilizer_of_action(group: PermGroup, seed) -> tuple[dict, PermGroup, np.ndarray]:
-    """Conjugation orbit of `seed`, a permutation or a frozenset of them,
-    under `group`, the stabilizer of `seed`, and the orbit as keys: row i
-    holds the sorted element keys of the i-th orbit member.
+    """Conjugation orbit of `seed`, a frozenset of permutations, under
+    `group`, the stabilizer of `seed`, and the orbit as keys: row i holds
+    the sorted element keys of the i-th orbit member.
 
     The walk runs on element keys (:class:`_ElementIndex`) of `group`, or
     of <group, seed> for a seed outside it: a seed is its sorted key array,
     and a step under generator t a sorted gather through row t of
     :func:`_conjugation_maps`.  The whole orbit is walked breadth-first,
-    then each member y, a permutation or a frozenset of them, shared with
-    `elements()`, is given a witness w_y with seed^(w_y) = y, one product
-    per tree step.  In step order, the Schreier generator w_x g w_y^-1 of
-    each other step x -> y then extends the stabilizer's BSGS, which the
-    returned handle keeps, until its order is |group| / |orbit|, at which
-    each `add` also stops its closure.  It is then the whole stabilizer, so
-    each later Schreier generator, which fixes the seed, is a member, and
-    `_BSGS.add` of a member changes nothing: the result is the one sifting them all gives.
+    then each member y, a frozenset of the objects of `elements()`, is
+    given a witness w_y with seed^(w_y) = y, one product per tree step.
+    In step order, the Schreier generator w_x g w_y^-1 of each other step
+    x -> y then extends the stabilizer's BSGS, which the returned handle
+    keeps, until its order is |group| / |orbit|, at which each `add` also
+    stops its closure.  It is then the whole stabilizer, so each later
+    Schreier generator, which fixes the seed, is a member, and `_BSGS.add`
+    of a member changes nothing: the result is the one sifting them all
+    gives.
 
     A seed fixed by every generator returns `group` itself, memos shared.
     The walk would build the same BSGS (base, transversals, element order):
     its Schreier generators 1·g·1⁻¹ = g come in generator order, the `add`
     sequence of `group.bsgs`; its handle only dropped redundant generators.
     """
-    single = isinstance(seed, Perm)
-    points = [seed] if single else seed
     members = group.element_set()
-    outside = tuple(x for x in points if x not in members)
+    outside = tuple(x for x in seed if x not in members)
     space = PermGroup(group.degree, group.generators + outside) if outside else group
     index = _element_index(space)
     maps = _conjugation_maps(space)[:len(group.generators)]
-    start = np.sort(index.keys(_images_at(points, index.base, index.images.dtype)))
+    start = np.sort(index.keys(_images_at(seed, index.base, index.images.dtype)))
     found = [start.astype(maps.dtype)]
     place = {found[0].tobytes(): 0}
     steps = []   # (member, generator, image member), in walk order
@@ -548,7 +532,7 @@ def _stabilizer_of_action(group: PermGroup, seed) -> tuple[dict, PermGroup, np.n
     keys = np.stack(found)
     orbit = {seed: group.identity}
     for rows, w in zip(keys[1:].tolist(), witness[1:]):
-        orbit[elems[rows[0]] if single else frozenset(map(elems.__getitem__, rows))] = w
+        orbit[frozenset(map(elems.__getitem__, rows))] = w
     return orbit, _with_bsgs(group, gens, bsgs), keys
 
 
@@ -567,15 +551,12 @@ def _orbit_entry(group: PermGroup, sset: frozenset) -> tuple[dict, PermGroup, np
 
 def centralizer(g: PermGroup, h) -> PermGroup:
     """C_g(h) for a single permutation or a group handle h, which need not
-    lie in g: with h acting on g by conjugation, the fixed points of h.
-    When h centralizes g, this is g's own handle."""
-    if isinstance(h, Perm):
-        targets = [h]
-    else:
-        targets = list(h.generators)
+    lie in g: with h acting on g by conjugation, the fixed points of h,
+    the stabilizer of each one-element set {t}, t in turn h or each of its
+    generators.  When h centralizes g, this is g's own handle."""
     current = g
-    for t in targets:
-        current = _stabilizer_of_action(current, t)[1]
+    for t in [h] if isinstance(h, Perm) else h.generators:
+        current = _stabilizer_of_action(current, frozenset([t]))[1]
     return current
 
 
@@ -693,8 +674,7 @@ def _grow_sylow(g: PermGroup, p: int, s: PermGroup) -> PermGroup:
         if any(x ** y not in s for x in s.generators for y in g.generators):
             grown = sylow_subgroup(normalizer(g, s), p, s)
         else:
-            p_parts = (x ** (x.order() // p_part(x.order(), p))
-                       for x in g.bsgs.iter_elements())
+            p_parts = (x ** (x.order() // p_part(x.order(), p)) for x in g.elements())
             z = next((z for z in p_parts if z not in s), None)
             grown = None if z is None else PermGroup(g.degree, list(s.generators) + [z])
         # neither can happen: each contradicts Sylow theory
@@ -783,22 +763,26 @@ def _subgroups_of_p_group(pgrp: PermGroup, p: int) -> dict[frozenset, tuple]:
 class SubgroupClasses:
     """The G-conjugacy classes of p-subgroups, from the subgroups of a Sylow
     p-subgroup P, ordered by (order, least sorted element images over the
-    class).  `reps[i]`: the least member of class i inside P, with the
-    generators the enumeration found and its order and element set read
-    from `members[i]`.  `class_of`: the element set of every
-    p-subgroup of G -> its class.  `members[i]`: (element set, generators)
-    of each member of class i inside P, in enumeration order.  Containment
+    class).  `members[i]`: a handle for each member of class i inside P, in
+    enumeration order, with the generators the enumeration found and its
+    order and element set known, so reading them builds no BSGS.
+    `reps[i]` is `members[i][0]`, the least member.  `class_of`: the
+    element set of every p-subgroup of G -> its class.  Containment
     between classes is computed on call, by :meth:`below`.
     """
 
-    reps: tuple
     class_of: dict
     members: tuple
+
+    @property
+    def reps(self) -> tuple:
+        return tuple(m[0] for m in self.members)
 
     def below(self, a: int, b: int) -> bool:
         """Some member of class a inside P, so some conjugate of reps[a],
         lies in reps[b]."""
-        return any(s <= self.members[b][0][0] for s, _ in self.members[a])
+        rep = self.members[b][0].element_set()
+        return any(s.element_set() <= rep for s in self.members[a])
 
     def index_of(self, h: PermGroup) -> int:
         """The class index of the p-subgroup h."""
@@ -835,14 +819,11 @@ def _sylow_subgroup_classes(group: PermGroup, p: int) -> SubgroupClasses:
             at = len(found)
             position.update(dict.fromkeys(orbit, at))
             found.append([(len(s), ranks[_perm_order(ranks)[0]].tolist()), []])
-        found[at][1].append((s, gens))
+        found[at][1].append(_with_elements(group, s, gens))
     order = sorted(range(len(found)), key=lambda i: found[i][0])
     index = {at: i for i, at in enumerate(order)}
-    members = tuple(tuple(found[at][1]) for at in order)
-    return SubgroupClasses(
-        reps=tuple(_with_elements(group, *m[0]) for m in members),
-        class_of={t: index[at] for t, at in position.items()},
-        members=members)
+    return SubgroupClasses(class_of={t: index[at] for t, at in position.items()},
+                           members=tuple(tuple(found[at][1]) for at in order))
 
 
 def _with_elements(group: PermGroup, elements: frozenset, gens) -> PermGroup:

@@ -421,8 +421,8 @@ def _all_classes_multiplicities(blk):
     from blockscope.exact import _rref_mod
     table, p = blk.table, blk.p
     classes = sylow_subgroup_classes(table.group, p)
-    sets = [m[0][0] for m in classes.members]
-    leq = [[any(s <= b for s, _ in m) for b in sets] for m in classes.members]
+    sets = [m[0].element_set() for m in classes.members]
+    leq = [[any(s.element_set() <= b for s in m) for b in sets] for m in classes.members]
     idempotents, ctx = block_idempotent_vectors(table, p)
     blocks = block_distribution(table, p)
     orbit = _frobenius_orbit(blk)

@@ -265,6 +265,22 @@ def test_sylow_over_the_enumeration_cap_is_refused_before_any_work(monkeypatch):
         catalog.analyze_group(construct_group(cyclic(512)), 2)
 
 
+def test_the_refusal_reads_the_enumeration_cap_of_groups(monkeypatch):
+    """Raising or lowering `groups.SUBGROUP_ENUM_CAP` moves the early refusal
+    too: S4's |P| = 8 is refused at a cap of 4, before any work."""
+    from blockscope import catalog, groups
+    from blockscope.errors import CapExceeded
+    from blockscope.recipes import construct_group, symmetric
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("classify_case ran before the cap check")
+
+    monkeypatch.setattr(groups, "SUBGROUP_ENUM_CAP", 4)
+    monkeypatch.setattr(catalog, "classify_case", no_work)
+    with pytest.raises(CapExceeded, match="exceeds enumeration cap 4$"):
+        catalog.analyze_group(construct_group(symmetric(4)), 2)
+
+
 @pytest.mark.parametrize("error, exit_code", [
     (RuntimeError, EXIT_VERDICT_FAIL), (InternalInconsistency, EXIT_INTERNAL),
     (InvalidAction, EXIT_INPUT)])

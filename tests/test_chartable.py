@@ -167,6 +167,21 @@ def test_inverse_class_values_are_conjugate():
                     _conjugate(table_value(table, i, j))
 
 
+TABLES_WORKLOAD = {
+    "S7": symmetric(7), "A8": alternating(8), "A5xA5": direct(alternating(5), alternating(5)),
+    "Z4wrZ4": wreath(cyclic(4), cyclic(4)), "Z8wrZ2": wreath(cyclic(8), cyclic(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECIPES) + sorted(TABLES_WORKLOAD))
+def test_inverse_class_is_the_class_of_each_inverted_representative(name):
+    """The power map's last entry, z^(o - 1) = z^-1, names the inverse class."""
+    g = group(name) if name in RECIPES else construct_group(TABLES_WORKLOAD[name])
+    table = character_table(g)
+    assert list(table.inverse_class) == g.classes_of(
+        [c.representative.inverse() for c in table.classes]).tolist()
+
+
 def test_values_are_algebraic_integers():
     for name in ("S5", "L48", "Z4wrZ2"):
         table = character_table(group(name))

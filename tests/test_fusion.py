@@ -4,7 +4,7 @@ from conftest import RECIPES, derived_subgroup, group
 from blockscope.blocks import p_subgroup_classes
 from blockscope.errors import InputError, MethodDisagreement, NotAbelian
 from blockscope.fusion import FusionSystem, _automizer_info, _strongly_p_embedded, omega1
-from blockscope.groups import (abelian_invariants, normal_closure, normalizer,
+from blockscope.groups import (abelian_invariants, normal_closure, normalizer, o_p_residual,
                                same_subgroup, sylow_subgroup, sylow_subgroup_classes)
 from blockscope.perms import Perm
 from blockscope.recipes import (alternating, construct_group, cyclic, direct,
@@ -134,6 +134,38 @@ def test_hyperfocal_two_methods(name, order, invariants):
     # the residual keeps an element of P meet O^p(G) only when it is new to
     # the subgroup grown so far, so each generator at least doubles it
     assert 2 ** len(rep.subgroup.generators) <= order
+
+
+def _residual_by_checked_subgroups(fs):
+    """Oracle: P meet O^p(G) grown in a throwaway subgroup's BSGS, then
+    rebuilt from its generators by the checked `group.subgroup`."""
+    opg = o_p_residual(fs.group, fs.p)
+    q = fs.group.subgroup([])
+    return fs.group.subgroup([x for x in fs.sylow.elements() if x in opg and q.bsgs.add(x)])
+
+
+@pytest.mark.parametrize("name", sorted(RECIPES))
+def test_the_residual_keeps_the_bsgs_it_grew(name, monkeypatch):
+    """The residual's handle holds the BSGS its generators were added to, the
+    one `_BSGS` the method builds besides O^p(G)'s normal closure, and it is
+    the BSGS the checked subgroup of the same generators builds afresh."""
+    from blockscope.groups import _BSGS
+    fs = fs_of(name)
+    fs.sylow.elements(), fs.group.conjugacy_classes()
+    built = []
+    init = _BSGS.__init__
+    monkeypatch.setattr(_BSGS, "__init__",
+                        lambda self, *a: built.append(self) or init(self, *a))
+    q = fs._hyperfocal_residual()
+    q.order, q.bsgs
+    assert len(built) == 2 and q._bsgs is built[1]
+    monkeypatch.undo()
+    want = _residual_by_checked_subgroups(fs)
+    assert q.generators == want.generators
+    assert q.bsgs.base == want.bsgs.base
+    assert q.bsgs.level_gens == want.bsgs.level_gens
+    assert [list(o.items()) for o in q.bsgs.orbits] == [list(o.items()) for o in want.bsgs.orbits]
+    assert q.elements() == want.elements()
 
 
 def test_hyperfocal_methods_that_disagree_are_refused(monkeypatch):
@@ -268,10 +300,11 @@ def _essentials_by_every_automizer(fs):
     centric check on Perm products."""
     out = []
     classes = sylow_subgroup_classes(fs.group, fs.p)
-    for u, members in zip(classes.reps, classes.members):
+    for members in classes.members:
+        u = members[0]
         if u.order in (1, fs.sylow.order):
             continue
-        if not all(_perm_centric(fs, uset, gens) for uset, gens in members):
+        if not all(_perm_centric(fs, m.element_set(), m.generators) for m in members):
             continue
         quo = fs.automizer_group(u)
         if _strongly_p_embedded(quo, fs.p):
@@ -296,7 +329,7 @@ def test_essential_search_builds_automizers_only_for_normalizers_that_are_not_p_
     assert built
     assert not [u for u in built if normalizer(fs.group, u).is_p_group(2)]
     classes = sylow_subgroup_classes(fs.group, 2)
-    assert [(classes.members[classes.index_of(e.representative)][0][0], e.automizer)
+    assert [(classes.reps[classes.index_of(e.representative)].element_set(), e.automizer)
             for e in got] == _essentials_by_every_automizer(fs)
 
 
@@ -315,12 +348,40 @@ def test_essential_search_reads_the_order_of_a_skipped_class_from_the_record(
     assert skipped and all(u._bsgs is None for u in skipped)
 
 
+def test_the_fully_normalized_representative_is_a_member_handle():
+    """On every group with essential classes: the representative is one of
+    its class's member handles, the one the loop over (element set,
+    generators) pairs, each rebuilt as a checked subgroup, picked."""
+    def by_pairs(fs, pairs):
+        best = None
+        for _, gens in pairs:
+            member = fs.group.subgroup(gens)
+            nsize = normalizer(fs.sylow, member).order
+            if best is None or nsize > best[0]:
+                best = (nsize, member)
+        return best[1]
+
+    checked = []
+    for name in RECIPES:
+        fs = fs_of(name)
+        classes = sylow_subgroup_classes(fs.group, 2)
+        for e in fs.essential_classes():
+            members = classes.members[classes.index_of(e.representative)]
+            assert any(e.representative is m for m in members)
+            assert fs._fully_normalized_rep(members) is e.representative
+            want = by_pairs(fs, [(m.element_set(), m.generators) for m in members])
+            assert e.representative.generators == want.generators
+            assert e.representative.element_set() == want.element_set()
+            checked.append(name)
+    assert {"S4", "G96", "K192"} <= set(checked)
+
+
 @pytest.mark.parametrize("name", ["S4", "G96", "K192", "W384"])
 def test_the_table_centric_check_matches_perm_products(name):
     fs = fs_of(name)
     for members in sylow_subgroup_classes(fs.group, 2).members:
-        for uset, gens in members:
-            assert fs._centric_local(uset, gens) == _perm_centric(fs, uset, gens)
+        for m in members:
+            assert fs._centric_local(m) == _perm_centric(fs, m.element_set(), m.generators)
 
 
 def test_l96_z6_controlled_but_not_central():

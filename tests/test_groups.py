@@ -196,7 +196,7 @@ def test_a_moved_seed_gets_the_stabilizer_of_index_its_orbit(name):
     import blockscope.groups
     g = construct_group(RECIPES[name])
     x = next(y for y in g.elements() if any(y ** h != y for h in g.generators))
-    for seed in (x, g.subgroup([x]).element_set()):
+    for seed in (frozenset([x]), g.subgroup([x]).element_set()):
         orbit, stab, _ = blockscope.groups._stabilizer_of_action(g, seed)
         assert len(orbit) > 1 and stab is not g
         assert stab.order == g.order // len(orbit)
@@ -289,15 +289,17 @@ def _conjugation_orbit(g, sset):
 
 
 def test_each_orbit_of_element_sets_is_walked_once(monkeypatch):
-    """A walk is a call of `_stabilizer_of_action` on an element set: the
-    class enumeration and every normalizer read the memoised walks."""
+    """A walk of a subgroup's element set is a call of `_stabilizer_of_action`
+    from `_orbit_entry`: the class enumeration and every normalizer read the
+    memoised walks.  A centralizer walks one-element sets outside the memo."""
+    import sys
     import blockscope.groups
     from blockscope.catalog import analyze_group
     walks = []
     stabilizer_of_action = blockscope.groups._stabilizer_of_action
 
     def recording_stabilizer(g, seed):
-        if isinstance(seed, frozenset):
+        if sys._getframe(1).f_code.co_name == "_orbit_entry":
             walks.append((g, seed))
         return stabilizer_of_action(g, seed)
 
@@ -461,13 +463,10 @@ def test_a_fresh_table_and_its_blocks_build_no_element_list():
 def _perm_walk(group, seed):
     """Oracle: the orbit-stabilizer walk on Perm objects, conjugating a
     frozenset seed member by member and sifting every Schreier generator."""
-    if isinstance(seed, frozenset):
-        canon = {x: x for x in seed}
-        actions = [(g, lambda s, c=g.conjugator(): frozenset(
-                        canon.setdefault(y, y) for y in map(c, s)))
-                   for g in group.generators]
-    else:
-        actions = [(g, g.conjugator()) for g in group.generators]
+    canon = {x: x for x in seed}
+    actions = [(g, lambda s, c=g.conjugator(): frozenset(
+                    canon.setdefault(y, y) for y in map(c, s)))
+               for g in group.generators]
     if all(act(seed) == seed for _, act in actions):
         return {seed: group.identity}, group
     orbit = {seed: group.identity}
@@ -493,12 +492,11 @@ def _assert_same_walk(g, seed):
     orbit, stab, keys = _stabilizer_of_action(g, seed)
     want = _perm_walk(g, seed)
     assert list(orbit.items()) == list(want[0].items())
-    points = lambda y: [y] if isinstance(y, Perm) else list(y)
-    if all(x in g for x in points(seed)):
+    if all(x in g for x in seed):
         # row i of the key array: the sorted keys of the i-th orbit member
         index = _element_index(g)
         assert [row.tolist() for row in keys] == [sorted(index.keys(_images_at(
-            points(y), index.base, index.images.dtype)).tolist()) for y in orbit]
+            y, index.base, index.images.dtype)).tolist()) for y in orbit]
     if len(want) == 2:
         assert stab is g
         return
@@ -506,7 +504,7 @@ def _assert_same_walk(g, seed):
     assert stab.generators == want[1].generators
     assert stab.bsgs.base == bsgs.base
     assert stab.bsgs.level_gens == bsgs.level_gens
-    assert stab.elements() == tuple(bsgs.iter_elements())
+    assert stab.elements() == want[1].elements()
 
 
 @pytest.mark.parametrize("name", ["S4", "S5", "L48", "G96", "K192"])
@@ -518,7 +516,7 @@ def test_the_key_walk_matches_the_perm_walk(name):
     for s in _subgroups_of_p_group(sylow_subgroup(g, 2), 2):
         _assert_same_walk(g, s)
     for c in g.conjugacy_classes():
-        _assert_same_walk(g, c.representative)
+        _assert_same_walk(g, frozenset([c.representative]))
 
 
 def test_the_key_walk_matches_the_perm_walk_on_seeds_outside_the_group():
@@ -535,8 +533,8 @@ def test_the_key_walk_matches_the_perm_walk_on_seeds_outside_the_group():
     outside = 0
     for t in e.generators:
         outside += t not in current
-        _assert_same_walk(current, t)
-        current = _stabilizer_of_action(current, t)[1]
+        _assert_same_walk(current, frozenset([t]))
+        current = _stabilizer_of_action(current, frozenset([t]))[1]
     assert outside
 
 
@@ -850,11 +848,10 @@ def test_members_are_the_conjugates_inside_the_sylow(name, p):
     classes = sylow_subgroup_classes(g, p)
     for r, members in zip(classes.reps, classes.members):
         inside = {t for t in _conjugation_orbit(g, r.element_set()) if t <= pset}
-        assert [s for s, _ in members] == sorted(
+        assert [m.element_set() for m in members] == sorted(
             inside, key=lambda t: sorted(x.images for x in t))
-        assert members[0] == (r.element_set(), r.generators)
-        for s, gens in members:
-            assert PermGroup(g.degree, gens).element_set() == s
+        for m in members:
+            assert PermGroup(g.degree, m.generators).element_set() == m.element_set()
 
 
 @pytest.mark.parametrize("name,p", _RECORD_CASES + [("K192", 2), ("W384", 2)])
@@ -866,16 +863,25 @@ def test_classes_are_ordered_by_the_least_sorted_images_over_the_class(name, p):
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("name,p", _RECORD_CASES + [("K192", 2)])
+def test_each_representative_is_its_first_member_handle(name, p):
+    classes = sylow_subgroup_classes(group(name), p)
+    assert len(classes.reps) == len(classes.members)
+    assert all(r is m[0] for r, m in zip(classes.reps, classes.members))
+
+
 @pytest.mark.parametrize("name,p", _RECORD_CASES)
 def test_representatives_read_their_order_and_elements_from_the_members(name, p):
+    """Every member handle, each representative among them, knows its order
+    and element set from the enumeration, and reading them builds no BSGS."""
     g = construct_group(RECIPES[name])
     classes = sylow_subgroup_classes(g, p)
-    for r, members in zip(classes.reps, classes.members):
-        s, gens = members[0]
-        assert (r.order, r.generators) == (len(s), gens)
-        assert r.element_set() is s
-        assert r._bsgs is None   # neither read built a BSGS
-        assert PermGroup(g.degree, gens).element_set() == s
+    for members in classes.members:
+        for m in members:
+            s = m.element_set()
+            assert m.order == len(s)
+            assert m._bsgs is None   # neither read built a BSGS
+            assert PermGroup(g.degree, m.generators).element_set() == s
 
 
 # -- subgroup enumeration
@@ -1012,7 +1018,7 @@ ENUMERATED = {
 @pytest.mark.parametrize("name", ENUMERATED)
 def test_element_blocks_match_the_recursive_enumeration(name):
     g = ENUMERATED[name]()
-    got = list(g.bsgs.iter_elements())
+    got = list(g.elements())
     assert got == _elements_by_recursion(g.bsgs)
     assert g.bsgs.element_images().tolist() == [list(x.images) for x in got]
     assert len(got) == len(set(got)) == g.order
