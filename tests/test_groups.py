@@ -878,10 +878,8 @@ def test_representatives_read_their_order_and_elements_from_the_members(name, p)
     classes = sylow_subgroup_classes(g, p)
     for members in classes.members:
         for m in members:
-            s = m.element_set()
-            assert m.order == len(s)
+            assert m.order == len(m.element_set())
             assert m._bsgs is None   # neither read built a BSGS
-            assert PermGroup(g.degree, m.generators).element_set() == s
 
 
 # -- subgroup enumeration
