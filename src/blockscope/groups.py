@@ -2,7 +2,8 @@
 
 Groups carry a base and strong generating set built by a deterministic
 Schreier-Sims procedure, which gives exact orders, membership tests and
-element enumeration.  The BSGS's transversal gather is the one source of
+element enumeration; each level's transversal is stored once, as the
+inverses u^-1.  The BSGS's transversal gather is the one source of
 element data: :meth:`PermGroup.element_images` is an (order x degree)
 array of image rows, and :meth:`PermGroup.elements` wraps those rows in
 Perms only for a caller that needs objects.  Centralizers and normalizers
@@ -17,10 +18,10 @@ subgroup per prime.
 
 The G-classes of p-subgroups are one record per group and prime
 (:func:`sylow_subgroup_classes`), made in the pass that enumerates the
-subgroups of a Sylow subgroup and walks each conjugation orbit once;
-each member inside the Sylow subgroup is one handle that knows its order
-and element set.  Blocks and fusion read the record and walk no orbit of
-their own.
+subgroups of a Sylow subgroup and walks each conjugation orbit once,
+memoised by its seed; each member inside the Sylow subgroup is one
+handle that knows its order and element set.  Blocks and fusion read the
+record and walk no orbit of their own.
 
 All objects are immutable after construction and safe for concurrent
 reads.  Derived data (classes, element lists, local subgroups) is memoised
@@ -84,28 +85,28 @@ class _BSGS:
     """Deterministic incremental Schreier-Sims data: base, strong generators,
     transversals (Seress, *Permutation Group Algorithms*, 2003, sec. 4.2).
 
-    The base only grows, and a transversal is only ever extended: inserting
-    a strong generator extends each orbit it acts on by a walk from the old
-    points under the new generator and from the new points under every
-    generator of the level.  Each step that lands on a known point
-    queues its Schreier pair (point, generator); :meth:`_close` sifts the
-    queued pairs, deepest level first, until none is left or a known order
-    is reached.  A pair that sifts to the identity stays a member for good,
-    as the transversals it sifted through never change: no pair is sifted twice.
-    A group grown one element at a time (stabilizers, normal closures)
-    extends a single instance with :meth:`add`.
+    Each level's transversal is stored once, as point -> u^-1 (u maps the
+    base point to the point): `sift` composes with u^-1, and only a
+    Schreier generator inverts one.  The base only grows, and a transversal
+    is only ever extended: inserting a strong generator extends each orbit
+    it acts on by a walk from the old points under the new generator and
+    from the new points under every generator of the level.  Each step that
+    lands on a known point queues its Schreier pair (point, generator);
+    :meth:`_close` sifts the queued pairs, deepest level first, until none
+    is left or a known order is reached.  A pair that sifts to the identity
+    stays a member for good, as the transversals it sifted through never
+    change: no pair is sifted twice.  A group grown one element at a time
+    (stabilizers, normal closures) extends a single instance with :meth:`add`.
     """
 
-    __slots__ = ("degree", "base", "level_gens", "orbits", "inverses", "pending",
-                 "identity")
+    __slots__ = ("degree", "base", "level_gens", "inverses", "pending", "identity")
 
     def __init__(self, degree: int, gens):
         self.degree = degree
         self.base: list[int] = []
         # per level: (g, g^-1) for the strong generators fixing the base prefix
         self.level_gens: list[list[tuple[Perm, Perm]]] = []
-        self.orbits: list[dict[int, Perm]] = []  # per level: point -> u with u(b)=point
-        self.inverses: list[dict[int, Perm]] = []  # per level: point -> u^-1
+        self.inverses: list[dict[int, Perm]] = []  # per level: point -> u^-1, u(b) = point
         self.pending: list[list[tuple[int, Perm]]] = []  # per level: unsifted Schreier pairs
         self.identity = Perm.identity(degree)
         for g in gens:
@@ -113,7 +114,7 @@ class _BSGS:
 
     def order(self) -> int:
         n = 1
-        for orb in self.orbits:
+        for orb in self.inverses:
             n *= len(orb)
         return n
 
@@ -129,7 +130,6 @@ class _BSGS:
             b = g.min_moved()
             self.base.append(b)
             self.level_gens.append([])
-            self.orbits.append({b: self.identity})
             self.inverses.append({b: self.identity})
             self.pending.append([])
         g_inv = g.inverse()
@@ -141,18 +141,16 @@ class _BSGS:
         """Close a level's orbit after g joined its generators: old points
         step under g, new points under every generator.  A step that lands
         on a known point queues its Schreier pair."""
-        orbit = self.orbits[level]
         inverses = self.inverses[level]
         pending = self.pending[level]
-        steps = [(pt, g, g_inv) for pt in list(orbit)]
+        steps = [(pt, g, g_inv) for pt in list(inverses)]
         gens = self.level_gens[level]
         while steps:
             pt, h, h_inv = steps.pop()
             im = h(pt)
-            if im in orbit:
+            if im in inverses:
                 pending.append((pt, h))
             else:
-                orbit[im] = orbit[pt] * h
                 inverses[im] = h_inv * inverses[pt]  # (u h)^-1 = h^-1 u^-1
                 steps.extend((im, k, k_inv) for k, k_inv in gens)
 
@@ -192,22 +190,32 @@ class _BSGS:
                 level -= 1
                 continue
             pt, g = pending.pop()
-            s = self.orbits[level][pt] * g * self.inverses[level][g(pt)]
+            inverses = self.inverses[level]
+            s = inverses[pt].inverse() * g * inverses[g(pt)]
             r = self.sift(s)
             if not r.is_identity():
                 self._insert(r)
                 done, level = self.order() == order, len(self.base) - 1
 
+    def inverse_rows(self):
+        """Per level, the basic orbit in point order and the image rows of
+        the u^-1 in that order, an (orbit x degree) array in the least
+        dtype that holds a point."""
+        dtype = np.min_scalar_type(max(self.degree - 1, 0))
+        for inverses in self.inverses:
+            orbit = sorted(inverses)
+            yield orbit, np.array([inverses[pt].images for pt in orbit], dtype=dtype)
+
     def element_images(self) -> np.ndarray:
         """Every element once, as the products u_m ... u_2 u_1 of one
         transversal element per level: an (order x degree) array of image
         rows, the first level's element varying slowest.  Each level's
-        transversal, in point order, composes the rows of the levels below
-        it: u[rows] composes rows with u."""
-        dtype = np.min_scalar_type(max(self.degree - 1, 0))
-        rows = np.arange(self.degree, dtype=dtype)[None, :]
-        for orb in reversed(self.orbits):
-            u = np.array([u.images for _, u in sorted(orb.items())], dtype=dtype)
+        transversal, in point order, is read off its u^-1 rows (the row of
+        u is the argsort of the row of u^-1) and composes the rows of the
+        levels below it: u[rows] composes rows with u."""
+        rows = np.arange(self.degree, dtype=np.min_scalar_type(max(self.degree - 1, 0)))[None, :]
+        for _, inverse in reversed(list(self.inverse_rows())):
+            u = np.argsort(inverse, axis=1).astype(rows.dtype)
             rows = u[:, rows].reshape(-1, self.degree)
         return rows
 
@@ -396,22 +404,21 @@ class _ElementIndex:
     is below |G|.  :meth:`keys` sifts base images: at level t the image of
     b_t gives u_t, through `position` (point -> place in Delta_t), and the
     later base images are mapped through `inverse` (row j: the images of
-    the j-th u_t^-1).  `images[k]` holds the base images of the element of
-    key k, each array in the least integer dtype; the index holds no Perm.
+    the j-th u_t^-1, from :meth:`_BSGS.inverse_rows`).  `images[k]` holds
+    the base images of the element of key k, each array in the least
+    integer dtype; the index holds no Perm.
     """
 
     __slots__ = ("base", "position", "inverse", "images")
 
     def __init__(self, group: "PermGroup"):
         self.base = list(group.bsgs.base)
-        point = np.min_scalar_type(max(group.degree - 1, 0))
         self.position, self.inverse = [], []
-        for inverses in group.bsgs.inverses:
-            orbit = sorted(inverses)
+        for orbit, inverse in group.bsgs.inverse_rows():
             position = np.zeros(group.degree, dtype=np.min_scalar_type(len(orbit) - 1))
             position[orbit] = np.arange(len(orbit))
             self.position.append(position)
-            self.inverse.append(np.array([inverses[pt].images for pt in orbit], dtype=point))
+            self.inverse.append(inverse)
         self.images = group.element_images()[:, self.base]
 
     def keys(self, images: np.ndarray) -> np.ndarray:
@@ -474,10 +481,11 @@ def _with_bsgs(group: PermGroup, gens, bsgs: _BSGS) -> PermGroup:
     return h
 
 
-def _stabilizer_of_action(group: PermGroup, seed) -> tuple[dict, PermGroup, np.ndarray]:
+def _stabilizer_of_action(group: PermGroup, seed) -> tuple[list, PermGroup, np.ndarray]:
     """Conjugation orbit of `seed`, a frozenset of permutations, under
-    `group`, the stabilizer of `seed`, and the orbit as keys: row i holds
-    the sorted element keys of the i-th orbit member.
+    `group`, as a list of member sets with the seed first, the stabilizer
+    of `seed`, and the orbit as keys: row i holds the sorted element keys of
+    the i-th orbit member.
 
     The walk runs on element keys (:class:`_ElementIndex`) of `group`, or
     of <group, seed> for a seed outside it: a seed is its sorted key array,
@@ -491,7 +499,7 @@ def _stabilizer_of_action(group: PermGroup, seed) -> tuple[dict, PermGroup, np.n
     stops its closure.  It is then the whole stabilizer, so each later
     Schreier generator, which fixes the seed, is a member, and `_BSGS.add`
     of a member changes nothing: the result is the one sifting them all
-    gives.
+    gives.  The witnesses serve only these generators and are not returned.
 
     A seed fixed by every generator returns `group` itself, memos shared.
     The walk would build the same BSGS (base, transversals, element order):
@@ -515,7 +523,7 @@ def _stabilizer_of_action(group: PermGroup, seed) -> tuple[dict, PermGroup, np.n
                 found.append(image)
             steps.append((i, t, j))
     if len(found) == 1:
-        return {seed: group.identity}, group, found[0][None]
+        return [seed], group, found[0][None]
     witness = [group.identity]
     target = group.order // len(found)
     bsgs = _BSGS(group.degree, [])
@@ -530,22 +538,18 @@ def _stabilizer_of_action(group: PermGroup, seed) -> tuple[dict, PermGroup, np.n
                 gens.append(s)
     elems = space.elements()
     keys = np.stack(found)
-    orbit = {seed: group.identity}
-    for rows, w in zip(keys[1:].tolist(), witness[1:]):
-        orbit[frozenset(map(elems.__getitem__, rows))] = w
+    orbit = [seed] + [frozenset(map(elems.__getitem__, row)) for row in keys[1:].tolist()]
     return orbit, _with_bsgs(group, gens, bsgs), keys
 
 
-def _orbit_entry(group: PermGroup, sset: frozenset) -> tuple[dict, PermGroup, np.ndarray]:
+def _orbit_entry(group: PermGroup, sset: frozenset) -> tuple[list, PermGroup, np.ndarray]:
     """(orbit, stabilizer of its seed, keys) for the conjugation orbit of an
-    element set, walked once: memoised per orbit on the group, every member
-    keying the same entry."""
+    element set, walked from it once: memoised on the group by the seed
+    only, one entry per walk; another member of the orbit walks afresh."""
     memo = group._memo("set_orbits", dict)
     entry = memo.get(sset)
     if entry is None:
-        entry = _stabilizer_of_action(group, sset)
-        for t in entry[0]:
-            memo[t] = entry
+        entry = memo[sset] = _stabilizer_of_action(group, sset)
     return entry
 
 
@@ -561,24 +565,20 @@ def centralizer(g: PermGroup, h) -> PermGroup:
 
 
 def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
-    """N_g(h), the stabilizer of the element set of h under conjugation.
+    """N_g(h), the stabilizer of the element set of h under conjugation,
+    read from the memoised orbit walk seeded at h's element set.
 
-    Read from the memoised orbit of h's element set: the stabilizer of the
-    orbit's seed, conjugated by h's witness when h is another member.
     Memoised on g by the element set of h, so repeated queries share the
     handle (and everything cached on it, like its character table); one
-    memoised for another subgroup, of the same order and holding the new
-    generators, is the same group and is reused, generators and all, so
-    those depend on query order.  When g normalizes h, this is g's handle.
+    memoised for another subgroup that is the same group (`same_subgroup`)
+    is reused, generators and all, so those depend on query order.  When g
+    normalizes h, this is g's handle.
     """
     hset = h.element_set()
     memo = g._memo("normalizers", dict)
     if hset not in memo:
-        orbit, stab, _ = _orbit_entry(g, hset)
-        w = orbit[hset]   # the identity exactly for the seed
-        new = stab if w.is_identity() else PermGroup(g.degree, [x ** w for x in stab.generators])
-        memo[hset] = next((n for n in memo.values() if n.order == stab.order
-                           and all(x in n for x in new.generators)), new)
+        stab = _orbit_entry(g, hset)[1]
+        memo[hset] = next((n for n in memo.values() if same_subgroup(stab, n)), stab)
     return memo[hset]
 
 
@@ -674,7 +674,9 @@ def _grow_sylow(g: PermGroup, p: int, s: PermGroup) -> PermGroup:
         if any(x ** y not in s for x in s.generators for y in g.generators):
             grown = sylow_subgroup(normalizer(g, s), p, s)
         else:
-            p_parts = (x ** (x.order() // p_part(x.order(), p)) for x in g.elements())
+            # the rows in element order, one Perm per row scanned
+            scan = (Perm._raw(tuple(row.tolist())) for row in g.element_images())
+            p_parts = (x ** (x.order() // p_part(x.order(), p)) for x in scan)
             z = next((z for z in p_parts if z not in s), None)
             grown = None if z is None else PermGroup(g.degree, list(s.generators) + [z])
         # neither can happen: each contradicts Sylow theory

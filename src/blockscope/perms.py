@@ -157,9 +157,6 @@ class Perm:
     def __lt__(self, other):
         return self.images < other.images
 
-    def __le__(self, other):
-        return self.images <= other.images
-
     def __repr__(self):
         return f"Perm{self.cycle_string(one_based=False)}<{self.degree}>"
 

@@ -164,7 +164,8 @@ def test_the_residual_keeps_the_bsgs_it_grew(name, monkeypatch):
     assert q.generators == want.generators
     assert q.bsgs.base == want.bsgs.base
     assert q.bsgs.level_gens == want.bsgs.level_gens
-    assert [list(o.items()) for o in q.bsgs.orbits] == [list(o.items()) for o in want.bsgs.orbits]
+    assert [list(o.items()) for o in q.bsgs.inverses] == [
+        list(o.items()) for o in want.bsgs.inverses]
     assert q.elements() == want.elements()
 
 

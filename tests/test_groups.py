@@ -252,8 +252,8 @@ def test_analysis_builds_one_table_per_distinct_group(recipe, monkeypatch):
 
 @pytest.mark.parametrize("name", ["S4", "S5", "G96", "L48"])
 def test_normalizer_of_a_conjugate_member(name):
-    """N(r^x) for x outside N(r) is read from r's memoised orbit, as N(r)
-    conjugated by the witness of r^x; it must still be N(r^x)."""
+    """N(r^x) for x outside N(r) is walked from r^x itself, as the orbit
+    memo is keyed by seeds only; it must be N(r^x), of the order of N(r)."""
     g = construct_group(RECIPES[name])
     reps = sylow_subgroup_classes(g, 2).reps
     tried = 0
@@ -313,6 +313,26 @@ def test_each_orbit_of_element_sets_is_walked_once(monkeypatch):
         members = walked.setdefault(id(g), set())
         assert not orbit & members, f"an orbit of order-{len(seed)} sets walked twice"
         members |= orbit
+
+
+@pytest.mark.parametrize("name", ["S4", "G96", "K192"])
+def test_the_orbit_memo_holds_one_entry_per_walk(name, monkeypatch):
+    """`_orbit_entry` keeps one entry per walk of g, under its seed, which
+    is the first member of the orbit the entry holds; a normalizer query
+    for a seed reads that entry and walks nothing."""
+    import blockscope.groups
+    g = construct_group(RECIPES[name])
+    walked = []
+    walk = blockscope.groups._stabilizer_of_action
+    monkeypatch.setattr(blockscope.groups, "_stabilizer_of_action",
+                        lambda h, seed: (h is g and walked.append(seed)) or walk(h, seed))
+    classes = sylow_subgroup_classes(g, 2)
+    for r in classes.reps:
+        normalizer(g, r)
+    memo = g._cache["set_orbits"]
+    assert list(memo) == walked
+    assert all(orbit[0] == seed for seed, (orbit, _, _) in memo.items())
+    assert sum(len(orbit) for orbit, _, _ in memo.values()) > len(memo)
 
 
 _SMALL_RECIPES = st.sampled_from([cyclic(2), cyclic(3), cyclic(4), cyclic(6), symmetric(3),
@@ -491,7 +511,7 @@ def _perm_walk(group, seed):
 def _assert_same_walk(g, seed):
     orbit, stab, keys = _stabilizer_of_action(g, seed)
     want = _perm_walk(g, seed)
-    assert list(orbit.items()) == list(want[0].items())
+    assert orbit == list(want[0])
     if all(x in g for x in seed):
         # row i of the key array: the sorted keys of the i-th orbit member
         index = _element_index(g)
@@ -569,7 +589,7 @@ def test_a_closure_stopped_at_the_known_order_builds_the_same_bsgs(name, monkeyp
     for x in first:
         stopped.add(x, h_order)
     full = _BSGS(g.degree, first)
-    state = lambda b: (b.base, b.level_gens, b.orbits, b.inverses)
+    state = lambda b: (b.base, b.level_gens, b.inverses)
     assert stopped.order() == h_order
     assert state(stopped) == state(full)
     assert sifted.count(stopped) < sifted.count(full)   # the stop skipped sifts
@@ -978,24 +998,49 @@ def test_the_table_enumeration_matches_the_perm_enumeration(name):
 
 
 def test_bsgs_stores_inverse_transversals():
+    """Each level's transversal is held once, as u^-1: v = u^-1 maps its
+    orbit point back to the base point."""
     for name in ("S5", "L48", "G96", "K192"):
         bsgs = group(name).bsgs
-        for orbit, inverses in zip(bsgs.orbits, bsgs.inverses):
-            assert orbit.keys() == inverses.keys()
-            for pt, u in orbit.items():
-                assert (inverses[pt] * u).is_identity()
+        assert len(bsgs.inverses) == len(bsgs.base)
+        for b, inverses in zip(bsgs.base, bsgs.inverses):
+            assert inverses[b].is_identity()
+            for pt, v in inverses.items():
+                assert v(pt) == b
+
+
+@pytest.mark.parametrize("name", ["S5", "L48", "G96", "K192"])
+def test_every_schreier_generator_fixes_the_base_through_its_level(name, monkeypatch):
+    """The closure forms u_pt g u_(g pt)^-1 from the stored u^-1 alone:
+    each one it sifts fixes b_1, ..., b_i for the level i of its pair."""
+    import sys
+    sifted = []   # (Schreier generator, the base points it must fix)
+    sift = _BSGS.sift
+
+    def recording_sift(self, x):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_close":
+            sifted.append((x, self.base[:caller.f_locals["level"] + 1]))
+        return sift(self, x)
+
+    monkeypatch.setattr(_BSGS, "sift", recording_sift)
+    g = group(name)
+    _BSGS(g.degree, g.generators)
+    assert sifted
+    assert all(x(b) == b for x, fixed in sifted for b in fixed)
 
 
 def _elements_by_recursion(bsgs):
     """The element enumeration as one Perm product per element: level by
     level, each transversal in point order, the first level varying slowest."""
-    transversals = [sorted(orb.items()) for orb in bsgs.orbits]
+    transversals = [[v.inverse() for _, v in sorted(inverses.items())]
+                    for inverses in bsgs.inverses]
 
     def rec(level):
         if level == len(bsgs.base):
             yield bsgs.identity
             return
-        for _, u in transversals[level]:
+        for u in transversals[level]:
             for h in rec(level + 1):
                 yield h * u
 
@@ -1050,8 +1095,9 @@ def test_bsgs_matches_sympy(case):
     for x in probes:
         assert ours.contains(Perm(tuple(x))) == theirs.contains(
             combinatorics.Permutation(list(x)))
-    for orbit in ours.orbits:
-        for u in orbit.values():
+    for inverses in ours.inverses:
+        for v in inverses.values():
+            u = v.inverse()
             assert theirs.contains(combinatorics.Permutation(list(u.images)))
 
 
@@ -1092,7 +1138,7 @@ def _assert_pairs_queued_once(bsgs):
     assert len(set(bsgs.queued)) == len(bsgs.queued)
     assert len(bsgs.queued) == sum(
         len(orbit) * len(gens_at) - (len(orbit) - 1)
-        for orbit, gens_at in zip(bsgs.orbits, bsgs.level_gens))
+        for orbit, gens_at in zip(bsgs.inverses, bsgs.level_gens))
 
 
 def test_bsgs_pairs_are_queued_once_on_catalog_groups():
