@@ -19,9 +19,10 @@ subgroup per prime.
 The G-classes of p-subgroups are one record per group and prime
 (:func:`sylow_subgroup_classes`), made in the pass that enumerates the
 subgroups of a Sylow subgroup and walks each conjugation orbit once,
-memoised by its seed; each member inside the Sylow subgroup is one
-handle that knows its order and element set.  Blocks and fusion read the
-record and walk no orbit of their own.
+memoised by its seed; normalizers are read from that memo, in which equal
+stabilizers share the first handle.  Each member inside the Sylow subgroup
+is one handle that knows its order and element set.  Blocks and fusion
+read the record and walk no orbit of their own.
 
 All objects are immutable after construction and safe for concurrent
 reads.  Derived data (classes, element lists, local subgroups) is memoised
@@ -46,7 +47,7 @@ import numpy as np
 
 from .errors import CapExceeded, InternalInconsistency, NotAbelian, NotNormalized
 from .exact import nu, p_part, prime_factors
-from .perms import Perm
+from .perms import Perm, _identity_images
 
 __all__ = [
     "PermGroup",
@@ -307,8 +308,7 @@ class PermGroup:
         return self.bsgs.element_images()
 
     def elements(self) -> tuple:
-        return self._memo("elements", lambda: tuple(
-            map(Perm._raw, map(tuple, self.element_images().tolist()))))
+        return self._memo("elements", lambda: tuple(_perms(self.element_images())))
 
     def element_set(self) -> frozenset:
         return self._memo("element_set", lambda: frozenset(self.elements()))
@@ -360,9 +360,9 @@ class PermGroup:
                 break
             label = new
         by_label = np.argsort(label, kind="stable")   # ranks ascending within a class
+        by_class = np.split(by_label, np.flatnonzero(np.diff(label[by_label])) + 1)
         found = []
-        for ranks in np.split(by_label, np.flatnonzero(np.diff(label[by_label])) + 1):
-            rep = Perm._raw(tuple(rows[keys[ranks[0]]].tolist()))
+        for ranks, rep in zip(by_class, _perms(rows[keys[[r[0] for r in by_class]]])):
             found.append((ConjClass(
                 representative=rep,
                 size=len(ranks),
@@ -436,6 +436,13 @@ class _ElementIndex:
 
 def _element_index(group: "PermGroup") -> _ElementIndex:
     return group._memo("element_index", lambda: _ElementIndex(group))
+
+
+def _perms(rows: np.ndarray):
+    """The Perms of the image rows, in row order, with every image an object
+    of one shared tuple of points: no row holds ints of its own."""
+    points = np.array(_identity_images(rows.shape[1]), dtype=object)
+    return map(Perm._raw, map(tuple, points[rows].tolist()))
 
 
 def _perm_order(rows: np.ndarray) -> np.ndarray:
@@ -545,11 +552,15 @@ def _stabilizer_of_action(group: PermGroup, seed) -> tuple[list, PermGroup, np.n
 def _orbit_entry(group: PermGroup, sset: frozenset) -> tuple[list, PermGroup, np.ndarray]:
     """(orbit, stabilizer of its seed, keys) for the conjugation orbit of an
     element set, walked from it once: memoised on the group by the seed
-    only, one entry per walk; another member of the orbit walks afresh."""
+    only, one entry per walk; another member of the orbit walks afresh.  A
+    stabilizer equal (`same_subgroup`) to one memoised already is stored as
+    that first handle, so equal stabilizers share one handle and one BSGS."""
     memo = group._memo("set_orbits", dict)
     entry = memo.get(sset)
     if entry is None:
-        entry = memo[sset] = _stabilizer_of_action(group, sset)
+        orbit, stab, keys = _stabilizer_of_action(group, sset)
+        stab = next((s for _, s, _ in memo.values() if same_subgroup(stab, s)), stab)
+        entry = memo[sset] = orbit, stab, keys
     return entry
 
 
@@ -565,21 +576,11 @@ def centralizer(g: PermGroup, h) -> PermGroup:
 
 
 def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
-    """N_g(h), the stabilizer of the element set of h under conjugation,
-    read from the memoised orbit walk seeded at h's element set.
-
-    Memoised on g by the element set of h, so repeated queries share the
-    handle (and everything cached on it, like its character table); one
-    memoised for another subgroup that is the same group (`same_subgroup`)
-    is reused, generators and all, so those depend on query order.  When g
-    normalizes h, this is g's handle.
-    """
-    hset = h.element_set()
-    memo = g._memo("normalizers", dict)
-    if hset not in memo:
-        stab = _orbit_entry(g, hset)[1]
-        memo[hset] = next((n for n in memo.values() if same_subgroup(stab, n)), stab)
-    return memo[hset]
+    """N_g(h), the stabilizer of h's element set under conjugation, read from
+    the orbit memo (:func:`_orbit_entry`): queries whose normalizers are the
+    same group share its first handle and all cached on it, like its
+    character table.  When g normalizes h, this is g's handle."""
+    return _orbit_entry(g, h.element_set())[1]
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +675,7 @@ def _grow_sylow(g: PermGroup, p: int, s: PermGroup) -> PermGroup:
         if any(x ** y not in s for x in s.generators for y in g.generators):
             grown = sylow_subgroup(normalizer(g, s), p, s)
         else:
-            # the rows in element order, one Perm per row scanned
-            scan = (Perm._raw(tuple(row.tolist())) for row in g.element_images())
+            scan = _perms(g.element_images())   # one Perm per row scanned
             p_parts = (x ** (x.order() // p_part(x.order(), p)) for x in scan)
             z = next((z for z in p_parts if z not in s), None)
             grown = None if z is None else PermGroup(g.degree, list(s.generators) + [z])

@@ -12,7 +12,8 @@ from blockscope.blocks import block_distribution
 from blockscope.chartable import character_table
 from blockscope.exact import nu, p_part, prime_factors
 from blockscope.groups import (PermGroup, _BSGS, _element_index, _element_orders,
-                               _images_at, _stabilizer_of_action, _subgroups_of_p_group,
+                               _images_at, _orbit_entry, _stabilizer_of_action,
+                               _subgroups_of_p_group,
                                abelian_invariants,
                                centralizer, normal_closure, normalizer,
                                o_p_core, o_p_residual, quotient_by_normal,
@@ -333,6 +334,39 @@ def test_the_orbit_memo_holds_one_entry_per_walk(name, monkeypatch):
     assert list(memo) == walked
     assert all(orbit[0] == seed for seed, (orbit, _, _) in memo.items())
     assert sum(len(orbit) for orbit, _, _ in memo.values()) > len(memo)
+
+
+@pytest.mark.parametrize("name", ["S4", "G96", "K192"])
+def test_equal_stabilizers_share_one_handle(name):
+    """The orbit memo keeps one handle per stabilizer: after the class pass
+    and a normalizer query per representative, two memoised stabilizers
+    that are the same group are the same object."""
+    g = construct_group(RECIPES[name])
+    for r in sylow_subgroup_classes(g, 2).reps:
+        normalizer(g, r)
+    stabs = [stab for _, stab, _ in g._cache["set_orbits"].values()]
+    assert len({id(s) for s in stabs}) < len(stabs)
+    assert all(a is b for i, a in enumerate(stabs) for b in stabs[:i] if same_subgroup(a, b))
+
+
+@pytest.mark.parametrize("name", ["S4", "A4", "G96"])
+def test_a_normalizer_is_read_from_the_orbit_memo(name):
+    """`normalizer` keeps no memo of its own: it returns the stabilizer of
+    the orbit memo's entry under the subgroup's element set."""
+    g = construct_group(RECIPES[name])
+    for h in sylow_subgroup_classes(g, 2).reps + (g, PermGroup(g.degree, [])):
+        assert normalizer(g, h) is _orbit_entry(g, h.element_set())[1]
+    assert "normalizers" not in g._cache
+
+
+def test_perms_built_from_image_rows_share_one_int_object_per_point():
+    """Above degree 256, past the small ints that CPython shares, the
+    element Perms and the class representatives take their images from one
+    tuple of points."""
+    g = construct_group(cyclic(300))
+    assert g.degree > 256
+    for perms in (g.elements(), [c.representative for c in g.conjugacy_classes()]):
+        assert len({id(i) for x in perms for i in x.images}) <= g.degree
 
 
 _SMALL_RECIPES = st.sampled_from([cyclic(2), cyclic(3), cyclic(4), cyclic(6), symmetric(3),
