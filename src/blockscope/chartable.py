@@ -3,15 +3,17 @@
 The table is computed by the classical finite-field method: the class-sum
 structure constants give commuting integer matrices whose simultaneous
 eigenvectors over a prime field GF(ell), ell = 1 (mod exponent) and
-ell^2 > 4|G|, are the central characters mod ell.  Class matrices are
-counted only when the splitting reads them.  Each one splits only the
-subspaces on which it does not act as a scalar (Schneider 1990), by the
-kernels at the roots of its restriction's characteristic polynomial, the
-roots found by evaluating it on all of GF(ell) at once, each kernel from
-one elimination; a subspace is a basis that is the identity on a set of
-columns.  A class matrix is counted on base images: products are composed
-at the base points only and named by the element keys of
-groups._ElementIndex, their coordinates in the BSGS.
+ell^2 > 4|G|, are the central characters mod ell.  Each class matrix splits
+only the subspaces on which it does not act as a scalar (Schneider 1990),
+by the kernels at the roots of its restriction's characteristic
+polynomial, the roots found by evaluating it on all of GF(ell) at once,
+each kernel from one elimination; a subspace is a basis that is the
+identity on a set of columns.  The split reads M_i only at the pivot rows
+of the subspaces it has left to split, so class-matrix rows are counted on
+demand, each at most once: row j from
+|K_k| M_i[j, k] = |K_j| #{x in K_i : x z_j in K_k}.  A row is counted on
+base images: products are composed at the base points only and named by
+the element keys of groups._ElementIndex, their coordinates in the BSGS.
 Degrees are recovered from the orthogonality relation, and the exact
 character values, integer vectors in the power basis of Z[zeta_e], are
 reconstructed by discrete Fourier inversion over the power maps, using the
@@ -121,6 +123,8 @@ class CharacterTable:
                 raise InternalInconsistency(f"{what} {a}, {b}")
 
     def to_json(self):
+        forms, at = _canonical(self.exponent, self.coords)
+        values = [v.to_json() for v in forms]
         return {
             "order": self.group.order,
             "classes": [
@@ -129,19 +133,24 @@ class CharacterTable:
                 for c in self.classes
             ],
             "degrees": list(self.degrees),
-            "characters": [[v.to_json() for v in row]
-                           for row in _canonical(self.exponent, self.coords)],
+            "characters": [[values[k] for k in row] for row in at.tolist()],
         }
 
 
-def _canonical(exponent: int, coords: np.ndarray) -> list[list[Cyclo]]:
-    """The canonical (minimal-conductor) form of every value, from its
-    coordinates in the exponent field; each distinct value is normalized
-    once."""
+def _canonical(exponent: int, coords: np.ndarray) -> tuple[list[Cyclo], np.ndarray]:
+    """The canonical (minimal-conductor) forms of the distinct values, each
+    normalized once, and for every value the index of its form.  The
+    distinct coordinate vectors come from one lexsort, first coordinate
+    primary, and a difference of adjacent vectors."""
     r, c, phi = coords.shape
-    distinct, at = np.unique(coords.reshape(r * c, phi), axis=0, return_inverse=True)
-    forms = [Cyclo(exponent, v) for v in distinct.tolist()]
-    return [[forms[k] for k in row] for row in at.reshape(r, c).tolist()]
+    flat = coords.reshape(r * c, phi)
+    order = np.lexsort(flat.T[::-1])
+    ordered = flat[order]
+    new = np.ones(r * c, dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    at = np.empty(r * c, dtype=np.intp)
+    at[order] = np.cumsum(new) - 1
+    return [Cyclo(exponent, v) for v in ordered[new].tolist()], at.reshape(r, c)
 
 
 @lru_cache(maxsize=None)
@@ -182,37 +191,57 @@ def _class_matrices(group: PermGroup) -> list[np.ndarray]:
     return [_class_matrix(group, i) for i in range(len(group.conjugacy_classes()))]
 
 
-def _class_matrix(group: PermGroup, i: int) -> np.ndarray:
-    """M_i alone, counted the first time it is asked for."""
-    return group._memo(("class_matrix", i), lambda: _count_class_products(group, i))
+def _class_matrix(group: PermGroup, i: int, rows=None) -> np.ndarray:
+    """M_i with at least the given rows counted, all of them for None.  A row
+    is counted the first time it is asked for; rows not yet asked for are 0."""
+    r = len(group.conjugacy_classes())
+    # no entry exceeds |K_i| <= |G|
+    mi, counted = group._memo(("class_matrix", i), lambda: (
+        np.zeros((r, r), dtype=np.min_scalar_type(group.order)), np.zeros(r, dtype=bool)))
+    missing = ~counted
+    if rows is not None:
+        asked = np.zeros(r, dtype=bool)
+        asked[rows] = True
+        missing &= asked
+    missing = np.flatnonzero(missing)
+    if missing.size:
+        mi[missing] = _count_class_rows(group, i, missing)
+        counted[missing] = True
+    return mi
 
 
-def _count_class_products(group: PermGroup, i: int) -> np.ndarray:
-    """M_i as an array kernel on element keys (groups._ElementIndex).
+def _count_class_rows(group: PermGroup, i: int, rows: np.ndarray) -> np.ndarray:
+    """Rows `rows` of M_i as an array kernel on element keys (groups._ElementIndex).
 
-    As x runs over K_i, x^-1 runs over the inverse class, whose base images
-    the index holds.  Composing them with z_k at the base points only gives
-    the base images of x^-1 z_k; their keys give their classes, and counting
-    the classes gives column k.  The classes k are taken a few at a time, at
-    most |G| products per block, so a block is never larger than the index.
+    Counting the triples (x, y, z) in K_i x K_j x K_k with x y = z once by z
+    and once by y gives |K_k| M_i[j, k] = |K_j| #{x in K_i : x z_j in K_k}.
+    The index holds the base images of K_i.  Composing them with z_j at the
+    base points only gives the base images of x z_j; their keys give their
+    classes, and counting the classes gives row j up to those sizes.  The
+    rows are taken a few at a time, at most |G| products per block, so a
+    block is never larger than the index.
     """
     classes, class_at = group._class_walk()
     r = len(classes)
     index = _element_index(group)
-    inverses = index.images[class_at == group.class_of(classes[i].representative.inverse())]
-    size, m = inverses.shape
+    members = index.images[class_at == i]
+    size, m = members.shape
     step = max(1, group.order // size)
-    # no entry exceeds |K_i| <= |G|
-    mi = np.empty((r, r), dtype=np.min_scalar_type(group.order))
-    for k in range(0, r, step):
-        zs = np.array([c.representative.images for c in classes[k:k + step]],
-                      dtype=inverses.dtype)
-        b = len(zs)
-        # row s: the classes of x^-1 z_(k+s), offset by s * r so that one
+    zs = group._memo("representative_images", lambda: np.array(
+        [c.representative.images for c in classes], dtype=index.images.dtype))
+    counts = np.empty((len(rows), r), dtype=np.int64)
+    for s in range(0, len(rows), step):
+        block = rows[s:s + step]
+        b = len(block)
+        # row t: the classes of x z_(block[t]), offset by t * r so that one
         # bincount counts the whole block
-        found = class_at[index.keys(zs[:, inverses].reshape(b * size, m))].reshape(b, size)
-        counts = np.bincount((found + r * np.arange(b)[:, None]).ravel(), minlength=b * r)
-        mi[:, k:k + b] = counts.reshape(b, r).T
+        found = class_at[index.keys(zs[block][:, members].reshape(b * size, m))].reshape(b, size)
+        tally = np.bincount((found + r * np.arange(b)[:, None]).ravel(), minlength=b * r)
+        counts[s:s + b] = tally.reshape(b, r)
+    sizes = np.array([c.size for c in classes], dtype=np.int64)
+    mi, rest = np.divmod(counts * sizes[rows, None], sizes)
+    if rest.any():
+        raise InternalInconsistency(f"a product count of class {i} is not divisible by a class size")
     return mi
 
 
@@ -242,7 +271,7 @@ def _build_table(group: PermGroup) -> CharacterTable:
                           "overflow int64 arithmetic")
 
     # the central characters mod ell: 1 at the identity class, the leading entry
-    v = _common_eigenvectors(lambda i: _class_matrix(group, i), r, ell)
+    v = _common_eigenvectors(lambda i, rows: _class_matrix(group, i, rows), r, ell)
     if len(v) != r:
         raise InternalInconsistency(f"expected {r} one-dimensional eigenspaces, found {len(v)}")
 
@@ -297,10 +326,12 @@ def _common_eigenvectors(class_matrix, r: int, ell: int):
     """Split GF(ell)^r into common eigenlines of the class matrices, each
     returned with leading entry 1.
 
-    Each subspace is a row basis b with b[:, pivots] = I.  class_matrix(i),
-    read for i = 1, 2, ... until every subspace is a line, acts on row
-    vectors by M^T; its restriction A to a subspace, with A b = b M^T, is
-    read off the pivot columns.  A subspace on which M acts as a scalar is
+    Each subspace is a row basis b with b[:, pivots] = I.  class_matrix(i,
+    rows), read for i = 1, 2, ... until every subspace is a line, returns M
+    with at least the given rows counted: the pivots of the subspaces not
+    yet lines, the only rows of M the split reads.  M acts on row vectors by
+    M^T; its restriction A to a subspace, with A b = b M^T, is read off the
+    pivot columns, A = M[pivots] b^T.  A subspace on which M acts as a scalar is
     kept whole (Schneider, "Dixon's character table algorithm revisited",
     J. Symbolic Comput. 9, 1990); any other splits into the eigenspaces of A
     at the roots of its characteristic polynomial, found by Horner's rule at
@@ -313,14 +344,16 @@ def _common_eigenvectors(class_matrix, r: int, ell: int):
     for i in range(1, r):
         if all(b.shape[0] == 1 for b, _ in spaces):
             break
-        mt = class_matrix(i).T.astype(np.int64) % ell   # counts come in the smallest dtype
+        mi = class_matrix(i, sorted({p for b, pivots in spaces if b.shape[0] > 1
+                                     for p in pivots}))
         new_spaces = []
         for b, pivots in spaces:
             d = b.shape[0]
             if d == 1:
                 new_spaces.append((b, pivots))
                 continue
-            at = (b @ mt[:, pivots]).T % ell
+            # counts come in the smallest dtype
+            at = mi[pivots].astype(np.int64) % ell @ b.T % ell
             if (at == at[0, 0] * np.eye(d, dtype=np.int64)).all():
                 new_spaces.append((b, pivots))
                 continue
@@ -421,13 +454,18 @@ def _lift_columns(chi_mod, degrees, power_classes, z_e, exponent, ell):
 
 def _row_order(degrees, coords, exponent):
     """The trivial character first, then by (degree, value fingerprint): the
-    degree, then the canonical forms of the row's values."""
+    degree, then the canonical forms of the row's values.  The distinct
+    forms are ranked once by their keys, and the rows ordered by one stable
+    lexsort over (degree, ranks)."""
     rows = range(len(degrees))
     trivial = next((i for i in rows if (coords[i, :, 0] == 1).all() and not coords[i, :, 1:].any()),
                    None)
     if trivial is None:
         raise InternalInconsistency("trivial character missing from the table")
-    forms = _canonical(exponent, coords)
-    rest = sorted((i for i in rows if i != trivial),
-                  key=lambda i: (degrees[i], tuple(v.key() for v in forms[i])))
-    return [trivial] + rest
+    forms, at = _canonical(exponent, coords)
+    rank = np.empty(len(forms), dtype=np.intp)
+    rank[sorted(range(len(forms)), key=lambda k: forms[k].key())] = np.arange(len(forms))
+    rest = np.delete(np.arange(len(degrees)), trivial)
+    # np.lexsort's last key is its primary one
+    order = np.lexsort((*rank[at[rest]].T[::-1], np.asarray(degrees)[rest]))
+    return [trivial] + rest[order].tolist()

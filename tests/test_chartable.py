@@ -354,7 +354,7 @@ def test_eigenlines_match_the_lambda_scan(name):
     r = table.n_classes
     ell = _choose_prime(table.exponent, g.order)
     mats = _class_matrices(g)
-    got = _common_eigenvectors(lambda i: mats[i], r, ell)
+    got = _common_eigenvectors(lambda i, rows: mats[i], r, ell)
     want = _common_eigenvectors_by_scan(mats, r, ell)
     assert [v.tolist() for v in got] == [v.tolist() for v in want]
     assert len(got) == r
@@ -602,25 +602,69 @@ def _assert_pair_counts(g, mats):
         assert mats[i].tolist() == want[i].tolist(), i
 
 
+def _spy_on_row_counts(monkeypatch):
+    """The list of (i, rows) that every call of the row counter appends to."""
+    counted = []
+    count = chartable._count_class_rows
+
+    def spy(grp, i, rows):
+        counted.append((i, rows.tolist()))
+        return count(grp, i, rows)
+
+    monkeypatch.setattr(chartable, "_count_class_rows", spy)
+    return counted
+
+
 @pytest.mark.parametrize("recipe", ["S5", "Z4wrZ2"])
 def test_class_matrices_on_demand_match_pair_counts(monkeypatch, recipe):
     # a fresh group, so that no class matrix is memoised before the table
     g = construct_group(RECIPES[recipe])
     r = len(g.conjugacy_classes())
-    counted = []
-    count = chartable._count_class_products
-
-    def spy(grp, i):
-        counted.append(i)
-        return count(grp, i)
-
-    monkeypatch.setattr(chartable, "_count_class_products", spy)
+    counted = _spy_on_row_counts(monkeypatch)
     character_table(g)
-    # the splitting reads M_1, M_2, ... in order, each counted once
-    assert counted == list(range(1, len(counted) + 1))
+    # the splitting reads M_1, M_2, ... in order, each counted by one call
+    assert [i for i, _ in counted] == list(range(1, len(counted) + 1))
     mats = _class_matrices(g)
-    assert sorted(counted) == list(range(r))
+    assert sorted((i, j) for i, rows in counted for j in rows) == \
+        [(i, j) for i in range(r) for j in range(r)]
     _assert_pair_counts(g, mats)
+
+
+@pytest.mark.parametrize("recipe", ["S4", "S5", "L48", "Z4wrZ2", "G96"])
+def test_each_class_matrix_row_is_counted_once(monkeypatch, recipe):
+    g = construct_group(RECIPES[recipe])
+    counted = _spy_on_row_counts(monkeypatch)
+    character_table(g)
+    _class_matrices(g)
+    _class_matrices(g)
+    pairs = [(i, j) for i, rows in counted for j in rows]
+    assert len(pairs) == len(set(pairs))
+    # the class representatives' rows are held once, as one array
+    assert g._cache["representative_images"].tolist() == \
+        [list(c.representative.images) for c in g.conjugacy_classes()]
+
+
+@pytest.mark.parametrize("recipe, matrices, rows", [(alternating(8), 12, 58),
+                                                    (wreath(cyclic(4), cyclic(4)), 73, 613)],
+                         ids=["A8", "Z4wrZ4"])
+def test_the_table_counts_only_the_rows_the_split_reads(monkeypatch, recipe, matrices, rows):
+    # whole matrices would be 12 x 14 = 168 rows for A8, 73 x 88 = 6,424 for Z4 wr Z4
+    g = construct_group(recipe)
+    counted = _spy_on_row_counts(monkeypatch)
+    character_table(g)
+    assert len(counted) == matrices
+    assert sum(len(rows) for _, rows in counted) == rows
+
+
+def test_a_tampered_class_size_is_refused():
+    g = construct_group(symmetric(4))
+    classes, class_at = g._class_walk()
+    # 8 elements of order 3, claimed to be 7: some |K_j| #{...} is not a multiple of 7
+    k = next(k for k, c in enumerate(classes) if c.element_order == 3)
+    g._cache["classes"] = (classes[:k] + (dataclasses.replace(classes[k], size=7),)
+                           + classes[k + 1:], class_at)
+    with pytest.raises(InternalInconsistency, match="not divisible"):
+        _class_matrices(g)
 
 
 _SMALL = st.sampled_from([cyclic(2), cyclic(3), cyclic(4), cyclic(6), symmetric(3),
@@ -636,6 +680,26 @@ def test_class_matrices_match_pair_counts_on_drawn_groups(recipe):
     g = construct_group(recipe)
     assume(g.order <= 96)
     _assert_pair_counts(g, _class_matrices(g))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(_SMALL, st.builds(direct, _SMALL, st.sampled_from([cyclic(2), symmetric(3)]))),
+       st.data())
+def test_partial_then_full_class_matrices_match_pair_counts(recipe, data):
+    g = construct_group(recipe)
+    assume(g.order <= 96)
+    r = len(g.conjugacy_classes())
+    want = {}
+    for i in data.draw(st.lists(st.integers(0, r - 1), max_size=4)):
+        rows = data.draw(st.lists(st.integers(0, r - 1), max_size=r))
+        want[i] = want.get(i, set()) | set(rows)
+        got = chartable._class_matrix(g, i, rows)
+        # rows asked for now or before are counted, the rest are still 0
+        assert not got[[j for j in range(r) if j not in want[i]]].any()
+    mats = _class_matrices(g)
+    for i in want:
+        assert mats[i] is chartable._class_matrix(g, i)
+    _assert_pair_counts(g, mats)
 
 
 # -- one exact form: the coordinates
@@ -663,3 +727,21 @@ def test_table_json_is_derived_from_the_coordinates(monkeypatch):
     characters = table.to_json()["characters"]
     assert [[v["conductor"] for v in row] for row in characters][0] == [1] * table.n_classes
     assert {v["conductor"] for row in characters for v in row} == {1, 7, 15}
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "L48", "Z4wrZ2", "A5xZ2", "Z8wrZ2"])
+def test_canonical_forms_and_row_order_match_unique_and_key_sort(name):
+    # the lexsort dedupe against np.unique, and the ranked lexsort of the
+    # rows against sorting them by their values' keys
+    g = construct_group(SCANNED[name]) if name in SCANNED else group(name)
+    table = character_table(g)
+    coords = table.coords[::-1]
+    r, c, phi = coords.shape
+    forms, at = chartable._canonical(table.exponent, coords)
+    distinct, inverse = np.unique(coords.reshape(r * c, phi), axis=0, return_inverse=True)
+    assert [f.key() for f in forms] == [Cyclo(table.exponent, v).key() for v in distinct.tolist()]
+    assert at.ravel().tolist() == inverse.ravel().tolist()
+    degrees = list(table.degrees[::-1])
+    values = [[forms[k] for k in row] for row in at.tolist()]
+    want = sorted(range(r - 1), key=lambda a: (degrees[a], tuple(v.key() for v in values[a])))
+    assert chartable._row_order(degrees, coords, table.exponent) == [r - 1] + want
